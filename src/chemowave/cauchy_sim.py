@@ -25,6 +25,7 @@ from .velocity_model import VelocityModel
 logger = logging.getLogger(__name__)
 
 _NEGATIVE_TOL = 1e-12  # relative slack before declaring a density negative
+PEAK_PROMINENCE_FRACTION = 0.05  # default peak prominence, as a fraction of the rho range
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class SimConfig:
     sign_deadzone: float = 1e-12        # relative to the per-step argument scale
     snapshot_interval: float | None = None
     fit_window_fraction: float = 0.5
-    peak_prominence_fraction: float = 0.05
+    peak_prominence_fraction: float = PEAK_PROMINENCE_FRACTION
     keep_velocity_snapshots: bool = False
 
     def __post_init__(self):
@@ -291,10 +292,11 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
         dt_step = min(dt, config.t_end - state.t)
         try:
             state = step(state, config, dt_step)
-        except NegativeDensity:
+        except NegativeDensity as exc:
             if halved:
                 raise
             halved = True
+            logger.warning("%s; halving dt from %r to %r for the rest of the run", exc, dt, 0.5 * dt)
             dt *= 0.5
             continue
         if state.t >= next_snap * (1.0 - 1e-12) or state.t >= config.t_end * (1.0 - 1e-12):

@@ -10,6 +10,7 @@ N(+L) = 1, discretized with second-order finite differences.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from scipy.linalg import solve_banded
 
 from .errors import NonDecayingInput, NonMonotoneN, NonPositiveSpeed, ResonantMode
 from .wave_profile import PiecewiseExponential, _exp_decay
+
+logger = logging.getLogger(__name__)
 
 RESONANCE_GUARD_REL = 1e-10
 N_MONOTONE_TOL = 1e-12      # relative slack for roundoff-flat tails
@@ -286,4 +289,10 @@ def solve_N(
                     f"far-field level {n_minus!r} outside (0, {boundary_value!r}]"
                 )
             return NField(grid=grid, values=values, n_minus=n_minus, n_plus=float(boundary_value))
+        if attempt < _MAX_N_REFINEMENTS:
+            logger.warning(
+                "nutrient profile not monotone on %d cells; refining the mesh to %d cells",
+                n_cells,
+                2 * n_cells,
+            )
     raise NonMonotoneN("nutrient profile not monotone after mesh refinement")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy_sim import InitialDensity, SimConfig, run
+from .cauchy_sim import PEAK_PROMINENCE_FRACTION, InitialDensity, SimConfig, run
 from .chemo_fields import ChemParams, solve_N, solve_S
 from .errors import (
     ChemowaveError,
@@ -109,7 +109,7 @@ class SimBlock:
     sign_deadzone: float = 1e-12
     snapshot_interval: float | None = None
     fit_window_fraction: float = 0.5
-    peak_prominence: float = 0.1
+    peak_prominence: float = PEAK_PROMINENCE_FRACTION
     snapshot_f: bool = False
 
 

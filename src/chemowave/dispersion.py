@@ -5,17 +5,25 @@ the moving-frame kinetic equation iff lambda is a root of
 
     sum_k w_k * (T(v_k - c)/(v_k - c) - lambda)^(-1) = 0.
 
-The summand poles ("singular values") interlace the roots, which makes
-bracketed bisection exact: on the left side (rates T_-) there is one root in
-each gap between consecutive negative poles plus one in (largest negative
-pole, 0); on the right side (rates T_+) one root in (0, smallest positive
-pole) plus one per gap between consecutive positive poles.  The outermost
-roots exist exactly when the mean algebraic run length has the confinement
-sign, i.e. when c lies inside the speed window.
+This is the secular equation of a rank-one modification: its n - 1 roots are
+the eigenvalues of B^T diag(p) B, where p are the summand poles ("singular
+values") and B is an orthonormal basis of the complement of sqrt(w) (Golub
+1973; Bunch, Nielsen & Sorensen 1978).  The roots are therefore computed as
+eigenvalues, then refined by a bracket-safeguarded Newton polish.
+
+The poles interlace the roots, which gives every root an exact bracket: on
+the left side (rates T_-) there is one root in each gap between consecutive
+negative poles plus one in (largest negative pole, 0); on the right side
+(rates T_+) one root in (0, smallest positive pole) plus one per gap between
+consecutive positive poles.  A root the polish cannot place strictly inside
+its bracket is bisected there instead.  The outermost roots exist exactly
+when the mean algebraic run length has the confinement sign, i.e. when c
+lies inside the speed window.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +36,11 @@ from .velocity_model import (
     side_rates,
 )
 
+logger = logging.getLogger(__name__)
+
 RESIDUAL_REL_TOL = 1e-12          # |residual| < tol * max-term-magnitude at a root
 _COINCIDENT_POLE_FACTOR = 1e3     # bracket width guard, in units of machine epsilon
+_NEWTON_STEPS = 2                 # polish steps after the eigenvalue solve
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,7 @@ def _bisect_brackets(w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.nd
     the upper one (endpoints are poles, or 0 with the known confinement
     sign), so no endpoint evaluation is needed and every step halves the
     bracket.  Stops when no representable midpoint remains, 200 iterations
-    at most.
+    at most.  Used for the roots the Newton polish cannot place.
     """
     lo = lo.copy()
     hi = hi.copy()
@@ -108,6 +119,54 @@ def _bisect_brackets(w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.nd
         lo[go_up] = mid[go_up]
         hi[go_dn] = mid[go_dn]
     return 0.5 * (lo + hi)
+
+
+def _complement_basis(w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, shape (n, n - 1), of the complement of sqrt(w).
+
+    The trailing columns of the Householder reflector that maps sqrt(w) to
+    -e_0.  Depends only on the (positive, unit-sum) weights.
+    """
+    u = np.sqrt(w)
+    u = u / np.linalg.norm(u)
+    h = u.copy()
+    h[0] += 1.0  # u[0] > 0, so no cancellation
+    reflector = np.eye(u.size) - np.outer(h, h) / h[0]
+    return reflector[:, 1:]
+
+
+def _secular_eigenvalues(basis: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """All n - 1 roots of sum_k w_k / (p_k - lambda) as eigenvalues, ascending."""
+    return np.linalg.eigvalsh(basis.T @ (poles[:, None] * basis))
+
+
+def _polish(
+    w: np.ndarray, poles: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Safeguarded Newton steps on every root, then bisection where needed.
+
+    A Newton step is kept only if it lands strictly inside the root's
+    bracket (lo, hi); the residual is strictly increasing there, so that
+    bracket holds exactly one root.  Entries still outside their bracket
+    after the polish are bisected inside it.
+    """
+    lam = lam.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            inv = 1.0 / (poles[None, :] - lam[:, None])
+            new = lam - (inv @ w) / ((inv * inv) @ w)
+            keep = (new > lo) & (new < hi)
+            lam[keep] = new[keep]
+    outside = ~((lam > lo) & (lam < hi))
+    if np.any(outside):
+        logger.debug(
+            "%d of %d dispersion roots outside their brackets after the Newton polish; "
+            "bisecting them",
+            int(np.count_nonzero(outside)),
+            lam.size,
+        )
+        lam[outside] = _bisect_brackets(w, poles, lo[outside], hi[outside])
+    return lam
 
 
 def _check_pole_separation(poles_sorted: np.ndarray) -> None:
@@ -141,23 +200,28 @@ def solve_roots(model: VelocityModel, c: float) -> DispersionRoots:
     m = j_cut + 1                 # velocities below c
     if m == 0 or m == model.n_active:
         raise SpeedNotAdmissible(f"c={c!r}: all relative velocities share one sign")
+    basis = _complement_basis(w)
 
     # Left side: poles from v<c are negative, ordered like the velocities.
+    # The m smallest of the n - 1 roots are the negative ones.
     poles_left = singular_values(model, c, "left")
     neg_poles = np.sort(poles_left[:m])
     _check_pole_separation(neg_poles)
-    lo = np.concatenate([neg_poles[:-1], [neg_poles[-1]]])
+    lo = neg_poles
     hi = np.concatenate([neg_poles[1:], [0.0]])
-    negative_roots = _bisect_brackets(w, poles_left, lo, hi)
+    guess = _secular_eigenvalues(basis, poles_left)[:m]
+    negative_roots = _polish(w, poles_left, guess, lo, hi)
     negative_brackets = np.column_stack([lo, hi])
 
     # Right side: poles from v>c are positive; smaller for larger velocities.
+    # The n - m largest roots are the positive ones.
     poles_right = singular_values(model, c, "right")
     pos_poles = np.sort(poles_right[m:])
     _check_pole_separation(pos_poles)
     lo = np.concatenate([[0.0], pos_poles[:-1]])
     hi = pos_poles
-    positive_roots = _bisect_brackets(w, poles_right, lo, hi)
+    guess = _secular_eigenvalues(basis, poles_right)[m - 1 :]
+    positive_roots = _polish(w, poles_right, guess, lo, hi)
     positive_brackets = np.column_stack([lo, hi])
 
     roots = DispersionRoots(
@@ -179,12 +243,30 @@ def residual_scale(model: VelocityModel, c: float, lam: float, side: str) -> flo
 
 
 def _verify_residuals(model: VelocityModel, roots: DispersionRoots) -> None:
+    """Residual gate on every root, all roots of a side at once.
+
+    Raises for the first failing root in the order left then right,
+    ascending: :class:`SingularLambda` on a pole collision, else
+    :class:`BracketFailure` when |residual| exceeds ``RESIDUAL_REL_TOL``
+    times the largest term (the checks of :func:`dispersion_residual` and
+    :func:`residual_scale`).
+    """
     for side, lams in (("left", roots.negative_roots), ("right", roots.positive_roots)):
-        for lam in lams:
-            res = dispersion_residual(model, roots.c, float(lam), side)
-            scale = residual_scale(model, roots.c, float(lam), side)
-            if abs(res) > RESIDUAL_REL_TOL * scale:
-                raise BracketFailure(
-                    f"root {lam!r} on side {side!r} has residual {res!r} "
-                    f"above {RESIDUAL_REL_TOL} * {scale!r}"
-                )
+        poles = singular_values(model, roots.c, side)
+        gap = poles[None, :] - lams[:, None]
+        singular = np.any(np.abs(gap) <= 4.0 * np.finfo(float).eps * np.abs(poles), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = model.weights / gap
+            res = np.sum(terms, axis=1)
+            scale = np.max(np.abs(terms), axis=1)
+            failed = singular | (np.abs(res) > RESIDUAL_REL_TOL * scale)
+        if not np.any(failed):
+            continue
+        i = int(np.argmax(failed))
+        lam = float(lams[i])
+        if singular[i]:
+            raise SingularLambda(f"lambda={lam!r} coincides with a singular value on side {side!r}")
+        raise BracketFailure(
+            f"root {lam!r} on side {side!r} has residual {float(res[i])!r} "
+            f"above {RESIDUAL_REL_TOL} * {float(scale[i])!r}"
+        )

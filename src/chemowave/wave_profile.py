@@ -163,13 +163,13 @@ def solve_modes(model: VelocityModel, c: float) -> WaveProfile:
 
     denom_left = side_rates(model, c, "left")[:, None] - roots.negative_roots[None, :] * dv[:, None]
     denom_right = side_rates(model, c, "right")[:, None] - roots.positive_roots[None, :] * dv[:, None]
-    matching = np.hstack([1.0 / denom_left, -1.0 / denom_right])
+    inv_left = 1.0 / denom_left
+    inv_right = 1.0 / denom_right
+    matching = np.hstack([inv_left, -inv_right])
 
+    # per_mode_mass of every root at once
     mass_row = np.concatenate(
-        [
-            [per_mode_mass(model, c, float(lam), "left") for lam in roots.negative_roots],
-            [per_mode_mass(model, c, float(lam), "right") for lam in roots.positive_roots],
-        ]
+        [-(w @ inv_left) / roots.negative_roots, (w @ inv_right) / roots.positive_roots]
     )
     k_star = int(np.argmax(np.abs(w * dv)))
     system = matching.copy()
@@ -183,7 +183,7 @@ def solve_modes(model: VelocityModel, c: float) -> WaveProfile:
 
     a = x[:m]
     b = x[m:]
-    f0 = (1.0 / denom_right) @ b
+    f0 = inv_right @ b
     if f0[-1] < 0.0:
         a, b, f0 = -a, -b, -f0
 

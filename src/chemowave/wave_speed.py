@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .chemo_fields import ChemParams, locate_maximum, slope_sign_changes, solve_S
 from .errors import ChemowaveError, LostBracket, ResonantMode
@@ -185,10 +186,13 @@ def scan(
 
 
 def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) -> list[float]:
-    """Bisect every bracketed downward crossing to relative tolerance 1e-12.
+    """Refine every bracketed downward crossing with Brent's method.
 
-    Fills ``curve.roots`` / ``curve.root_residuals`` and returns the speeds.
-    A bracket whose refinement fails raises :class:`LostBracket` rather than
+    Stops at relative tolerance ``ROOT_C_REL_TOL`` (1e-12): the absolute
+    tolerance is set to the same fraction of the bracket's magnitude, since
+    the default of ``brentq`` is too loose for speeds of order 1e-2.  Fills
+    ``curve.roots`` / ``curve.root_residuals`` and returns the speeds.  A
+    bracket whose refinement fails raises :class:`LostBracket` rather than
     being dropped silently.
     """
     roots: list[float] = []
@@ -197,19 +201,13 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
         if not (y_lo > 0.0 > y_hi):
             raise LostBracket(f"bracket ({lo!r}, {hi!r}) does not straddle a downward crossing")
         try:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi or (hi - lo) <= ROOT_C_REL_TOL * max(abs(lo), abs(hi)):
-                    break
-                y_mid = upsilon(model, params, mid)
-                if y_mid == 0.0:
-                    lo = hi = mid
-                    break
-                if y_mid > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            root = 0.5 * (lo + hi)
+            root = brentq(
+                lambda c: upsilon(model, params, c),
+                lo,
+                hi,
+                xtol=ROOT_C_REL_TOL * max(abs(lo), abs(hi)),
+                rtol=ROOT_C_REL_TOL,
+            )
             residual = upsilon(model, params, root)
         except ChemowaveError as exc:
             raise LostBracket(f"could not refine bracket ({lo!r}, {hi!r}): {exc}") from exc

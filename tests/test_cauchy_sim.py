@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from chemowave import (
     step,
     total_mass,
 )
+import chemowave.cauchy_sim as cauchy_sim_mod
 from chemowave.cauchy_sim import SimState, cell_centers
-from chemowave.errors import CFLViolation, InsufficientSamples
+from chemowave.errors import CFLViolation, InsufficientSamples, NegativeDensity
 
 
 def _pair_model(chi_s=0.0, chi_n=0.0, v=1.0):
@@ -237,3 +240,31 @@ def test_front_speed_grid_self_consistency(case_two):
         _state, diagnostics, _snaps = run(config)
         speeds[cells] = diagnostics.fitted_speed
     assert abs(speeds[512] - speeds[256]) < 0.02
+
+
+def test_dt_halving_is_logged(monkeypatch, caplog):
+    config = SimConfig(
+        model=_pair_model(0.2, 0.1),
+        params=_free_params(beta=1.0, gamma=1.0),
+        domain_length=10.0,
+        cells=64,
+        cfl=0.5,
+        t_end=1.0,
+        snapshot_interval=0.1,
+    )
+    real_step = cauchy_sim_mod.step
+    dts: list[float] = []
+
+    def step_failing_once(state, cfg, dt=None):
+        dts.append(dt)
+        if len(dts) == 1:
+            raise NegativeDensity("negative cell density after the exchange at t=0.0")
+        return real_step(state, cfg, dt)
+
+    monkeypatch.setattr(cauchy_sim_mod, "step", step_failing_once)
+    with caplog.at_level(logging.WARNING, logger="chemowave.cauchy_sim"):
+        state, _diagnostics, _snaps = run(config)
+    assert dts[1] == pytest.approx(0.5 * dts[0], rel=1e-15)
+    assert state.t == pytest.approx(1.0, rel=1e-12)
+    halvings = [r for r in caplog.records if "halving dt" in r.getMessage()]
+    assert len(halvings) == 1 and halvings[0].levelno == logging.WARNING

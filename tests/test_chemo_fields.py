@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -13,6 +15,7 @@ from chemowave import (
     solve_N,
     solve_S,
 )
+import chemowave.chemo_fields as chemo_fields_mod
 from chemowave.errors import NonDecayingInput, NonPositiveSpeed, ResonantMode
 
 
@@ -250,3 +253,26 @@ def test_nutrient_interpolation():
     assert nfield(1e9) == nfield.values[-1]
     mid = 0.5 * (nfield.grid[10] + nfield.grid[11])
     assert nfield(mid) == pytest.approx(0.5 * (nfield.values[10] + nfield.values[11]))
+
+
+def test_nutrient_mesh_refinement_is_logged(monkeypatch, caplog):
+    # Spoil the first solve with a dip so that the monotonicity check fails
+    # once; the refined mesh must then be used, with a warning.
+    params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
+    calls = []
+
+    def solve_with_dip(l_and_u, ab, rhs):
+        values = solve_banded(l_and_u, ab, rhs)
+        calls.append(values.size)
+        if len(calls) == 1:
+            values[values.size // 2] -= 0.5
+        return values
+
+    monkeypatch.setattr(chemo_fields_mod, "solve_banded", solve_with_dip)
+    with caplog.at_level(logging.WARNING, logger="chemowave.chemo_fields"):
+        nfield = solve_N(_symmetric_mode(1.3), params, 0.2, 30.0, cells=256)
+    assert calls == [257, 513]
+    assert nfield.grid.size == 513
+    refinements = [r for r in caplog.records if "refining the mesh" in r.getMessage()]
+    assert len(refinements) == 1 and refinements[0].levelno == logging.WARNING
+    assert "256 cells" in refinements[0].getMessage()

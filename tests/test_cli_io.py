@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from chemowave.cli_io import (
     main,
     parse_config,
 )
+from chemowave.cauchy_sim import SimConfig
 from chemowave.errors import (
     MissingKey,
     ParseError,
@@ -226,3 +229,14 @@ def test_format_config_includes_all_blocks(configs_dir):
     for token in ("[model]", "[chem]", "[sim]", "[run]", "snapshot_interval"):
         assert token in text
     assert parse_config(text) == cfg
+
+
+def test_sim_block_defaults_to_library_peak_prominence():
+    text = TWO_VELOCITY_SCAN.replace(
+        "[run]", "[sim]\ndomain_length = 20\ncells = 128\ncfl = 0.45\nt_end = 1\n\n[run]"
+    )
+    cfg = parse_config(text)
+    library_default = {f.name: f.default for f in dataclasses.fields(SimConfig)}[
+        "peak_prominence_fraction"
+    ]
+    assert cfg.build_sim_config().peak_prominence_fraction == library_default

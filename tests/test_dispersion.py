@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,14 @@ from chemowave import (
     singular_values,
     solve_roots,
 )
-from chemowave.dispersion import residual_scale
+from chemowave.dispersion import (
+    RESIDUAL_REL_TOL,
+    DispersionRoots,
+    _bisect_brackets,
+    _polish,
+    _verify_residuals,
+    residual_scale,
+)
 from chemowave.errors import (
     BracketFailure,
     SingularLambda,
@@ -154,3 +163,66 @@ def test_coincident_singular_values_raise():
     model = build_model([-v, -0.5, 0.5, v], [0.25, 0.25, 0.25, 0.25], 0.3, 0.15)
     with pytest.raises(BracketFailure):
         solve_roots(model, 0.1)
+
+
+def _loop_gate(model, roots):
+    """Per-root reference for the vectorised residual gate."""
+    for side, lams in (("left", roots.negative_roots), ("right", roots.positive_roots)):
+        for lam in lams:
+            res = dispersion_residual(model, roots.c, float(lam), side)
+            if abs(res) > RESIDUAL_REL_TOL * residual_scale(model, roots.c, float(lam), side):
+                raise BracketFailure(f"root {lam!r} on side {side!r}")
+
+
+def _with_roots(roots, negative, positive):
+    return DispersionRoots(
+        c=roots.c,
+        cutting_index=roots.cutting_index,
+        negative_roots=np.asarray(negative, dtype=float),
+        positive_roots=np.asarray(positive, dtype=float),
+        negative_brackets=roots.negative_brackets,
+        positive_brackets=roots.positive_brackets,
+    )
+
+
+def test_vectorised_gate_matches_loop(case_one):
+    model, _cfg = case_one
+    c = 0.1
+    roots = solve_roots(model, c)
+    _loop_gate(model, roots)
+    _verify_residuals(model, roots)
+    # nudge one right root off its zero: both gates must refuse it
+    shifted = roots.positive_roots.copy()
+    shifted[2] *= 1.0 + 1e-9
+    bad = _with_roots(roots, roots.negative_roots, shifted)
+    with pytest.raises(BracketFailure):
+        _loop_gate(model, bad)
+    with pytest.raises(BracketFailure, match="side 'right'"):
+        _verify_residuals(model, bad)
+
+
+def test_vectorised_gate_raises_singular_lambda(case_one):
+    model, _cfg = case_one
+    c = 0.1
+    roots = solve_roots(model, c)
+    pole = float(singular_values(model, c, "left")[0])
+    on_pole = roots.negative_roots.copy()
+    on_pole[0] = pole
+    with pytest.raises(SingularLambda):
+        _verify_residuals(model, _with_roots(roots, on_pole, roots.positive_roots))
+
+
+def test_polish_bisects_entries_outside_their_brackets(case_one, caplog):
+    model, _cfg = case_one
+    c = 0.1
+    roots = solve_roots(model, c)
+    poles = singular_values(model, c, "right")
+    lo, hi = roots.positive_brackets[:, 0], roots.positive_brackets[:, 1]
+    guess = roots.positive_roots.copy()
+    guess[1] = hi[1]  # on a pole: the Newton step is undefined there
+    with caplog.at_level(logging.DEBUG, logger="chemowave.dispersion"):
+        polished = _polish(model.weights, poles, guess, lo, hi)
+    assert "1 of %d dispersion roots" % guess.size in caplog.text
+    assert polished[1] == _bisect_brackets(model.weights, poles, lo[1:2], hi[1:2])[0]
+    keep = np.arange(guess.size) != 1
+    np.testing.assert_allclose(polished[keep], roots.positive_roots[keep], rtol=1e-14)

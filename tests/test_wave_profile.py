@@ -272,3 +272,11 @@ def test_piecewise_exponential_validation():
     assert pe(-1e6) == 0.0 and pe(1e6) == 0.0
     assert pe.derivative(-1.0) == pytest.approx(2.0 * np.exp(-1.0))
     assert pe.derivative(2.0) == pytest.approx(-1.5 * np.exp(-1.0))
+
+
+def test_mass_row_matches_per_mode_mass(profile_one, profile_two):
+    for p in (profile_one, profile_two):
+        left = [per_mode_mass(p.model, p.c, float(lam), "left") for lam in p.roots.negative_roots]
+        right = [per_mode_mass(p.model, p.c, float(lam), "right") for lam in p.roots.positive_roots]
+        assert p.left_mass == pytest.approx(float(p.a @ np.array(left)), rel=1e-13)
+        assert p.right_mass == pytest.approx(float(p.b @ np.array(right)), rel=1e-13)

@@ -145,3 +145,23 @@ def test_verify_root_confirms_unimodality(case_two, chem_strong):
     check = verify_root(model, chem_strong, roots[-1])
     assert check.slope_sign_changes == 1
     assert abs(check.maximum_location) < 1e-6
+
+
+def test_refine_brent_on_curved_synthetic_curve(case_one, chem_default, monkeypatch):
+    # A nonlinear matching function with a small root, where an absolute
+    # tolerance of order 1e-12 would be far looser than 1e-12 relative.
+    model, _cfg = case_one
+    root_true = 0.0246
+    calls = []
+
+    def curved(_m, _p, c):
+        calls.append(c)
+        return np.tanh(40.0 * (root_true - c)) + 0.3 * (root_true - c) ** 2
+
+    monkeypatch.setattr(wave_speed_mod, "upsilon", curved)
+    curve = wave_speed_mod.scan(model, chem_default, 16)
+    calls.clear()
+    roots = wave_speed_mod.refine_roots(curve, model, chem_default)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(root_true, rel=2e-12)
+    assert len(calls) < 20
