@@ -5,6 +5,8 @@ find the admissible speed window, and solve the dispersion relation whose
 roots set the exponential decay rates of the travelling profile.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from chemowave import (
@@ -13,16 +15,17 @@ from chemowave import (
     dispersion_residual,
     singular_values,
     solve_roots,
-    tumbling_rates,
 )
 from chemowave.cli_io import load_config
+
+HERE = Path(__file__).resolve().parent
 
 # --- the two-velocity caricature -------------------------------------------
 # With velocities {-1, +1} everything is solvable by hand: the speed ceiling
 # is chi_s + chi_n and the single right-side exponent is the midpoint of the
 # two singular values.
 model = build_model([-1.0, 1.0], [0.5, 0.5], chi_s=0.3, chi_n=0.15)
-rates = tumbling_rates(model)
+rates = model.rates
 print("two-velocity model")
 print(f"  rates: t_mm={rates.t_mm}  t_mp={rates.t_mp}  t_pm={rates.t_pm}  t_pp={rates.t_pp}")
 
@@ -37,7 +40,7 @@ hand = 0.5 * (rates.t_pp / (1 - c) + rates.t_pm / (-1 - c))
 print(f"  right exponent at c={c}: {lam:.15f}  (hand: {hand:.15f})")
 
 # --- the 18-velocity quadrature set ----------------------------------------
-cfg, _ = load_config("configs/sec4_1.ini")
+cfg, _ = load_config(HERE.parent / "configs" / "sec4_1.ini")
 model = cfg.build_model()
 window = admissible_speed_interval(model)
 print(f"\nquadrature model: {model.n_active} active velocities")

@@ -5,6 +5,8 @@ structural identities, and shows the counter-intuitive overshoot of the
 leftward velocity components under strong attractant sensitivity.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from chemowave import (
@@ -12,14 +14,15 @@ from chemowave import (
     duhamel_f,
     evaluate_f,
     evaluate_I,
-    evaluate_rho,
     expand_half_set,
     solve_modes,
     verification_grid,
 )
 from chemowave.cli_io import load_config
 
-cfg, _ = load_config("configs/sec4_1.ini")
+HERE = Path(__file__).resolve().parent
+
+cfg, _ = load_config(HERE.parent / "configs" / "sec4_1.ini")
 model = cfg.build_model()
 c = 0.1
 
@@ -29,7 +32,7 @@ print(f"  mass split: left {profile.left_mass:.6f} + right {profile.right_mass:.
       f"{profile.left_mass + profile.right_mass:.12f}")
 
 grid = verification_grid(profile)
-rho = np.asarray(evaluate_rho(profile, grid))
+rho = np.asarray(profile.rho_modes()(grid))
 flux = np.array(
     [np.sum(model.weights * (model.velocities - c) *
             [evaluate_f(profile, z, k) for k in range(model.n_active)])
@@ -65,5 +68,5 @@ for k in range(strong.n_active // 2):
     z_max = grid[int(np.argmax(vals))]
     marker = "  <-- peaks left of the origin" if z_max < -1e-3 else ""
     print(f"  v={strong.velocities[k]:+.4f}: argmax f = {z_max:+.4f}{marker}")
-rho = np.asarray(evaluate_rho(profile, grid))
+rho = np.asarray(profile.rho_modes()(grid))
 print(f"  ... while rho itself still peaks at z={grid[np.argmax(rho)]:+.2e}")

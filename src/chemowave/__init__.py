@@ -46,7 +46,6 @@ from .velocity_model import (
     expand_half_set,
     mean_run_length,
     rate_at,
-    tumbling_rates,
 )
 from .wave_profile import (
     PiecewiseExponential,
@@ -57,7 +56,6 @@ from .wave_profile import (
     evaluate_f_matrix,
     evaluate_I,
     evaluate_I_derivative,
-    evaluate_rho,
     per_mode_mass,
     solve_modes,
     verification_grid,
@@ -97,7 +95,6 @@ __all__ = [
     "evaluate_I_derivative",
     "evaluate_f",
     "evaluate_f_matrix",
-    "evaluate_rho",
     "expand_half_set",
     "initial_state",
     "locate_maximum",
@@ -116,7 +113,6 @@ __all__ = [
     "solve_roots",
     "step",
     "total_mass",
-    "tumbling_rates",
     "upsilon",
     "verification_grid",
     "verify_root",

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NonDecayingInput, NonMonotoneN, NonPositiveSpeed, ResonantMode
-from .wave_profile import PiecewiseExponential, _exp_decay
+from .wave_profile import PiecewiseExponential
 
 logger = logging.getLogger(__name__)
 
@@ -53,51 +53,19 @@ class ChemParams:
 
 
 @dataclass(frozen=True)
-class SField:
-    """Closed-form chemoattractant profile.
+class SField(PiecewiseExponential):
+    """Closed-form chemoattractant profile, an exponential sum on each half-line.
 
-    z > 0: sum_j A_j exp(mu_j z) (mu_j < 0)  +  coef_plus  * exp(theta_minus z)
     z < 0: sum_j A_j exp(mu_j z) (mu_j > 0)  +  coef_minus * exp(theta_plus  z)
+    z > 0: sum_j A_j exp(mu_j z) (mu_j < 0)  +  coef_plus  * exp(theta_minus z)
+
+    The homogeneous term is the last entry of each side's coefficients and rates.
     """
 
-    params: ChemParams
     c: float
     theta_plus: float
     theta_minus: float
-    coef_minus: float
-    coef_plus: float
-    left_part_coefficients: np.ndarray
-    left_part_exponents: np.ndarray
-    right_part_coefficients: np.ndarray
-    right_part_exponents: np.ndarray
     slope_at_zero: float
-
-    def _eval(self, z, order: int) -> np.ndarray:
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.zeros_like(z_arr)
-        neg = z_arr < 0.0
-        if np.any(neg):
-            mus = np.concatenate([self.left_part_exponents, [self.theta_plus]])
-            coefs = np.concatenate([self.left_part_coefficients, [self.coef_minus]]) * mus**order
-            out[neg] = _exp_decay(z_arr[neg, None] * mus[None, :]) @ coefs
-        pos = ~neg
-        if np.any(pos):
-            mus = np.concatenate([self.right_part_exponents, [self.theta_minus]])
-            coefs = np.concatenate([self.right_part_coefficients, [self.coef_plus]]) * mus**order
-            out[pos] = _exp_decay(z_arr[pos, None] * mus[None, :]) @ coefs
-        return out
-
-    def __call__(self, z: float | np.ndarray) -> float | np.ndarray:
-        out = self._eval(z, 0)
-        return out if np.ndim(z) else float(out[0])
-
-    def derivative(self, z: float | np.ndarray) -> float | np.ndarray:
-        out = self._eval(z, 1)
-        return out if np.ndim(z) else float(out[0])
-
-    def second_derivative(self, z: float | np.ndarray) -> float | np.ndarray:
-        out = self._eval(z, 2)
-        return out if np.ndim(z) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -157,16 +125,13 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
     slope = float(A_right @ mu_right + coef_plus * theta_minus)
 
     return SField(
-        params=params,
+        left_coefficients=np.concatenate([A_left, [coef_minus]]),
+        left_rates=np.concatenate([mu_left, [theta_plus]]),
+        right_coefficients=np.concatenate([A_right, [coef_plus]]),
+        right_rates=np.concatenate([rho.right_rates, [-theta_minus]]),
         c=float(c),
         theta_plus=float(theta_plus),
         theta_minus=float(theta_minus),
-        coef_minus=float(coef_minus),
-        coef_plus=float(coef_plus),
-        left_part_coefficients=A_left,
-        left_part_exponents=mu_left,
-        right_part_coefficients=A_right,
-        right_part_exponents=mu_right,
         slope_at_zero=slope,
     )
 

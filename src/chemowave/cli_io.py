@@ -41,11 +41,10 @@ from .wave_profile import (
     WaveProfile,
     evaluate_f_matrix,
     evaluate_I,
-    evaluate_rho,
     solve_modes,
     verification_grid,
 )
-from .wave_speed import UpsilonCurve, refine_roots, scan, verify_root
+from .wave_speed import MIN_SAMPLES_PER_INTERVAL, UpsilonCurve, refine_roots, scan, verify_root
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +87,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
         "samples_per_interval": ("int", False),
         "profile_speed": ("float", False),
         "threads": ("int", False),
-        "seed": ("int", False),
     },
 }
 
@@ -128,7 +126,6 @@ class RunConfig:
     samples_per_interval: int = 64
     profile_speed: float | None = None
     threads: int = 1
-    seed: int | None = None
 
     def build_model(self) -> VelocityModel:
         v, w = expand_half_set(list(self.velocities), list(self.weights))
@@ -212,9 +209,11 @@ def _parse_sections(text: str) -> dict[str, dict[str, object]]:
     return sections
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, mode: str | None = None) -> RunConfig:
     """Parse and fully validate a configuration file.
 
+    ``mode``, when given, replaces the file's ``[run] mode`` before the
+    mode's requirements are checked (the command line's mode wins).
     Raises :class:`ParseError` / :class:`UnknownKey` / :class:`MissingKey`
     for structural problems and the specific model errors (with key context)
     for semantic ones.
@@ -232,7 +231,7 @@ def parse_config(text: str) -> RunConfig:
         raise MissingKey("missing required section [run]")
 
     run_sec = sections["run"]
-    mode = str(run_sec["mode"])
+    mode = str(run_sec["mode"]) if mode is None else mode
     if mode not in MODES:
         raise ParseError(f"mode must be one of {MODES}, got {mode!r}")
     if mode in ("upsilon-scan", "profile", "simulate") and "chem" not in sections:
@@ -241,6 +240,11 @@ def parse_config(text: str) -> RunConfig:
         raise MissingKey("mode 'simulate' requires a [sim] section")
     if mode == "profile" and "profile_speed" not in run_sec:
         raise MissingKey("mode 'profile' requires 'profile_speed' in [run]")
+    samples = int(run_sec.get("samples_per_interval", 64))
+    if samples < MIN_SAMPLES_PER_INTERVAL:
+        raise ConfigError(
+            f"in [run]: samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}, got {samples}"
+        )
 
     model_sec = sections["model"]
     chem = None
@@ -265,12 +269,11 @@ def parse_config(text: str) -> RunConfig:
         chem=chem,
         sim=sim,
         out_dir=run_sec.get("out_dir"),
-        samples_per_interval=int(run_sec.get("samples_per_interval", 64)),
+        samples_per_interval=samples,
         profile_speed=(
             float(run_sec["profile_speed"]) if "profile_speed" in run_sec else None
         ),
         threads=int(run_sec.get("threads", 1)),
-        seed=(int(run_sec["seed"]) if "seed" in run_sec else None),
     )
     try:
         cfg.build_model()
@@ -290,57 +293,37 @@ def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_value(value, kind: str) -> str:
+    if kind == "float_list":
+        return " ".join(_g17(v) for v in value)
+    if kind == "float":
+        return _g17(value)
+    if kind == "bool":
+        return "true" if value else "false"
+    return str(value)
+
+
 def format_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig back to configuration text (17-digit floats)."""
-    out = ["[model]"]
-    out.append("velocities = " + " ".join(_g17(v) for v in cfg.velocities))
-    out.append("weights = " + " ".join(_g17(w) for w in cfg.weights))
-    out.append(f"chi_s = {_g17(cfg.chi_s)}")
-    out.append(f"chi_n = {_g17(cfg.chi_n)}")
-    if cfg.chem is not None:
-        out.append("")
-        out.append("[chem]")
-        for key in ("d_s", "d_n", "alpha", "beta", "gamma"):
-            out.append(f"{key} = {_g17(getattr(cfg.chem, key))}")
-    if cfg.sim is not None:
-        s = cfg.sim
-        out.append("")
-        out.append("[sim]")
-        out.append(f"domain_length = {_g17(s.domain_length)}")
-        out.append(f"cells = {s.cells}")
-        out.append(f"cfl = {_g17(s.cfl)}")
-        out.append(f"t_end = {_g17(s.t_end)}")
-        out.append(f"initial_shape = {s.initial_shape}")
-        if s.initial_center is not None:
-            out.append(f"initial_center = {_g17(s.initial_center)}")
-        if s.initial_width is not None:
-            out.append(f"initial_width = {_g17(s.initial_width)}")
-        out.append(f"initial_mass = {_g17(s.initial_mass)}")
-        out.append(f"initial_n = {_g17(s.initial_n)}")
-        out.append(f"sign_deadzone = {_g17(s.sign_deadzone)}")
-        if s.snapshot_interval is not None:
-            out.append(f"snapshot_interval = {_g17(s.snapshot_interval)}")
-        out.append(f"fit_window_fraction = {_g17(s.fit_window_fraction)}")
-        out.append(f"peak_prominence = {_g17(s.peak_prominence)}")
-        out.append(f"snapshot_f = {'true' if s.snapshot_f else 'false'}")
-    out.append("")
-    out.append("[run]")
-    out.append(f"mode = {cfg.mode}")
-    if cfg.out_dir is not None:
-        out.append(f"out_dir = {cfg.out_dir}")
-    out.append(f"samples_per_interval = {cfg.samples_per_interval}")
-    if cfg.profile_speed is not None:
-        out.append(f"profile_speed = {_g17(cfg.profile_speed)}")
-    out.append(f"threads = {cfg.threads}")
-    if cfg.seed is not None:
-        out.append(f"seed = {cfg.seed}")
-    return "\n".join(out) + "\n"
+    """Serialize a RunConfig in schema order (17-digit floats); None values are omitted."""
+    holders = {"model": cfg, "chem": cfg.chem, "sim": cfg.sim, "run": cfg}
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        holder = holders[section]
+        if holder is None:
+            continue
+        lines = [f"[{section}]"]
+        for key, (kind, _required) in keys.items():
+            value = getattr(holder, key)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(value, kind)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
-def load_config(path: str | Path) -> tuple[RunConfig, str]:
+def load_config(path: str | Path, mode: str | None = None) -> tuple[RunConfig, str]:
     """Read a config file; returns (config, provenance hash of the raw text)."""
     text = Path(path).read_text(encoding="utf-8")
-    return parse_config(text), hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return parse_config(text, mode), hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +374,7 @@ def emit_profile_csv(
 ) -> None:
     """Write z, rho, I, s, n and every f_k on the verification grid."""
     z = verification_grid(profile)
-    rho = np.asarray(evaluate_rho(profile, z))
+    rho = np.asarray(profile.rho_modes()(z))
     I_vals = np.asarray(evaluate_I(profile, z))
     s_vals = np.asarray(sfield(z))
     n_vals = np.asarray(nfield(z))
@@ -475,9 +458,9 @@ def _mode_profile(cfg: RunConfig, out: Path, config_hash: str) -> None:
     model = cfg.build_model()
     c = cfg.profile_speed
     profile = solve_modes(model, c)
-    sfield = solve_S(profile.rho_modes(), cfg.chem, c)
-    halfwidth = 40.0 / min(profile.roots.slowest_positive, profile.roots.slowest_negative)
-    nfield = solve_N(profile.rho_modes(), cfg.chem, c, halfwidth)
+    rho = profile.rho_modes()
+    sfield = solve_S(rho, cfg.chem, c)
+    nfield = solve_N(rho, cfg.chem, c, profile.halfwidth)
     emit_profile_csv(profile, sfield, nfield, out / "profile.csv", config_hash)
     print(
         f"profile at c={_g17(c)}: left/right mass {_g17(profile.left_mass)}/"
@@ -511,13 +494,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the configuration file")
     parser.add_argument("--out", default=None, help="output directory (default: [run] out_dir or '.')")
     parser.add_argument("--threads", type=int, default=None, help="parallel workers for the scan")
-    parser.add_argument("--seed", type=int, default=None, help="reserved; pipelines are deterministic")
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=os.environ.get("CHEMOWAVE_LOG", "WARNING").upper())
 
     try:
-        cfg, config_hash = load_config(args.config)
+        cfg, config_hash = load_config(args.config, mode=args.mode)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 4
@@ -525,20 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
-    cfg = replace(cfg, mode=args.mode)
     if args.threads is not None:
         cfg = replace(cfg, threads=args.threads)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if cfg.mode in ("upsilon-scan", "profile", "simulate") and cfg.chem is None:
-        print(f"mode {cfg.mode!r} requires a [chem] section", file=sys.stderr)
-        return 2
-    if cfg.mode == "simulate" and cfg.sim is None:
-        print("mode 'simulate' requires a [sim] section", file=sys.stderr)
-        return 2
-    if cfg.mode == "profile" and cfg.profile_speed is None:
-        print("mode 'profile' requires 'profile_speed' in [run]", file=sys.stderr)
-        return 2
 
     out = Path(args.out or cfg.out_dir or ".")
     try:

@@ -208,11 +208,6 @@ def build_model(
     return VelocityModel(velocities=_readonly(v), weights=_readonly(w), chi_s=chi_s, chi_n=chi_n)
 
 
-def tumbling_rates(model: VelocityModel) -> TumblingRates:
-    """The four rate constants of the model."""
-    return model.rates
-
-
 def rate_at(rates: TumblingRates, side_sign: float, relative_velocity_sign: float) -> float:
     """Select the rate constant for sign(z) and sign(v - c).
 

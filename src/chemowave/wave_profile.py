@@ -14,6 +14,7 @@ freedom is fixed by normalizing the total mass of rho to one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,6 +36,20 @@ def _exp_decay(args: np.ndarray) -> np.ndarray:
     out = np.zeros(args.shape, dtype=float)
     ok = args > _EXP_FLOOR
     out[ok] = np.exp(args[ok])
+    return out
+
+
+def _exp_sum(z: np.ndarray, left_coef, left_rates, right_coef, right_rates) -> np.ndarray:
+    """sum_j coef_j exp(rate_j z) for z < 0 and sum_j coef_j exp(-rate_j z) for z >= 0.
+
+    ``z`` is 1-d and the rates positive; a trailing axis of the coefficients
+    is kept in the result, whose shape is ``z.shape + left_coef.shape[1:]``.
+    """
+    out = np.zeros(z.shape + left_coef.shape[1:])
+    neg = z < 0.0
+    for side, coef, exponents in ((neg, left_coef, left_rates), (~neg, right_coef, -right_rates)):
+        if np.any(side):
+            out[side] = _exp_decay(z[side, None] * exponents[None, :]) @ coef
     return out
 
 
@@ -64,31 +79,22 @@ class PiecewiseExponential:
         if self.right_coefficients.shape != self.right_rates.shape:
             raise ValueError("right coefficient/rate arrays must have equal shapes")
 
-    def __call__(self, z: float | np.ndarray) -> float | np.ndarray:
+    def _eval(self, z: float | np.ndarray, order: int) -> float | np.ndarray:
+        """The order-th derivative in z (order 0 is the value itself)."""
+        left = self.left_coefficients * self.left_rates**order
+        right = (-1.0) ** order * (self.right_coefficients * self.right_rates**order)
         z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.zeros_like(z_arr)
-        neg = z_arr < 0.0
-        if np.any(neg):
-            e = _exp_decay(z_arr[neg, None] * self.left_rates[None, :])
-            out[neg] = e @ self.left_coefficients
-        pos = ~neg
-        if np.any(pos):
-            e = _exp_decay(-z_arr[pos, None] * self.right_rates[None, :])
-            out[pos] = e @ self.right_coefficients
+        out = _exp_sum(z_arr, left, self.left_rates, right, self.right_rates)
         return out if np.ndim(z) else float(out[0])
 
+    def __call__(self, z: float | np.ndarray) -> float | np.ndarray:
+        return self._eval(z, 0)
+
     def derivative(self, z: float | np.ndarray) -> float | np.ndarray:
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.zeros_like(z_arr)
-        neg = z_arr < 0.0
-        if np.any(neg):
-            e = _exp_decay(z_arr[neg, None] * self.left_rates[None, :])
-            out[neg] = e @ (self.left_coefficients * self.left_rates)
-        pos = ~neg
-        if np.any(pos):
-            e = _exp_decay(-z_arr[pos, None] * self.right_rates[None, :])
-            out[pos] = e @ (-self.right_coefficients * self.right_rates)
-        return out if np.ndim(z) else float(out[0])
+        return self._eval(z, 1)
+
+    def second_derivative(self, z: float | np.ndarray) -> float | np.ndarray:
+        return self._eval(z, 2)
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,13 @@ class WaveProfile:
     def velocities(self) -> np.ndarray:
         return self.model.velocities
 
-    def rho_modes(self) -> PiecewiseExponential:
-        """Spatial density rho(z) as a piecewise-exponential sum."""
-        w = self.model.weights
+    @property
+    def halfwidth(self) -> float:
+        """Half-width of a window holding both tails down to exp(-GRID_DECADES)."""
+        return GRID_DECADES / min(self.roots.slowest_positive, self.roots.slowest_negative)
+
+    def _weighted_modes(self, w: np.ndarray) -> PiecewiseExponential:
+        """sum_k w_k f(z, v_k) as a piecewise-exponential sum."""
         return PiecewiseExponential(
             left_coefficients=self.a * (w @ (1.0 / self.denom_left)),
             left_rates=-self.roots.negative_roots,
@@ -121,16 +131,18 @@ class WaveProfile:
             right_rates=self.roots.positive_roots,
         )
 
+    def rho_modes(self) -> PiecewiseExponential:
+        """Spatial density rho(z) as a piecewise-exponential sum."""
+        return self._weighted_modes(self.model.weights)
+
+    @cached_property
+    def _partial_rho(self) -> tuple[PiecewiseExponential, PiecewiseExponential]:
+        w, v = self.model.weights, self.velocities
+        return self._weighted_modes(w * (v < self.c)), self._weighted_modes(w * (v > self.c))
+
     def partial_rho_modes(self, relative_sign: int) -> PiecewiseExponential:
         """rho restricted to velocities with sign(v - c) = relative_sign."""
-        mask = (self.velocities > self.c) if relative_sign > 0 else (self.velocities < self.c)
-        w = self.model.weights * mask
-        return PiecewiseExponential(
-            left_coefficients=self.a * (w @ (1.0 / self.denom_left)),
-            left_rates=-self.roots.negative_roots,
-            right_coefficients=self.b * (w @ (1.0 / self.denom_right)),
-            right_rates=self.roots.positive_roots,
-        )
+        return self._partial_rho[relative_sign > 0]
 
 
 def per_mode_mass(model: VelocityModel, c: float, lam: float, side: str) -> float:
@@ -239,37 +251,25 @@ def verification_grid(profile: WaveProfile, points_per_side: int = 2048) -> np.n
 
 def evaluate_f_matrix(profile: WaveProfile, z: np.ndarray) -> np.ndarray:
     """f(z_i, v_k) for an array of z; returns shape (len(z), n_active)."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty((z.size, profile.model.n_active))
-    neg = z < 0.0
-    if np.any(neg):
-        e = _exp_decay(-np.outer(z[neg], profile.roots.negative_roots))
-        out[neg] = e @ (profile.a[:, None] / profile.denom_left.T)
-    pos = ~neg
-    if np.any(pos):
-        e = _exp_decay(-np.outer(z[pos], profile.roots.positive_roots))
-        out[pos] = e @ (profile.b[:, None] / profile.denom_right.T)
-    return out
+    return _exp_sum(
+        np.ravel(np.asarray(z, dtype=float)),
+        profile.a[:, None] / profile.denom_left.T,
+        -profile.roots.negative_roots,
+        profile.b[:, None] / profile.denom_right.T,
+        profile.roots.positive_roots,
+    )
 
 
 def evaluate_f(profile: WaveProfile, z: float | np.ndarray, k: int) -> float | np.ndarray:
     """Kinetic density at position(s) z for the active velocity index k."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros_like(z_arr)
-    neg = z_arr < 0.0
-    if np.any(neg):
-        e = _exp_decay(-z_arr[neg, None] * profile.roots.negative_roots[None, :])
-        out[neg] = e @ (profile.a / profile.denom_left[k])
-    pos = ~neg
-    if np.any(pos):
-        e = _exp_decay(-z_arr[pos, None] * profile.roots.positive_roots[None, :])
-        out[pos] = e @ (profile.b / profile.denom_right[k])
+    out = _exp_sum(
+        np.atleast_1d(np.asarray(z, dtype=float)),
+        profile.a / profile.denom_left[k],
+        -profile.roots.negative_roots,
+        profile.b / profile.denom_right[k],
+        profile.roots.positive_roots,
+    )
     return out if np.ndim(z) else float(out[0])
-
-
-def evaluate_rho(profile: WaveProfile, z: float | np.ndarray) -> float | np.ndarray:
-    """Spatial density rho(z) = sum_k w_k f(z, v_k)."""
-    return profile.rho_modes()(z)
 
 
 def evaluate_I(profile: WaveProfile, z: float | np.ndarray) -> float | np.ndarray:
@@ -291,20 +291,15 @@ def evaluate_I(profile: WaveProfile, z: float | np.ndarray) -> float | np.ndarra
 
 
 def evaluate_I_derivative(profile: WaveProfile, z: float | np.ndarray) -> float | np.ndarray:
-    """dI/dz away from the origin, from the mode expansion of I."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros_like(z_arr)
-    neg = z_arr < 0.0
-    if np.any(neg):
-        lam = profile.roots.negative_roots
-        e = _exp_decay(-z_arr[neg, None] * lam[None, :])
-        out[neg] = e @ (-profile.a * lam)
-    pos = ~neg
-    if np.any(pos):
-        lam = profile.roots.positive_roots
-        e = _exp_decay(-z_arr[pos, None] * lam[None, :])
-        out[pos] = e @ (-profile.b * lam)
-    return out if np.ndim(z) else float(out[0])
+    """dI/dz away from the origin, from the mode expansion of I.
+
+    Its mode coefficients are a and b: at every root the dispersion relation
+    gives sum_k w_k T_k / (T_k - lambda_j (v_k - c)) = 1.
+    """
+    modes = PiecewiseExponential(
+        profile.a, -profile.roots.negative_roots, profile.b, profile.roots.positive_roots
+    )
+    return modes.derivative(z)
 
 
 def duhamel_f(profile: WaveProfile, z: float, k: int, quadrature_step: float = 1e-12) -> float:
@@ -320,19 +315,7 @@ def duhamel_f(profile: WaveProfile, z: float, k: int, quadrature_step: float = 1
     r = profile.model.rates
     dv = float(profile.velocities[k] - profile.c)
 
-    def tail(rate: float) -> float:
-        val, _err = quad(
-            lambda s: evaluate_I(profile, z - s * dv) * np.exp(-s * rate),
-            0.0,
-            np.inf,
-            epsabs=quadrature_step,
-            epsrel=quadrature_step,
-            limit=400,
-        )
-        return val
-
-    def from_origin(rate: float) -> float:
-        s_max = z / dv
+    def integral(rate: float, s_max: float) -> float:
         val, _err = quad(
             lambda s: evaluate_I(profile, z - s * dv) * np.exp(-s * rate),
             0.0,
@@ -341,11 +324,15 @@ def duhamel_f(profile: WaveProfile, z: float, k: int, quadrature_step: float = 1
             epsrel=quadrature_step,
             limit=400,
         )
-        return float(profile.f_at_zero[k]) * np.exp(-s_max * rate) + val
+        return val
+
+    def from_origin(rate: float) -> float:
+        s_max = z / dv
+        return float(profile.f_at_zero[k]) * np.exp(-s_max * rate) + integral(rate, s_max)
 
     if z > 0.0:
-        return tail(r.t_pm) if dv < 0.0 else from_origin(r.t_pp)
-    return tail(r.t_mp) if dv > 0.0 else from_origin(r.t_mm)
+        return integral(r.t_pm, np.inf) if dv < 0.0 else from_origin(r.t_pp)
+    return integral(r.t_mp, np.inf) if dv > 0.0 else from_origin(r.t_mm)
 
 
 def b_via_orthogonality(profile: WaveProfile, i: int) -> float:

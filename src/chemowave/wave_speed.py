@@ -24,6 +24,7 @@ from .wave_profile import solve_modes
 logger = logging.getLogger(__name__)
 
 ROOT_C_REL_TOL = 1e-12
+MIN_SAMPLES_PER_INTERVAL = 8
 _NARROW_INTERVAL_FACTOR = 10.0  # intervals narrower than this * node guard get one sample
 
 
@@ -87,9 +88,7 @@ def _upsilon_once(model: VelocityModel, params: ChemParams, c: float) -> float:
     try:
         profile = solve_modes(model, c)
         sfield = solve_S(profile.rho_modes(), params, c)
-    except ResonantMode:
-        raise
-    except ChemowaveError as exc:
+    except ChemowaveError as exc:  # type(exc) keeps ResonantMode catchable by the retry
         raise type(exc)(f"at c={c!r}: {exc}") from exc
     return sfield.slope_at_zero
 
@@ -116,8 +115,8 @@ def scan(
     range (endpoints inset by the node guard); merging is deterministic and
     ordered by c regardless of worker scheduling.
     """
-    if samples_per_interval < 8:
-        raise ValueError("samples_per_interval must be at least 8")
+    if samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
+        raise ValueError(f"samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}")
     window = admissible_speed_interval(model)
     guard = model.node_guard
 
@@ -236,9 +235,8 @@ def verify_root(model: VelocityModel, params: ChemParams, c: float) -> RootVerif
     """
     profile = solve_modes(model, c)
     sfield = solve_S(profile.rho_modes(), params, c)
-    halfwidth = 40.0 / min(profile.roots.slowest_positive, profile.roots.slowest_negative)
-    changes = slope_sign_changes(sfield, halfwidth, points_per_side=2048)
-    z_max = locate_maximum(sfield, halfwidth)
+    changes = slope_sign_changes(sfield, profile.halfwidth, points_per_side=2048)
+    z_max = locate_maximum(sfield, profile.halfwidth)
     return RootVerification(
         c=float(c),
         upsilon_value=float(sfield.slope_at_zero),

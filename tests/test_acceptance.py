@@ -23,7 +23,6 @@ from chemowave import (
     evaluate_f,
     evaluate_f_matrix,
     evaluate_I,
-    evaluate_rho,
     refine_roots,
     scan,
     solve_modes,
@@ -163,7 +162,7 @@ def test_criterion_4_monotonicity_suite(case_one, case_two, case_three, overshoo
             profile = solve_modes(model, c)
             grid = verification_grid(profile)  # 2048 points per side
             neg = grid < 0
-            rho = np.asarray(evaluate_rho(profile, grid))
+            rho = np.asarray(profile.rho_modes()(grid))
             assert np.all(np.diff(rho[neg]) > 0)
             assert np.all(np.diff(rho[~neg]) < 0)
             for sign in (-1, +1):

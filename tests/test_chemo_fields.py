@@ -97,6 +97,22 @@ def test_moving_frame_fd_oracle():
     assert np.max(np.abs(oracle - sfield(z))) < 1e-6
 
 
+def test_sfield_is_an_exponential_sum_with_homogeneous_terms_last():
+    params = ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0)
+    rho = PiecewiseExponential(
+        np.array([0.7, 0.1]), np.array([0.9, 3.0]), np.array([0.5]), np.array([1.4])
+    )
+    sfield = solve_S(rho, params, 0.15)
+    assert isinstance(sfield, PiecewiseExponential)
+    assert np.array_equal(sfield.left_rates, [0.9, 3.0, sfield.theta_plus])
+    assert np.array_equal(sfield.right_rates, [1.4, -sfield.theta_minus])
+    assert sfield.theta_plus > 0.0 > sfield.theta_minus
+    # C^1 matching at the origin, and the slope there is the stored one
+    assert sfield(-1e-300) == pytest.approx(sfield(0.0), rel=1e-14)
+    assert sfield.derivative(-1e-300) == pytest.approx(sfield.slope_at_zero, rel=1e-12)
+    assert sfield.derivative(0.0) == pytest.approx(sfield.slope_at_zero, rel=1e-12)
+
+
 def test_literal_resonant_constants_raise():
     # exp(-z) with (d_s, alpha, c) = (0.5, 0.5, 0) makes the source exponent
     # coincide with the decaying homogeneous exponent exactly.

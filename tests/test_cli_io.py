@@ -15,6 +15,7 @@ from chemowave.cli_io import (
 )
 from chemowave.cauchy_sim import SimConfig
 from chemowave.errors import (
+    ConfigError,
     MissingKey,
     ParseError,
     SensitivityOutOfRange,
@@ -204,6 +205,36 @@ def test_cli_mode_override(tmp_path):
     cfg_path = tmp_path / "two.ini"
     cfg_path.write_text(TWO_VELOCITY_SCAN)
     assert main(["validate", "--config", str(cfg_path)]) == 0
+
+
+def test_cli_mode_is_checked_once_for_the_mode_that_runs(tmp_path, capsys):
+    # the file asks for profile without profile_speed: validate needs neither
+    profile_only = tmp_path / "profile.ini"
+    profile_only.write_text(TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = profile"))
+    assert main(["validate", "--config", str(profile_only)]) == 0
+    assert parse_config(profile_only.read_text(), mode="validate").mode == "validate"
+    # the file is a scan config: the CLI's profile mode still needs profile_speed
+    scan_only = tmp_path / "scan.ini"
+    scan_only.write_text(TWO_VELOCITY_SCAN)
+    assert main(["profile", "--config", str(scan_only)]) == 2
+    assert "profile_speed" in capsys.readouterr().err
+    with pytest.raises(MissingKey, match="profile_speed"):
+        load_config(scan_only, mode="profile")
+
+
+def test_too_few_samples_per_interval_is_a_config_error(tmp_path, capsys):
+    text = TWO_VELOCITY_SCAN.replace("samples_per_interval = 8", "samples_per_interval = 4")
+    with pytest.raises(ConfigError, match=r"\[run\].*samples_per_interval"):
+        parse_config(text)
+    cfg_path = tmp_path / "few.ini"
+    cfg_path.write_text(text)
+    assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "samples_per_interval" in capsys.readouterr().err
+
+
+def test_seed_is_an_unknown_key():
+    with pytest.raises(UnknownKey, match="seed"):
+        parse_config(TWO_VELOCITY_SCAN + "seed = 1\n")
 
 
 def test_cli_scan_on_shipped_config(tmp_path, configs_dir, capsys):

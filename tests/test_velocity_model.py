@@ -10,7 +10,6 @@ from chemowave import (
     expand_half_set,
     mean_run_length,
     rate_at,
-    tumbling_rates,
 )
 from chemowave.errors import (
     AsymmetricSet,
@@ -85,7 +84,7 @@ def test_expand_half_set_roundtrip():
 
 
 def test_tumbling_rate_values(two_velocity_model):
-    r = tumbling_rates(two_velocity_model)
+    r = two_velocity_model.rates
     assert (r.t_mm, r.t_mp, r.t_pm, r.t_pp) == pytest.approx((1.45, 0.55, 0.85, 1.15))
     # unbiased limit
     r0 = TumblingRates.from_sensitivities(0.0, 0.0)
@@ -96,7 +95,7 @@ def test_tumbling_rate_values(two_velocity_model):
 
 
 def test_rate_at_sign_map(two_velocity_model):
-    r = tumbling_rates(two_velocity_model)
+    r = two_velocity_model.rates
     assert rate_at(r, +1, +1) == r.t_pp
     assert rate_at(r, -1, +1) == r.t_mp
     assert rate_at(r, +1, -1) == r.t_pm

@@ -11,12 +11,12 @@ from chemowave import (
     evaluate_I_derivative,
     evaluate_f,
     evaluate_f_matrix,
-    evaluate_rho,
     per_mode_mass,
     solve_modes,
     verification_grid,
 )
 from chemowave.velocity_model import side_rates
+from chemowave.wave_profile import GRID_DECADES
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_per_mode_mass_against_quadrature(profile_two):
     model = profile_two.model
     lam = float(profile_two.roots.positive_roots[0])
     z = np.linspace(0.0, 40.0 / lam, 400001)
-    rho = np.asarray(evaluate_rho(profile_two, z))
+    rho = np.asarray(profile_two.rho_modes()(z))
     quad_mass = np.trapezoid(rho, z)
     analytic = profile_two.b[0] * per_mode_mass(model, profile_two.c, lam, "right")
     assert analytic == pytest.approx(profile_two.right_mass, abs=1e-15)
@@ -81,7 +81,7 @@ def test_per_mode_mass_scalar_identity(profile_one):
 def test_total_mass_quadrature(profile_one):
     z_max = 40.0 / min(profile_one.roots.slowest_positive, profile_one.roots.slowest_negative)
     z = np.linspace(-z_max, z_max, 2**20 + 1)
-    rho = np.asarray(evaluate_rho(profile_one, z))
+    rho = np.asarray(profile_one.rho_modes()(z))
     assert np.trapezoid(rho, z) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -106,7 +106,7 @@ def test_positivity_on_grid(profile_one):
 
 def test_density_monotone_both_sides(profile_one):
     grid = verification_grid(profile_one)
-    rho = np.asarray(evaluate_rho(profile_one, grid))
+    rho = np.asarray(profile_one.rho_modes()(grid))
     neg = grid < 0
     assert np.all(np.diff(rho[neg]) > 0)
     assert np.all(np.diff(rho[~neg]) < 0)
@@ -119,6 +119,20 @@ def test_partial_densities_monotone(profile_one):
         part = np.asarray(profile_one.partial_rho_modes(sign)(grid))
         assert np.all(np.diff(part[neg]) > 0)
         assert np.all(np.diff(part[~neg]) < 0)
+
+
+def test_partial_densities_are_cached_and_sum_to_rho(profile_one):
+    minus, plus = profile_one.partial_rho_modes(-1), profile_one.partial_rho_modes(+1)
+    assert profile_one.partial_rho_modes(-1) is minus
+    assert profile_one.partial_rho_modes(+1) is plus
+    grid = verification_grid(profile_one)
+    rho = np.asarray(profile_one.rho_modes()(grid))
+    assert np.allclose(np.asarray(minus(grid)) + np.asarray(plus(grid)), rho, rtol=1e-13, atol=0.0)
+
+
+def test_halfwidth_spans_the_slowest_tail(profile_one):
+    slowest = min(profile_one.roots.slowest_positive, profile_one.roots.slowest_negative)
+    assert profile_one.halfwidth == GRID_DECADES / slowest
 
 
 def test_event_density_reconstruction(profile_one):
@@ -258,7 +272,7 @@ def test_overshoot_configuration(overshoot_model):
         vals = evaluate_f(profile, grid, k)
         peaked_left.append(grid[int(np.argmax(vals))])
     assert any(z < -1e-3 for z in peaked_left)
-    rho = np.asarray(evaluate_rho(profile, grid))
+    rho = np.asarray(profile.rho_modes()(grid))
     assert abs(grid[int(np.argmax(rho))]) < 1e-3
 
 
@@ -272,6 +286,10 @@ def test_piecewise_exponential_validation():
     assert pe(-1e6) == 0.0 and pe(1e6) == 0.0
     assert pe.derivative(-1.0) == pytest.approx(2.0 * np.exp(-1.0))
     assert pe.derivative(2.0) == pytest.approx(-1.5 * np.exp(-1.0))
+    assert pe.second_derivative(-1.0) == pytest.approx(2.0 * np.exp(-1.0))
+    assert pe.second_derivative(2.0) == pytest.approx(0.75 * np.exp(-1.0))
+    z = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+    assert np.array_equal(pe(z), [pe(x) for x in z])
 
 
 def test_mass_row_matches_per_mode_mass(profile_one, profile_two):

@@ -12,7 +12,7 @@ from chemowave import (
     upsilon,
     verify_root,
 )
-from chemowave.errors import LostBracket
+from chemowave.errors import LostBracket, ResonantMode
 import chemowave.wave_speed as wave_speed_mod
 
 
@@ -165,3 +165,27 @@ def test_refine_brent_on_curved_synthetic_curve(case_one, chem_default, monkeypa
     assert len(roots) == 1
     assert roots[0] == pytest.approx(root_true, rel=2e-12)
     assert len(calls) < 20
+
+
+def test_resonance_is_retried_once_with_context(case_one, chem_default, monkeypatch):
+    model, _cfg = case_one
+    real_solve_S = wave_speed_mod.solve_S
+    calls = []
+
+    def resonant_once(rho, params, c):
+        calls.append(c)
+        if len(calls) == 1:
+            raise ResonantMode("coincident exponents")
+        return real_solve_S(rho, params, c)
+
+    monkeypatch.setattr(wave_speed_mod, "solve_S", resonant_once)
+    value = upsilon(model, chem_default, 0.1)
+    assert calls == [0.1, 0.1 * (1.0 + 1e-9)]
+    assert np.isfinite(value)
+
+    def always_resonant(rho, params, c):
+        raise ResonantMode("coincident exponents")
+
+    monkeypatch.setattr(wave_speed_mod, "solve_S", always_resonant)
+    with pytest.raises(ResonantMode, match=r"at c=.*coincident exponents"):
+        upsilon(model, chem_default, 0.1)
