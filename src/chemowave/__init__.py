@@ -45,7 +45,6 @@ from .velocity_model import (
     cutting_index,
     expand_half_set,
     mean_run_length,
-    rate_at,
 )
 from .wave_profile import (
     PiecewiseExponential,
@@ -101,7 +100,6 @@ __all__ = [
     "mean_run_length",
     "measure_front_speed",
     "per_mode_mass",
-    "rate_at",
     "refine_roots",
     "run",
     "scan",

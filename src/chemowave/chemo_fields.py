@@ -81,14 +81,18 @@ class NField:
         return np.interp(z, self.grid, self.values, left=self.values[0], right=self.values[-1])
 
 
-def _particular_coefficient(params: ChemParams, c: float, mu: float, source_coef: float) -> float:
-    """Coefficient of the particular term A exp(mu z) for source coef exp(mu z)."""
+def _particular_coefficients(
+    params: ChemParams, c: float, mu: np.ndarray, source_coef: np.ndarray
+) -> np.ndarray:
+    """Coefficients A of the particular terms A exp(mu z) for sources coef exp(mu z)."""
     denom = params.alpha - c * mu - params.d_s * mu * mu
-    scale = max(params.alpha, abs(c * mu), params.d_s * mu * mu)
-    if abs(denom) < RESONANCE_GUARD_REL * scale:
+    scale = np.maximum(np.maximum(params.alpha, np.abs(c * mu)), params.d_s * mu * mu)
+    resonant = np.abs(denom) < RESONANCE_GUARD_REL * scale
+    if np.any(resonant):
+        k = int(np.argmax(resonant))
         raise ResonantMode(
-            f"source exponent {mu!r} resonates with the homogeneous operator "
-            f"(alpha - c*mu - d_s*mu^2 = {denom!r})"
+            f"source exponent {mu[k]!r} resonates with the homogeneous operator "
+            f"(alpha - c*mu - d_s*mu^2 = {denom[k]!r})"
         )
     return params.beta * source_coef / denom
 
@@ -108,15 +112,8 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
 
     mu_left = rho.left_rates.astype(float)            # exp(mu z), mu > 0, z < 0
     mu_right = -rho.right_rates.astype(float)         # exp(mu z), mu < 0, z > 0
-    A_left = np.array(
-        [_particular_coefficient(params, c, mu, r) for mu, r in zip(mu_left, rho.left_coefficients)]
-    )
-    A_right = np.array(
-        [
-            _particular_coefficient(params, c, mu, r)
-            for mu, r in zip(mu_right, rho.right_coefficients)
-        ]
-    )
+    A_left = _particular_coefficients(params, c, mu_left, rho.left_coefficients)
+    A_right = _particular_coefficients(params, c, mu_right, rho.right_coefficients)
 
     d0 = float(np.sum(A_left) - np.sum(A_right))          # C_+ - C_-
     d1 = float(A_left @ mu_left - A_right @ mu_right)     # theta_- C_+ - theta_+ C_-

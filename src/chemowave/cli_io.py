@@ -14,7 +14,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
         "out_dir": ("str", False),
         "samples_per_interval": ("int", False),
         "profile_speed": ("float", False),
-        "threads": ("int", False),
     },
 }
 
@@ -125,7 +124,6 @@ class RunConfig:
     out_dir: str | None = None
     samples_per_interval: int = 64
     profile_speed: float | None = None
-    threads: int = 1
 
     def build_model(self) -> VelocityModel:
         v, w = expand_half_set(list(self.velocities), list(self.weights))
@@ -273,7 +271,6 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         profile_speed=(
             float(run_sec["profile_speed"]) if "profile_speed" in run_sec else None
         ),
-        threads=int(run_sec.get("threads", 1)),
     )
     try:
         cfg.build_model()
@@ -337,15 +334,20 @@ def _header_lines(config_hash: str | None) -> list[str]:
     return lines
 
 
+def _write_csv(path: str | Path, head: list[str], columns: str, table: np.ndarray) -> None:
+    """Write comment lines, the column names and one 17-digit row per table row."""
+    template = ",".join(["%.17g"] * table.shape[1])
+    rows = [template % tuple(row.tolist()) for row in table]
+    Path(path).write_text("\n".join(head + [columns] + rows) + "\n", encoding="utf-8")
+
+
 def emit_upsilon_csv(curve: UpsilonCurve, path: str | Path, config_hash: str | None = None) -> None:
     """Write the sampled curve: columns c, upsilon, interval_id (ascending c)."""
-    rows = [
-        f"{_g17(c)},{_g17(y)},{seg.interval_id}"
-        for seg in curve.intervals
-        for c, y in zip(seg.c, seg.upsilon)
-    ]
-    body = _header_lines(config_hash) + ["c,upsilon,interval_id"] + rows
-    Path(path).write_text("\n".join(body) + "\n", encoding="utf-8")
+    table = np.array(
+        [(c, y, seg.interval_id) for seg in curve.intervals for c, y in zip(seg.c, seg.upsilon)],
+        dtype=float,
+    ).reshape(-1, 3)
+    _write_csv(path, _header_lines(config_hash), "c,upsilon,interval_id", table)
 
 
 def emit_speeds_summary(
@@ -374,39 +376,23 @@ def emit_profile_csv(
 ) -> None:
     """Write z, rho, I, s, n and every f_k on the verification grid."""
     z = verification_grid(profile)
-    rho = np.asarray(profile.rho_modes()(z))
-    I_vals = np.asarray(evaluate_I(profile, z))
-    s_vals = np.asarray(sfield(z))
-    n_vals = np.asarray(nfield(z))
-    f_vals = evaluate_f_matrix(profile, z)
+    fields = [profile.rho_modes()(z), evaluate_I(profile, z), sfield(z), nfield(z)]
+    table = np.column_stack([z, *fields, evaluate_f_matrix(profile, z)])
     head = _header_lines(config_hash)
     head.append("# velocities=" + " ".join(_g17(v) for v in profile.velocities))
     cols = "z,rho,I,s,n," + ",".join(f"f_{k}" for k in range(profile.model.n_active))
-    rows = []
-    for i in range(z.size):
-        rows.append(
-            ",".join(
-                [_g17(z[i]), _g17(rho[i]), _g17(I_vals[i]), _g17(s_vals[i]), _g17(n_vals[i])]
-                + [_g17(v) for v in f_vals[i]]
-            )
-        )
-    Path(path).write_text("\n".join(head + [cols] + rows) + "\n", encoding="utf-8")
+    _write_csv(path, head, cols, table)
 
 
 def emit_snapshot_csv(snapshot, path: str | Path, config_hash: str | None = None) -> None:
     """Write one simulation snapshot: x, rho, s, n (and f_k when recorded)."""
     head = _header_lines(config_hash) + [f"# t={_g17(snapshot.t)}"]
-    with_f = snapshot.f is not None
     cols = "x,rho,s,n"
-    if with_f:
+    columns = [snapshot.x, snapshot.rho, snapshot.s, snapshot.n]
+    if snapshot.f is not None:
         cols += "," + ",".join(f"f_{k}" for k in range(snapshot.f.shape[0]))
-    rows = []
-    for i in range(snapshot.x.size):
-        row = [_g17(snapshot.x[i]), _g17(snapshot.rho[i]), _g17(snapshot.s[i]), _g17(snapshot.n[i])]
-        if with_f:
-            row += [_g17(v) for v in snapshot.f[:, i]]
-        rows.append(",".join(row))
-    Path(path).write_text("\n".join(head + [cols] + rows) + "\n", encoding="utf-8")
+        columns.append(snapshot.f.T)
+    _write_csv(path, head, cols, np.column_stack(columns))
 
 
 def emit_diagnostics_csv(diagnostics, path: str | Path, config_hash: str | None = None) -> None:
@@ -415,8 +401,7 @@ def emit_diagnostics_csv(diagnostics, path: str | Path, config_hash: str | None 
     head.append(f"# fitted_speed={_g17(diagnostics.fitted_speed)}")
     head.append(f"# fit_residual={_g17(diagnostics.fit_residual)}")
     head.append(f"# n_components={diagnostics.n_components}")
-    rows = [f"{_g17(t)},{_g17(xp)}" for t, xp in diagnostics.peak_track]
-    Path(path).write_text("\n".join(head + ["t,peak_x"] + rows) + "\n", encoding="utf-8")
+    _write_csv(path, head, "t,peak_x", np.array(diagnostics.peak_track, dtype=float).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +423,7 @@ def _mode_validate(cfg: RunConfig, out: Path, config_hash: str) -> None:
 
 def _mode_scan(cfg: RunConfig, out: Path, config_hash: str) -> None:
     model = cfg.build_model()
-    curve = scan(model, cfg.chem, cfg.samples_per_interval, threads=cfg.threads)
+    curve = scan(model, cfg.chem, cfg.samples_per_interval)
     roots = refine_roots(curve, model, cfg.chem)
     emit_upsilon_csv(curve, out / "upsilon.csv", config_hash)
     emit_speeds_summary(roots, out / "speeds.csv", curve.root_residuals, config_hash)
@@ -493,7 +478,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="path to the configuration file")
     parser.add_argument("--out", default=None, help="output directory (default: [run] out_dir or '.')")
-    parser.add_argument("--threads", type=int, default=None, help="parallel workers for the scan")
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=os.environ.get("CHEMOWAVE_LOG", "WARNING").upper())
@@ -506,9 +490,6 @@ def main(argv: list[str] | None = None) -> int:
     except ChemowaveError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
 
     out = Path(args.out or cfg.out_dir or ".")
     try:

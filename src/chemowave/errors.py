@@ -36,10 +36,6 @@ class SensitivityOutOfRange(ModelError):
     """chi_s or chi_n outside the accepted range, or chi_n > chi_s."""
 
 
-class ZeroSignArgument(ModelError):
-    """A sign argument was zero where a strict sign is required."""
-
-
 class NoConfinementWindow(ModelError):
     """No confinement speed window exists (degenerate sensitivities)."""
 

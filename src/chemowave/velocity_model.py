@@ -21,7 +21,6 @@ from .errors import (
     SensitivityOutOfRange,
     SpeedOnVelocityNode,
     WeightSumNotOne,
-    ZeroSignArgument,
 )
 
 SYMMETRY_TOL = 1e-12      # absolute, for velocity/weight mirror pairing
@@ -206,18 +205,6 @@ def build_model(
     if v.size < 2 or v[-1] <= 0.0:
         raise AsymmetricSet("active set must contain at least one +/- velocity pair")
     return VelocityModel(velocities=_readonly(v), weights=_readonly(w), chi_s=chi_s, chi_n=chi_n)
-
-
-def rate_at(rates: TumblingRates, side_sign: float, relative_velocity_sign: float) -> float:
-    """Select the rate constant for sign(z) and sign(v - c).
-
-    Any nonzero real is accepted for either argument; only its sign is used.
-    """
-    if side_sign == 0 or relative_velocity_sign == 0:
-        raise ZeroSignArgument("rate_at requires nonzero signs; resolve z=0 / v=c upstream")
-    if side_sign > 0:
-        return rates.t_pp if relative_velocity_sign > 0 else rates.t_pm
-    return rates.t_mp if relative_velocity_sign > 0 else rates.t_mm
 
 
 def side_rates(model: VelocityModel, c: float, side: str) -> np.ndarray:

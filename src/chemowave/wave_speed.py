@@ -10,7 +10,6 @@ across a node are jump discontinuities, never roots.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,58 +92,31 @@ def _upsilon_once(model: VelocityModel, params: ChemParams, c: float) -> float:
     return sfield.slope_at_zero
 
 
-def _upsilon_task(args: tuple[VelocityModel, ChemParams, float]) -> float:
-    model, params, c = args
-    return upsilon(model, params, c)
-
-
 def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
     k = np.arange(1, n + 1)
     return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2.0 * k - 1.0) * np.pi / (2.0 * n)))
 
 
-def scan(
-    model: VelocityModel,
-    params: ChemParams,
-    samples_per_interval: int = 64,
-    threads: int = 1,
-) -> UpsilonCurve:
+def scan(model: VelocityModel, params: ChemParams, samples_per_interval: int = 64) -> UpsilonCurve:
     """Sample Upsilon over every continuity interval and bracket sign changes.
 
     Samples are Chebyshev-spaced inside each component of the admissible
-    range (endpoints inset by the node guard); merging is deterministic and
-    ordered by c regardless of worker scheduling.
+    range (endpoints inset by the node guard) and evaluated in ascending c.
     """
     if samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
         raise ValueError(f"samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}")
     window = admissible_speed_interval(model)
     guard = model.node_guard
 
-    plan: list[tuple[int, float, float, np.ndarray]] = []
+    intervals: list[IntervalSamples] = []
     for i, (lo, hi) in enumerate(window.admissible_intervals):
-        lo_in, hi_in = lo + guard, hi - guard
         if hi - lo <= 3.0 * guard:
             continue  # too narrow for any sample clear of both nodes
         if hi - lo < _NARROW_INTERVAL_FACTOR * guard:
             cs = np.array([0.5 * (lo + hi)])
         else:
-            cs = _chebyshev_points(lo_in, hi_in, samples_per_interval)
-        plan.append((i, lo, hi, cs))
-
-    all_c = [float(c) for _i, _lo, _hi, cs in plan for c in cs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            all_y = list(
-                pool.map(_upsilon_task, [(model, params, c) for c in all_c], chunksize=8)
-            )
-    else:
-        all_y = [upsilon(model, params, c) for c in all_c]
-
-    intervals: list[IntervalSamples] = []
-    pos = 0
-    for i, lo, hi, cs in plan:
-        ys = np.array(all_y[pos : pos + cs.size])
-        pos += cs.size
+            cs = _chebyshev_points(lo + guard, hi - guard, samples_per_interval)
+        ys = np.array([upsilon(model, params, float(c)) for c in cs])
         intervals.append(IntervalSamples(interval_id=i, lo=lo, hi=hi, c=cs, upsilon=ys))
 
     brackets: list[tuple[int, float, float, float, float]] = []
@@ -189,9 +161,10 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
 
     Stops at relative tolerance ``ROOT_C_REL_TOL`` (1e-12): the absolute
     tolerance is set to the same fraction of the bracket's magnitude, since
-    the default of ``brentq`` is too loose for speeds of order 1e-2.  Fills
-    ``curve.roots`` / ``curve.root_residuals`` and returns the speeds.  A
-    bracket whose refinement fails raises :class:`LostBracket` rather than
+    the default of ``brentq`` is too loose for speeds of order 1e-2.  The
+    bracket ends are not evaluated again: their values come from the scan.
+    Fills ``curve.roots`` / ``curve.root_residuals`` and returns the speeds.
+    A bracket whose refinement fails raises :class:`LostBracket` rather than
     being dropped silently.
     """
     roots: list[float] = []
@@ -199,9 +172,10 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     for _interval_id, lo, hi, y_lo, y_hi in curve.brackets:
         if not (y_lo > 0.0 > y_hi):
             raise LostBracket(f"bracket ({lo!r}, {hi!r}) does not straddle a downward crossing")
+        ends = {lo: y_lo, hi: y_hi}  # brentq starts at both ends; the scan holds their values
         try:
             root = brentq(
-                lambda c: upsilon(model, params, c),
+                lambda c: ends[c] if c in ends else upsilon(model, params, c),
                 lo,
                 hi,
                 xtol=ROOT_C_REL_TOL * max(abs(lo), abs(hi)),

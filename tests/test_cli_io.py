@@ -232,9 +232,21 @@ def test_too_few_samples_per_interval_is_a_config_error(tmp_path, capsys):
     assert "samples_per_interval" in capsys.readouterr().err
 
 
-def test_seed_is_an_unknown_key():
-    with pytest.raises(UnknownKey, match="seed"):
-        parse_config(TWO_VELOCITY_SCAN + "seed = 1\n")
+@pytest.mark.parametrize("key", ["seed", "threads"])
+def test_removed_run_key_is_unknown(key, tmp_path, capsys):
+    # neither the config key nor the command-line flag exists any more
+    text = TWO_VELOCITY_SCAN + f"{key} = 2\n"
+    with pytest.raises(UnknownKey, match=key):
+        parse_config(text)
+    cfg_path = tmp_path / "removed.ini"
+    cfg_path.write_text(text)
+    assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    cfg_path.write_text(TWO_VELOCITY_SCAN)
+    with pytest.raises(SystemExit) as exc:
+        main(["upsilon-scan", "--config", str(cfg_path), f"--{key}", "2"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert f"--{key}" in capsys.readouterr().err
 
 
 def test_cli_scan_on_shipped_config(tmp_path, configs_dir, capsys):

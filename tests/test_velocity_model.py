@@ -9,7 +9,6 @@ from chemowave import (
     cutting_index,
     expand_half_set,
     mean_run_length,
-    rate_at,
 )
 from chemowave.errors import (
     AsymmetricSet,
@@ -18,9 +17,8 @@ from chemowave.errors import (
     SensitivityOutOfRange,
     SpeedOnVelocityNode,
     WeightSumNotOne,
-    ZeroSignArgument,
 )
-from chemowave.velocity_model import SensitivityBoundaryWarning, TumblingRates
+from chemowave.velocity_model import SensitivityBoundaryWarning, TumblingRates, side_rates
 
 
 def test_published_quadrature_set_builds(case_one):
@@ -95,15 +93,14 @@ def test_tumbling_rate_values(two_velocity_model):
 
 
 def test_rate_at_sign_map(two_velocity_model):
+    # velocities -1 < c < +1: index 0 has v < c, index 1 has v > c
     r = two_velocity_model.rates
-    assert rate_at(r, +1, +1) == r.t_pp
-    assert rate_at(r, -1, +1) == r.t_mp
-    assert rate_at(r, +1, -1) == r.t_pm
-    assert rate_at(r, -1, -1) == r.t_mm
-    # any nonzero magnitude works through its sign
-    assert rate_at(r, 3.7, -0.01) == r.t_pm
-    with pytest.raises(ZeroSignArgument):
-        rate_at(r, 0.0, 1.0)
+    left = side_rates(two_velocity_model, 0.1, "left")
+    right = side_rates(two_velocity_model, 0.1, "right")
+    assert right[1] == r.t_pp
+    assert left[1] == r.t_mp
+    assert right[0] == r.t_pm
+    assert left[0] == r.t_mm
 
 
 @pytest.mark.parametrize("chi_s", [0.05, 0.2, 0.45])
