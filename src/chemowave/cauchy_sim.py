@@ -25,7 +25,9 @@ from .velocity_model import VelocityModel
 logger = logging.getLogger(__name__)
 
 _NEGATIVE_TOL = 1e-12  # relative slack before declaring a density negative
-PEAK_PROMINENCE_FRACTION = 0.05  # default peak prominence, as a fraction of the rho range
+SIGN_DEADZONE = 1e-12  # sign arguments this small relative to their largest |value| count as 0
+FIT_WINDOW_FRACTION = 0.5  # trailing share of the peak track fitted for the front speed
+PEAK_PROMINENCE_FRACTION = 0.05  # peak prominence, as a fraction of the final rho range
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,7 @@ class SimConfig:
     t_end: float
     initial_rho: InitialDensity = field(default_factory=InitialDensity)
     initial_n: float = 1.0
-    sign_deadzone: float = 1e-12        # relative to the per-step argument scale
     snapshot_interval: float | None = None
-    fit_window_fraction: float = 0.5
-    peak_prominence_fraction: float = PEAK_PROMINENCE_FRACTION
     keep_velocity_snapshots: bool = False
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ class SimConfig:
             raise ValueError("cfl must lie strictly inside (0, 1)")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if self.sign_deadzone < 0.0:
-            raise ValueError("sign_deadzone must be nonnegative")
         if self.initial_n <= 0.0:
             raise ValueError("initial_n must be positive")
 
@@ -162,35 +159,31 @@ def total_mass(config: SimConfig, state: SimState) -> float:
     return float(np.sum(config.model.weights @ state.f) * config.dx)
 
 
-def _sign_with_deadzone(x: np.ndarray, relative_threshold: float) -> np.ndarray:
+def _sign_with_deadzone(x: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(x))) if x.size else 0.0
     if scale == 0.0:
         return np.zeros_like(x)
     out = np.sign(x)
-    out[np.abs(x) <= relative_threshold * scale] = 0.0
+    out[np.abs(x) <= SIGN_DEADZONE * scale] = 0.0
     return out
 
 
-def _transport(f: np.ndarray, model: VelocityModel, nu: np.ndarray) -> np.ndarray:
-    """One upwind transport step; nu = v * dt / dx per velocity.
+def _transport(f: np.ndarray, v: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """One upwind transport step of every velocity row; nu = |v| * dt / dx.
 
     Walls reflect specularly: the inflow value for +v at the left wall is the
-    cell-0 value of the mirrored velocity -v, and symmetrically on the right.
+    cell-0 value of the mirrored velocity -v (row ``f[::-1]``, since the set
+    is sorted and symmetric), and symmetrically on the right.  Zero-velocity
+    rows have nu = 0 and keep their values.
     """
-    out = np.empty_like(f)
-    for k, v in enumerate(model.velocities):
-        mk = model.mirror_index(k)
-        if v > 0.0:
-            inflow = f[mk, 0]
-            upstream = np.concatenate([[inflow], f[k, :-1]])
-            out[k] = f[k] - nu[k] * (f[k] - upstream)
-        elif v < 0.0:
-            inflow = f[mk, -1]
-            downstream = np.concatenate([f[k, 1:], [inflow]])
-            out[k] = f[k] - nu[k] * (f[k] - downstream)
-        else:
-            out[k] = f[k]
-    return out
+    upwind = f.copy()
+    right = v > 0.0
+    left = v < 0.0
+    upwind[right, 1:] = f[right, :-1]
+    upwind[right, 0] = f[::-1, 0][right]
+    upwind[left, :-1] = f[left, 1:]
+    upwind[left, -1] = f[::-1, -1][left]
+    return f - nu[:, None] * (f - upwind)
 
 
 def _implicit_diffusion_matrix(n_cells: int, r: float) -> np.ndarray:
@@ -222,7 +215,7 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     if dt * model.rates.max_rate > 1.0:
         raise CFLViolation(f"dt={dt!r} violates the tumbling bound dt*maxT <= 1")
 
-    f = _transport(state.f, model, np.abs(v) * dt / dx)
+    f = _transport(state.f, v, np.abs(v) * dt / dx)
 
     grad_s = np.gradient(state.s, dx)
     grad_n = np.gradient(state.n, dx)
@@ -230,8 +223,8 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     arg_n = state.dn_dt[None, :] + v[:, None] * grad_n[None, :]
     rates = (
         1.0
-        - model.chi_s * _sign_with_deadzone(arg_s, config.sign_deadzone)
-        - model.chi_n * _sign_with_deadzone(arg_n, config.sign_deadzone)
+        - model.chi_s * _sign_with_deadzone(arg_s)
+        - model.chi_n * _sign_with_deadzone(arg_n)
     )
     event_density = (model.weights[:, None] * rates * f).sum(axis=0)
     f = f + dt * (event_density[None, :] - rates * f)
@@ -307,11 +300,11 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
                 next_snap += snap_dt
 
     rho_final = snapshots[-1].rho
-    prominence = config.peak_prominence_fraction * (float(np.max(rho_final)) - float(np.min(rho_final)))
+    prominence = PEAK_PROMINENCE_FRACTION * (float(np.max(rho_final)) - float(np.min(rho_final)))
     peaks, _props = find_peaks(rho_final, prominence=max(prominence, np.finfo(float).tiny))
     peak_track = np.array(track)
     try:
-        speed, residual = measure_front_speed(peak_track, config.fit_window_fraction)
+        speed, residual = measure_front_speed(peak_track, FIT_WINDOW_FRACTION)
     except InsufficientSamples:
         logger.warning("too few snapshots for a front-speed fit; diagnostics carry NaN")
         speed, residual = float("nan"), float("nan")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy_sim import PEAK_PROMINENCE_FRACTION, InitialDensity, SimConfig, run
+from .cauchy_sim import InitialDensity, SimConfig, run
 from .chemo_fields import ChemParams, solve_N, solve_S
 from .errors import (
     ChemowaveError,
@@ -44,7 +44,14 @@ from .wave_profile import (
     solve_modes,
     verification_grid,
 )
-from .wave_speed import MIN_SAMPLES_PER_INTERVAL, UpsilonCurve, refine_roots, scan, verify_root
+from .wave_speed import (
+    MIN_SAMPLES_PER_INTERVAL,
+    SAMPLES_PER_INTERVAL,
+    UpsilonCurve,
+    refine_roots,
+    scan,
+    verify_root,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -75,10 +82,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
         "initial_width": ("float", False),
         "initial_mass": ("float", False),
         "initial_n": ("float", False),
-        "sign_deadzone": ("float", False),
         "snapshot_interval": ("float", False),
-        "fit_window_fraction": ("float", False),
-        "peak_prominence": ("float", False),
         "snapshot_f": ("bool", False),
     },
     "run": {
@@ -98,16 +102,13 @@ class SimBlock:
     cells: int
     cfl: float
     t_end: float
-    initial_shape: str = "block"
-    initial_center: float | None = None
-    initial_width: float | None = None
-    initial_mass: float = 1.0
-    initial_n: float = 1.0
-    sign_deadzone: float = 1e-12
-    snapshot_interval: float | None = None
-    fit_window_fraction: float = 0.5
-    peak_prominence: float = PEAK_PROMINENCE_FRACTION
-    snapshot_f: bool = False
+    initial_shape: str = InitialDensity.kind
+    initial_center: float | None = InitialDensity.center
+    initial_width: float | None = InitialDensity.width
+    initial_mass: float = InitialDensity.mass
+    initial_n: float = SimConfig.initial_n
+    snapshot_interval: float | None = SimConfig.snapshot_interval
+    snapshot_f: bool = SimConfig.keep_velocity_snapshots
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class RunConfig:
     chem: ChemParams | None = None
     sim: SimBlock | None = None
     out_dir: str | None = None
-    samples_per_interval: int = 64
+    samples_per_interval: int = SAMPLES_PER_INTERVAL
     profile_speed: float | None = None
 
     def build_model(self) -> VelocityModel:
@@ -144,10 +145,7 @@ class RunConfig:
                 kind=s.initial_shape, center=s.initial_center, width=s.initial_width, mass=s.initial_mass
             ),
             initial_n=s.initial_n,
-            sign_deadzone=s.sign_deadzone,
             snapshot_interval=s.snapshot_interval,
-            fit_window_fraction=s.fit_window_fraction,
-            peak_prominence_fraction=s.peak_prominence,
             keep_velocity_snapshots=s.snapshot_f,
         )
 
@@ -238,7 +236,7 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         raise MissingKey("mode 'simulate' requires a [sim] section")
     if mode == "profile" and "profile_speed" not in run_sec:
         raise MissingKey("mode 'profile' requires 'profile_speed' in [run]")
-    samples = int(run_sec.get("samples_per_interval", 64))
+    samples = int(run_sec.get("samples_per_interval", SAMPLES_PER_INTERVAL))
     if samples < MIN_SAMPLES_PER_INTERVAL:
         raise ConfigError(
             f"in [run]: samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}, got {samples}"

@@ -9,6 +9,7 @@ those four constants bound everything downstream.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,10 +95,6 @@ class VelocityModel:
     @property
     def rates(self) -> TumblingRates:
         return TumblingRates.from_sensitivities(self.chi_s, self.chi_n)
-
-    def mirror_index(self, k: int) -> int:
-        """Index of the velocity -v_k in the active set."""
-        return self.n_active - 1 - k
 
 
 @dataclass(frozen=True)
@@ -189,10 +186,14 @@ def build_model(
         if not (0.0 <= chi <= 0.5):
             raise SensitivityOutOfRange(f"{name}={chi!r} outside [0, 1/2]")
         if chi == 0.5:
+            # attribute the warning to the first caller outside this package
+            frame, level = sys._getframe(1), 2
+            while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"{name}=0.5 sits on the boundary of the nominal open range (0, 1/2)",
                 SensitivityBoundaryWarning,
-                stacklevel=2,
+                stacklevel=level,
             )
     if chi_n > chi_s:
         raise SensitivityOutOfRange(f"chi_n={chi_n!r} must not exceed chi_s={chi_s!r}")

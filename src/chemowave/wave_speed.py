@@ -23,6 +23,7 @@ from .wave_profile import solve_modes
 logger = logging.getLogger(__name__)
 
 ROOT_C_REL_TOL = 1e-12
+SAMPLES_PER_INTERVAL = 64
 MIN_SAMPLES_PER_INTERVAL = 8
 _NARROW_INTERVAL_FACTOR = 10.0  # intervals narrower than this * node guard get one sample
 
@@ -97,7 +98,9 @@ def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
     return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2.0 * k - 1.0) * np.pi / (2.0 * n)))
 
 
-def scan(model: VelocityModel, params: ChemParams, samples_per_interval: int = 64) -> UpsilonCurve:
+def scan(
+    model: VelocityModel, params: ChemParams, samples_per_interval: int = SAMPLES_PER_INTERVAL
+) -> UpsilonCurve:
     """Sample Upsilon over every continuity interval and bracket sign changes.
 
     Samples are Chebyshev-spaced inside each component of the admissible
@@ -209,7 +212,7 @@ def verify_root(model: VelocityModel, params: ChemParams, c: float) -> RootVerif
     """
     profile = solve_modes(model, c)
     sfield = solve_S(profile.rho_modes(), params, c)
-    changes = slope_sign_changes(sfield, profile.halfwidth, points_per_side=2048)
+    changes = slope_sign_changes(sfield, profile.halfwidth)
     z_max = locate_maximum(sfield, profile.halfwidth)
     return RootVerification(
         c=float(c),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -177,6 +178,55 @@ def test_cfl_violation_raised():
     state = initial_state(config)
     with pytest.raises(CFLViolation):
         step(state, config, dt=10.0 * config.default_dt())
+
+
+def test_transport_matches_the_per_velocity_loop():
+    # reference: each row upwinded on its own, inflow at a wall from the mirrored row
+    model = build_model([-1.0, -0.5, 0.0, 0.5, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2], 0.3, 0.15)
+    v = model.velocities
+    rng = np.random.default_rng(3)
+    f = rng.uniform(0.0, 2.0, (v.size, 64))
+    nu = np.abs(v) * 0.9
+    expected = np.empty_like(f)
+    for k in range(v.size):
+        mirror = v.size - 1 - k
+        if v[k] > 0.0:
+            upstream = np.concatenate([[f[mirror, 0]], f[k, :-1]])
+        elif v[k] < 0.0:
+            upstream = np.concatenate([f[k, 1:], [f[mirror, -1]]])
+        else:
+            upstream = f[k]
+        expected[k] = f[k] - nu[k] * (f[k] - upstream)
+    out = cauchy_sim_mod._transport(f, v, nu)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(out[2], f[2])  # the zero velocity does not move
+
+
+def test_step_leaves_its_input_state_unchanged(case_two):
+    # run() steps the same state again after a NegativeDensity, with dt halved
+    model, _cfg = case_two
+    config = SimConfig(
+        model=model,
+        params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
+        domain_length=20.0,
+        cells=128,
+        cfl=0.45,
+        t_end=1.0,
+    )
+    state = step(initial_state(config), config)  # nonzero fields and time differences
+    f_negative = state.f.copy()
+    f_negative[0, 5] = -1.0
+    negative = dataclasses.replace(state, f=f_negative)
+    before = [_arrays(state), _arrays(negative)]
+    step(state, config)
+    with pytest.raises(NegativeDensity):
+        step(negative, config)
+    for st, saved in zip((state, negative), before):
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(st), saved))
+
+
+def _arrays(state: SimState) -> list[np.ndarray]:
+    return [a.copy() for a in (state.f, state.s, state.n, state.ds_dt, state.dn_dt)]
 
 
 def test_measure_front_speed_linear_fit():

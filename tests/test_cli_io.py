@@ -41,6 +41,10 @@ mode = upsilon-scan
 samples_per_interval = 8
 """
 
+TWO_VELOCITY_SIM = TWO_VELOCITY_SCAN.replace(
+    "[run]", "[sim]\ndomain_length = 20\ncells = 128\ncfl = 0.45\nt_end = 1\n\n[run]"
+)
+
 
 def test_shipped_configs_parse_and_roundtrip(configs_dir):
     for name in ("sec4_1.ini", "sec4_2.ini", "sec4_3.ini"):
@@ -232,21 +236,36 @@ def test_too_few_samples_per_interval_is_a_config_error(tmp_path, capsys):
     assert "samples_per_interval" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["seed", "threads"])
-def test_removed_run_key_is_unknown(key, tmp_path, capsys):
-    # neither the config key nor the command-line flag exists any more
-    text = TWO_VELOCITY_SCAN + f"{key} = 2\n"
+REMOVED_KEYS = [
+    ("run", "seed"),
+    ("run", "threads"),
+    ("sim", "sign_deadzone"),
+    ("sim", "fit_window_fraction"),
+    ("sim", "peak_prominence"),
+]
+
+
+@pytest.mark.parametrize("section,key", REMOVED_KEYS, ids=[key for _section, key in REMOVED_KEYS])
+def test_removed_run_key_is_unknown(section, key, tmp_path, capsys):
+    # neither the config key nor the command-line flag of a [run] key exists any more
+    text = (TWO_VELOCITY_SIM if section == "sim" else TWO_VELOCITY_SCAN).replace(
+        f"[{section}]\n", f"[{section}]\n{key} = 2\n"
+    )
     with pytest.raises(UnknownKey, match=key):
         parse_config(text)
     cfg_path = tmp_path / "removed.ini"
     cfg_path.write_text(text)
-    assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    mode = "simulate" if section == "sim" else "upsilon-scan"
+    assert main([mode, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
-    cfg_path.write_text(TWO_VELOCITY_SCAN)
-    with pytest.raises(SystemExit) as exc:
-        main(["upsilon-scan", "--config", str(cfg_path), f"--{key}", "2"])
-    assert exc.value.code == 2  # argparse's usage error
-    assert f"--{key}" in capsys.readouterr().err
+    if section == "sim":  # nor the library field behind it (peak_prominence_fraction)
+        assert not any(f.name.startswith(key) for f in dataclasses.fields(SimConfig))
+    else:
+        cfg_path.write_text(TWO_VELOCITY_SCAN)
+        with pytest.raises(SystemExit) as exc:
+            main(["upsilon-scan", "--config", str(cfg_path), f"--{key}", "2"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert f"--{key}" in capsys.readouterr().err
 
 
 def test_cli_scan_on_shipped_config(tmp_path, configs_dir, capsys):
@@ -274,12 +293,12 @@ def test_format_config_includes_all_blocks(configs_dir):
     assert parse_config(text) == cfg
 
 
-def test_sim_block_defaults_to_library_peak_prominence():
-    text = TWO_VELOCITY_SCAN.replace(
-        "[run]", "[sim]\ndomain_length = 20\ncells = 128\ncfl = 0.45\nt_end = 1\n\n[run]"
-    )
-    cfg = parse_config(text)
-    library_default = {f.name: f.default for f in dataclasses.fields(SimConfig)}[
-        "peak_prominence_fraction"
-    ]
-    assert cfg.build_sim_config().peak_prominence_fraction == library_default
+def test_sim_block_defaults_are_the_library_defaults():
+    # a [sim] block with only its required keys builds the library's default run
+    # (initial_rho included, so every InitialDensity default is checked too)
+    sim_config = parse_config(TWO_VELOCITY_SIM).build_sim_config()
+    for f in dataclasses.fields(SimConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(sim_config, f.name) == f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(sim_config, f.name) == f.default_factory(), f.name

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from chemowave import (
     expand_half_set,
     mean_run_length,
 )
+from chemowave.cli_io import parse_config
 from chemowave.errors import (
     AsymmetricSet,
     NegativeWeight,
@@ -64,6 +67,21 @@ def test_sensitivity_rejections(chi_s, chi_n):
 def test_boundary_sensitivity_warns():
     with pytest.warns(SensitivityBoundaryWarning):
         build_model([-1.0, 1.0], [0.5, 0.5], 0.5, 0.45)
+
+
+def test_boundary_warning_names_the_caller_outside_the_package():
+    # parse_config reaches build_model through RunConfig.build_model; the
+    # warning must still point at this file, not at chemowave's own lines
+    text = "[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.5\nchi_n = 0.1\n\n[run]\nmode = validate\n"
+    for build in (
+        lambda: build_model([-1.0, 1.0], [0.5, 0.5], 0.5, 0.1),
+        lambda: parse_config(text),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()
+        boundary = [w for w in caught if issubclass(w.category, SensitivityBoundaryWarning)]
+        assert boundary and all(w.filename == __file__ for w in boundary)
 
 
 def test_zero_weight_pruning():
