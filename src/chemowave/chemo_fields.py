@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import NonDecayingInput, NonMonotoneN, NonPositiveSpeed, ResonantMode
+from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode
 from .wave_profile import PiecewiseExponential
 
 logger = logging.getLogger(__name__)
@@ -103,15 +103,12 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
     Decaying homogeneous exponents are theta = (-c +/- sqrt(c^2 + 4 alpha D_S))
     / (2 D_S); their two coefficients come from matching S and S' at z = 0.
     """
-    if np.any(rho.left_rates <= 0.0) or np.any(rho.right_rates <= 0.0):
-        raise NonDecayingInput("source must decay on both half-lines")
-
     disc = np.sqrt(c * c + 4.0 * params.alpha * params.d_s)
     theta_plus = (-c + disc) / (2.0 * params.d_s)
     theta_minus = (-c - disc) / (2.0 * params.d_s)
 
-    mu_left = rho.left_rates.astype(float)            # exp(mu z), mu > 0, z < 0
-    mu_right = -rho.right_rates.astype(float)         # exp(mu z), mu < 0, z > 0
+    mu_left = rho.left_rates          # exp(mu z), mu > 0, z < 0
+    mu_right = -rho.right_rates       # exp(mu z), mu < 0, z > 0
     A_left = _particular_coefficients(params, c, mu_left, rho.left_coefficients)
     A_right = _particular_coefficients(params, c, mu_right, rho.right_coefficients)
 
@@ -232,8 +229,6 @@ def solve_N(
     """
     if not c > 0.0:
         raise NonPositiveSpeed(f"nutrient solve requires c > 0, got {c!r}")
-    if np.any(rho.left_rates <= 0.0) or np.any(rho.right_rates <= 0.0):
-        raise NonDecayingInput("cell density must decay on both half-lines")
 
     for attempt in range(_MAX_N_REFINEMENTS + 1):
         n_cells = cells * 2**attempt

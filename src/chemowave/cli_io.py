@@ -1,7 +1,9 @@
 """Configuration parsing, CSV emission and the ``chemowave`` command line.
 
 Configuration files are flat INI-style text with sections [model], [chem],
-[sim] and [run].  Keys are validated against a fixed schema: unknown keys are
+[sim] and [run].  A section's keys are the fields of the dataclass that holds
+them (ChemParams, SimBlock, RunConfig): a field's annotation gives the value's
+type and a field without a default is a required key.  Unknown keys are
 errors, not warnings, and every numeric output is serialized with 17
 significant digits so files re-parse to the exact in-memory doubles.
 """
@@ -14,7 +16,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,42 +59,6 @@ logger = logging.getLogger(__name__)
 
 MODES = ("validate", "upsilon-scan", "profile", "simulate")
 
-# section -> key -> (type tag, required)
-_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
-    "model": {
-        "velocities": ("float_list", True),
-        "weights": ("float_list", True),
-        "chi_s": ("float", True),
-        "chi_n": ("float", True),
-    },
-    "chem": {
-        "d_s": ("float", True),
-        "d_n": ("float", True),
-        "alpha": ("float", True),
-        "beta": ("float", True),
-        "gamma": ("float", True),
-    },
-    "sim": {
-        "domain_length": ("float", True),
-        "cells": ("int", True),
-        "cfl": ("float", True),
-        "t_end": ("float", True),
-        "initial_shape": ("str", False),
-        "initial_center": ("float", False),
-        "initial_width": ("float", False),
-        "initial_mass": ("float", False),
-        "initial_n": ("float", False),
-        "snapshot_interval": ("float", False),
-        "snapshot_f": ("bool", False),
-    },
-    "run": {
-        "mode": ("str", True),
-        "out_dir": ("str", False),
-        "samples_per_interval": ("int", False),
-        "profile_speed": ("float", False),
-    },
-}
-
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 
 
@@ -113,7 +79,7 @@ class SimBlock:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated run description (plain data, no arrays)."""
+    """Parsed and validated run description; its model is built once, on first use."""
 
     mode: str
     velocities: tuple[float, ...]       # nonnegative half of the symmetric set
@@ -127,8 +93,13 @@ class RunConfig:
     profile_speed: float | None = None
 
     def build_model(self) -> VelocityModel:
-        v, w = expand_half_set(list(self.velocities), list(self.weights))
-        return build_model(v, w, self.chi_s, self.chi_n)
+        # kept in the instance dict, outside the fields: eq, repr and replace ignore it
+        model = self.__dict__.get("_model")
+        if model is None:
+            v, w = expand_half_set(list(self.velocities), list(self.weights))
+            model = build_model(v, w, self.chi_s, self.chi_n)
+            object.__setattr__(self, "_model", model)
+        return model
 
     def build_sim_config(self) -> SimConfig:
         if self.chem is None or self.sim is None:
@@ -148,6 +119,30 @@ class RunConfig:
             snapshot_interval=s.snapshot_interval,
             keep_velocity_snapshots=s.snapshot_f,
         )
+
+
+# field annotation, "| None" dropped -> kind of the config value
+_KINDS = {"float": "float", "int": "int", "bool": "bool", "str": "str", "tuple[float, ...]": "float_list"}
+_MODEL_KEYS = ("velocities", "weights", "chi_s", "chi_n")  # RunConfig's other own fields are [run]
+
+
+def _keys(holder: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[str, bool]]:
+    """key -> (value kind, required) for the fields of a dataclass; no default means required."""
+    return {
+        f.name: (_KINDS[f.type.removesuffix(" | None")], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(holder)
+        if f.name not in skip
+    }
+
+
+_RUN_FIELDS = _keys(RunConfig, skip=("chem", "sim"))
+# section -> key -> (value kind, required), in the order format_config writes them
+_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
+    "model": {key: _RUN_FIELDS[key] for key in _MODEL_KEYS},
+    "chem": _keys(ChemParams),
+    "sim": _keys(SimBlock),
+    "run": {key: spec for key, spec in _RUN_FIELDS.items() if key not in _MODEL_KEYS},
+}
 
 
 def _convert(raw: str, kind: str, line: int, column: int):
@@ -227,7 +222,7 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         raise MissingKey("missing required section [run]")
 
     run_sec = sections["run"]
-    mode = str(run_sec["mode"]) if mode is None else mode
+    mode = run_sec["mode"] if mode is None else mode
     if mode not in MODES:
         raise ParseError(f"mode must be one of {MODES}, got {mode!r}")
     if mode in ("upsilon-scan", "profile", "simulate") and "chem" not in sections:
@@ -236,40 +231,20 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         raise MissingKey("mode 'simulate' requires a [sim] section")
     if mode == "profile" and "profile_speed" not in run_sec:
         raise MissingKey("mode 'profile' requires 'profile_speed' in [run]")
-    samples = int(run_sec.get("samples_per_interval", SAMPLES_PER_INTERVAL))
-    if samples < MIN_SAMPLES_PER_INTERVAL:
-        raise ConfigError(
-            f"in [run]: samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}, got {samples}"
-        )
 
-    model_sec = sections["model"]
     chem = None
     if "chem" in sections:
         try:
-            chem = ChemParams(**{k: float(v) for k, v in sections["chem"].items()})
+            chem = ChemParams(**sections["chem"])
         except ValueError as exc:
             raise ConfigError(f"in [chem]: {exc}") from exc
-    sim = None
-    if "sim" in sections:
-        try:
-            sim = SimBlock(**sections["sim"])  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"in [sim]: {exc}") from exc
-
-    cfg = RunConfig(
-        mode=mode,
-        velocities=tuple(model_sec["velocities"]),
-        weights=tuple(model_sec["weights"]),
-        chi_s=float(model_sec["chi_s"]),
-        chi_n=float(model_sec["chi_n"]),
-        chem=chem,
-        sim=sim,
-        out_dir=run_sec.get("out_dir"),
-        samples_per_interval=samples,
-        profile_speed=(
-            float(run_sec["profile_speed"]) if "profile_speed" in run_sec else None
-        ),
-    )
+    sim = SimBlock(**sections["sim"]) if "sim" in sections else None
+    cfg = RunConfig(**sections["model"], **{**run_sec, "mode": mode}, chem=chem, sim=sim)
+    if cfg.samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
+        raise ConfigError(
+            f"in [run]: samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}, "
+            f"got {cfg.samples_per_interval}"
+        )
     try:
         cfg.build_model()
     except ModelError as exc:

@@ -76,10 +76,6 @@ class ResonantMode(NumericalError):
     """A source mode coincides with a homogeneous exponent of the S ODE."""
 
 
-class NonDecayingInput(NumericalError):
-    """Piecewise-exponential input has a non-decaying term."""
-
-
 class NonMonotoneN(NumericalError):
     """Nutrient profile failed monotonicity after mesh refinement."""
 

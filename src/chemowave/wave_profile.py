@@ -27,16 +27,6 @@ MATCHING_REL_TOL = 1e-10
 MASS_TOL = 1e-12
 GRID_INNER = 1e-6        # delta_z of the verification grid
 GRID_DECADES = 40.0      # grid spans [delta_z, GRID_DECADES / slowest rate]
-_EXP_FLOOR = -745.0      # exp underflows to 0 below this argument
-
-
-def _exp_decay(args: np.ndarray) -> np.ndarray:
-    """exp for nonpositive arguments, flushing sub-underflow values to 0."""
-    args = np.asarray(args, dtype=float)
-    out = np.zeros(args.shape, dtype=float)
-    ok = args > _EXP_FLOOR
-    out[ok] = np.exp(args[ok])
-    return out
 
 
 def _exp_sum(z: np.ndarray, left_coef, left_rates, right_coef, right_rates) -> np.ndarray:
@@ -44,12 +34,12 @@ def _exp_sum(z: np.ndarray, left_coef, left_rates, right_coef, right_rates) -> n
 
     ``z`` is 1-d and the rates positive; a trailing axis of the coefficients
     is kept in the result, whose shape is ``z.shape + left_coef.shape[1:]``.
+    Far in the tails ``np.exp`` underflows to 0; numpy ignores underflow by default.
     """
     out = np.zeros(z.shape + left_coef.shape[1:])
     neg = z < 0.0
     for side, coef, exponents in ((neg, left_coef, left_rates), (~neg, right_coef, -right_rates)):
-        if np.any(side):
-            out[side] = _exp_decay(z[side, None] * exponents[None, :]) @ coef
+        out[side] = np.exp(z[side, None] * exponents[None, :]) @ coef
     return out
 
 

@@ -34,7 +34,7 @@ from chemowave import (
 )
 from chemowave.chemo_fields import slope_sign_changes
 from chemowave.dispersion import dispersion_residual
-from chemowave.errors import ResonantMode
+from chemowave.errors import ResonantMode, SpeedNotAdmissible
 
 CHEM_SLOW = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
 CHEM_FAST = ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0)
@@ -119,7 +119,7 @@ def _check_oracle_equivalence(model, c: float) -> None:
             0.25,
             marks=pytest.mark.xfail(
                 strict=True,
-                raises=Exception,
+                raises=SpeedNotAdmissible,
                 reason="0.25 exceeds the confinement ceiling c_upper=0.23714 of this "
                 "configuration; the left-side mean run length is negative there and no "
                 "confined profile exists",
@@ -129,7 +129,7 @@ def _check_oracle_equivalence(model, c: float) -> None:
             0.4,
             marks=pytest.mark.xfail(
                 strict=True,
-                raises=Exception,
+                raises=SpeedNotAdmissible,
                 reason="0.4 exceeds the confinement ceiling c_upper=0.23714 of this "
                 "configuration; no confined profile exists",
             ),

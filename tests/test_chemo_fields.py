@@ -16,7 +16,7 @@ from chemowave import (
     solve_S,
 )
 import chemowave.chemo_fields as chemo_fields_mod
-from chemowave.errors import NonDecayingInput, NonPositiveSpeed, ResonantMode
+from chemowave.errors import NonMonotoneN, NonPositiveSpeed, ResonantMode
 
 
 def _one_sided_mode(rate: float) -> PiecewiseExponential:
@@ -171,19 +171,6 @@ def test_linearity_and_scaling():
     assert np.array_equal(np.asarray(s2(z)), 2.0 * np.asarray(s1(z)))
 
 
-def test_nondecaying_source_rejected():
-    params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
-    bad = PiecewiseExponential.__new__(PiecewiseExponential)
-    object.__setattr__(bad, "left_coefficients", np.array([1.0]))
-    object.__setattr__(bad, "left_rates", np.array([-1.0]))
-    object.__setattr__(bad, "right_coefficients", np.array([1.0]))
-    object.__setattr__(bad, "right_rates", np.array([1.0]))
-    with pytest.raises(NonDecayingInput):
-        solve_S(bad, params, 0.0)
-    with pytest.raises(NonDecayingInput):
-        solve_N(bad, params, 0.1, 40.0)
-
-
 def test_locate_maximum_tracks_slope_zero():
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
     sfield = solve_S(_symmetric_mode(1.3), params, 0.0)
@@ -292,3 +279,36 @@ def test_nutrient_mesh_refinement_is_logged(monkeypatch, caplog):
     refinements = [r for r in caplog.records if "refining the mesh" in r.getMessage()]
     assert len(refinements) == 1 and refinements[0].levelno == logging.WARNING
     assert "256 cells" in refinements[0].getMessage()
+
+
+
+def test_nutrient_dip_on_every_mesh_raises(case_one, chem_default, monkeypatch, caplog):
+    # a dip in every solve: three refinements, each logged, and then the error
+    model, _cfg = case_one
+    profile = solve_modes(model, 0.05)
+    calls = []
+
+    def solve_with_dip(l_and_u, ab, rhs):
+        values = solve_banded(l_and_u, ab, rhs)
+        calls.append(values.size)
+        values[values.size // 2] -= 0.5
+        return values
+
+    monkeypatch.setattr(chemo_fields_mod, "solve_banded", solve_with_dip)
+    with caplog.at_level(logging.WARNING, logger="chemowave.chemo_fields"):
+        with pytest.raises(NonMonotoneN, match="not monotone after mesh refinement"):
+            solve_N(profile.rho_modes(), chem_default, 0.05, profile.halfwidth, cells=256)
+    assert calls == [257, 513, 1025, 2049]
+    refinements = [r for r in caplog.records if "refining the mesh" in r.getMessage()]
+    assert [r.levelno for r in refinements] == [logging.WARNING] * 3
+
+
+def test_nutrient_far_field_level_below_zero_raises(case_one, chem_default, monkeypatch):
+    # a shifted solve stays monotone, but its far-field level N(-L) is negative
+    model, _cfg = case_one
+    profile = solve_modes(model, 0.05)
+    monkeypatch.setattr(
+        chemo_fields_mod, "solve_banded", lambda l_and_u, ab, rhs: solve_banded(l_and_u, ab, rhs) - 2.0
+    )
+    with pytest.raises(NonMonotoneN, match="far-field level"):
+        solve_N(profile.rho_modes(), chem_default, 0.05, profile.halfwidth, cells=256)

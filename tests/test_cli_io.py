@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+import chemowave.cli_io as cli_io_mod
 from chemowave.cli_io import (
     emit_speeds_summary,
     emit_upsilon_csv,
@@ -21,6 +23,7 @@ from chemowave.errors import (
     SensitivityOutOfRange,
     UnknownKey,
 )
+from chemowave.velocity_model import SensitivityBoundaryWarning, build_model
 
 TWO_VELOCITY_SCAN = """
 [model]
@@ -302,3 +305,25 @@ def test_sim_block_defaults_are_the_library_defaults():
             assert getattr(sim_config, f.name) == f.default, f.name
         elif f.default_factory is not dataclasses.MISSING:
             assert getattr(sim_config, f.name) == f.default_factory(), f.name
+
+
+def test_one_model_build_per_loaded_config(configs_dir, monkeypatch):
+    # sec4_2 has chi_s = 0.5, so every build of its model issues one boundary warning
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_model(*args)
+
+    monkeypatch.setattr(cli_io_mod, "build_model", counting_build)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg, _h = load_config(configs_dir / "sec4_2.ini")
+        assert cfg.build_sim_config().model is cfg.build_model()
+    assert len(builds) == 1
+    assert sum(issubclass(w.category, SensitivityBoundaryWarning) for w in caught) == 1
+    # a replaced config builds its own model; the kept model takes no part in equality
+    other = dataclasses.replace(cfg, chi_n=0.4)
+    assert other.build_model().chi_n == 0.4 and cfg.build_model().chi_n == 0.45
+    assert len(builds) == 2
+    assert parse_config(format_config(cfg)) == cfg

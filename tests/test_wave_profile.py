@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import chemowave.wave_profile as wave_profile_mod
 from chemowave import (
     PiecewiseExponential,
     b_via_orthogonality,
@@ -15,6 +16,7 @@ from chemowave import (
     solve_modes,
     verification_grid,
 )
+from chemowave.errors import NonPositiveProfile, NullSpaceDimensionError
 from chemowave.velocity_model import side_rates
 from chemowave.wave_profile import GRID_DECADES
 
@@ -277,8 +279,12 @@ def test_overshoot_configuration(overshoot_model):
 
 
 def test_piecewise_exponential_validation():
-    with pytest.raises(ValueError):
-        PiecewiseExponential(np.array([1.0]), np.array([-0.5]), np.array([]), np.array([]))
+    # the constructor is the one check that every exponential sum decays
+    for rate in (-0.5, 0.0):
+        with pytest.raises(ValueError):
+            PiecewiseExponential(np.array([1.0]), np.array([rate]), np.array([]), np.array([]))
+        with pytest.raises(ValueError):
+            PiecewiseExponential(np.array([]), np.array([]), np.array([1.0]), np.array([rate]))
     pe = PiecewiseExponential(np.array([2.0]), np.array([1.0]), np.array([3.0]), np.array([0.5]))
     assert pe(0.0) == 3.0
     assert pe(-1.0) == pytest.approx(2.0 * np.exp(-1.0))
@@ -298,3 +304,35 @@ def test_mass_row_matches_per_mode_mass(profile_one, profile_two):
         right = [per_mode_mass(p.model, p.c, float(lam), "right") for lam in p.roots.positive_roots]
         assert p.left_mass == pytest.approx(float(p.a @ np.array(left)), rel=1e-13)
         assert p.right_mass == pytest.approx(float(p.b @ np.array(right)), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+def test_nonpositive_grid_value_raises(case_one, monkeypatch, bad):
+    def spoiled_f_matrix(profile, z, evaluate=wave_profile_mod.evaluate_f_matrix):
+        values = evaluate(profile, z)
+        values[z.size // 2, 0] = bad
+        return values
+
+    monkeypatch.setattr(wave_profile_mod, "evaluate_f_matrix", spoiled_f_matrix)
+    with pytest.raises(NonPositiveProfile):
+        solve_modes(case_one[0], 0.05)
+
+
+def _singular(x):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        (_singular, "singular"),
+        (lambda x: x * np.r_[1.0 + 1e-6, np.ones(x.size - 1)], "replaced matching equation violated"),
+        (lambda x: x * (1.0 + 1e-9), "normalized masses sum to"),
+    ],
+    ids=["singular", "one-coefficient", "whole-solution"],
+)
+def test_spoiled_matching_solve_raises(case_one, monkeypatch, spoil, message):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: spoil(solve(a, b)))
+    with pytest.raises(NullSpaceDimensionError, match=message):
+        solve_modes(case_one[0], 0.05)
