@@ -12,7 +12,7 @@ import numpy as np
 from chemowave import (
     build_model,
     duhamel_f,
-    evaluate_f,
+    evaluate_f_matrix,
     evaluate_I,
     expand_half_set,
     solve_modes,
@@ -33,11 +33,7 @@ print(f"  mass split: left {profile.left_mass:.6f} + right {profile.right_mass:.
 
 grid = verification_grid(profile)
 rho = np.asarray(profile.rho_modes()(grid))
-flux = np.array(
-    [np.sum(model.weights * (model.velocities - c) *
-            [evaluate_f(profile, z, k) for k in range(model.n_active)])
-     for z in (-1.0, 0.0, 2.0)]
-)
+flux = evaluate_f_matrix(profile, [-1.0, 0.0, 2.0]) @ (model.weights * (model.velocities - c))
 print(f"  stationary flux at z=-1,0,2: {flux}")
 print(f"  density peaks at z={grid[np.argmax(rho)]:+.2e} "
       f"(increasing left of 0: {bool(np.all(np.diff(rho[grid < 0]) > 0))}, "
@@ -45,7 +41,7 @@ print(f"  density peaks at z={grid[np.argmax(rho)]:+.2e} "
 
 # the integral identity route (characteristics) reproduces the mode sum
 z_probe, k_probe = 1.5, 3
-mode_sum = evaluate_f(profile, z_probe, k_probe)
+mode_sum = evaluate_f_matrix(profile, z_probe)[0, k_probe]
 characteristic = duhamel_f(profile, z_probe, k_probe)
 print(f"  mode sum vs characteristic integral at (z={z_probe}, k={k_probe}): "
       f"{mode_sum:.12e} vs {characteristic:.12e}")
@@ -62,10 +58,10 @@ v, w = expand_half_set(list(cfg.velocities), list(cfg.weights))
 strong = build_model(v, w, chi_s=0.48, chi_n=0.2)
 profile = solve_modes(strong, 0.25)
 grid = verification_grid(profile)
+f = evaluate_f_matrix(profile, grid)
 print("\novershoot at chi_s=0.48, chi_n=0.2, c=0.25:")
 for k in range(strong.n_active // 2):
-    vals = evaluate_f(profile, grid, k)
-    z_max = grid[int(np.argmax(vals))]
+    z_max = grid[int(np.argmax(f[:, k]))]
     marker = "  <-- peaks left of the origin" if z_max < -1e-3 else ""
     print(f"  v={strong.velocities[k]:+.4f}: argmax f = {z_max:+.4f}{marker}")
 rho = np.asarray(profile.rho_modes()(grid))

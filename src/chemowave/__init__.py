@@ -51,7 +51,6 @@ from .wave_profile import (
     WaveProfile,
     b_via_orthogonality,
     duhamel_f,
-    evaluate_f,
     evaluate_f_matrix,
     evaluate_I,
     evaluate_I_derivative,
@@ -92,7 +91,6 @@ __all__ = [
     "duhamel_f",
     "evaluate_I",
     "evaluate_I_derivative",
-    "evaluate_f",
     "evaluate_f_matrix",
     "expand_half_set",
     "initial_state",

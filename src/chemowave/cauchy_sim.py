@@ -77,6 +77,8 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if self.initial_n <= 0.0:
             raise ValueError("initial_n must be positive")
+        if self.snapshot_interval is not None and not self.snapshot_interval > 0.0:
+            raise ValueError("snapshot_interval must be positive")
 
     @property
     def dx(self) -> float:
@@ -278,7 +280,6 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
         )
 
     snapshots = [snap(state)]
-    track: list[tuple[float, float]] = [(0.0, float(x[int(np.argmax(snapshots[0].rho))]))]
     next_snap = snap_dt
 
     while state.t < config.t_end * (1.0 - 1e-12):
@@ -293,16 +294,14 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
             dt *= 0.5
             continue
         if state.t >= next_snap * (1.0 - 1e-12) or state.t >= config.t_end * (1.0 - 1e-12):
-            s = snap(state)
-            snapshots.append(s)
-            track.append((s.t, float(x[int(np.argmax(s.rho))])))
+            snapshots.append(snap(state))
             while next_snap <= state.t * (1.0 + 1e-12):
                 next_snap += snap_dt
 
     rho_final = snapshots[-1].rho
     prominence = PEAK_PROMINENCE_FRACTION * (float(np.max(rho_final)) - float(np.min(rho_final)))
     peaks, _props = find_peaks(rho_final, prominence=max(prominence, np.finfo(float).tiny))
-    peak_track = np.array(track)
+    peak_track = np.array([(s.t, float(x[int(np.argmax(s.rho))])) for s in snapshots])
     try:
         speed, residual = measure_front_speed(peak_track, FIT_WINDOW_FRACTION)
     except InsufficientSamples:

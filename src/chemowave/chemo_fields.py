@@ -17,7 +17,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode
-from .wave_profile import PiecewiseExponential
+from .velocity_model import bisect_decreasing
+from .wave_profile import PiecewiseExponential, two_sided_grid
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +63,6 @@ class SField(PiecewiseExponential):
     The homogeneous term is the last entry of each side's coefficients and rates.
     """
 
-    c: float
     theta_plus: float
     theta_minus: float
     slope_at_zero: float
@@ -123,7 +123,6 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
         left_rates=np.concatenate([mu_left, [theta_plus]]),
         right_coefficients=np.concatenate([A_right, [coef_plus]]),
         right_rates=np.concatenate([rho.right_rates, [-theta_minus]]),
-        c=float(c),
         theta_plus=float(theta_plus),
         theta_minus=float(theta_minus),
         slope_at_zero=slope,
@@ -132,40 +131,19 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
 
 def slope_sign_changes(sfield: SField, halfwidth: float, points_per_side: int = 2048) -> int:
     """Count sign changes of S' on a two-sided logarithmic grid."""
-    z = np.concatenate(
-        [
-            -np.geomspace(1e-8, halfwidth, points_per_side)[::-1],
-            np.geomspace(1e-8, halfwidth, points_per_side),
-        ]
-    )
-    s = np.sign(sfield.derivative(z))
+    s = np.sign(sfield.derivative(two_sided_grid(1e-8, halfwidth, halfwidth, points_per_side)))
     s = s[s != 0.0]
     return int(np.sum(s[1:] != s[:-1]))
 
 
 def locate_maximum(sfield: SField, halfwidth: float) -> float:
     """Position of the (unique) maximum of S, by bisection on S'."""
-    z = np.concatenate(
-        [
-            -np.geomspace(1e-12, halfwidth, 512)[::-1],
-            [0.0],
-            np.geomspace(1e-12, halfwidth, 512),
-        ]
-    )
+    z = np.insert(two_sided_grid(1e-12, halfwidth, halfwidth, 512), 512, 0.0)
     d = sfield.derivative(z)
     idx = np.nonzero((d[:-1] > 0.0) & (d[1:] <= 0.0))[0]
     if idx.size == 0:
         raise ValueError("no descending zero of dS/dz inside the window")
-    lo, hi = float(z[idx[0]]), float(z[idx[0] + 1])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if sfield.derivative(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_decreasing(sfield.derivative, float(z[idx[0]]), float(z[idx[0] + 1]), rtol=0.0)
 
 
 def _n_system(

@@ -121,23 +121,45 @@ class RunConfig:
         )
 
 
-# field annotation, "| None" dropped -> kind of the config value
-_KINDS = {"float": "float", "int": "int", "bool": "bool", "str": "str", "tuple[float, ...]": "float_list"}
+def _g17(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# field annotation, "| None" dropped -> (parse, format) of the config value
+_VALUE_TYPES = {
+    "float": (float, _g17),
+    "int": (int, str),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "str": (str, str),
+    "tuple[float, ...]": (
+        lambda raw: tuple(float(p) for p in re.split(r"[,\s]+", raw.strip()) if p),
+        lambda value: " ".join(_g17(v) for v in value),
+    ),
+}
 _MODEL_KEYS = ("velocities", "weights", "chi_s", "chi_n")  # RunConfig's other own fields are [run]
 
 
-def _keys(holder: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[str, bool]]:
-    """key -> (value kind, required) for the fields of a dataclass; no default means required."""
+def _keys(holder: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[tuple, bool]]:
+    """key -> ((parse, format), required) for the fields of a dataclass; no default means required."""
     return {
-        f.name: (_KINDS[f.type.removesuffix(" | None")], f.default is MISSING and f.default_factory is MISSING)
+        f.name: (_VALUE_TYPES[f.type.removesuffix(" | None")], f.default is MISSING and f.default_factory is MISSING)
         for f in fields(holder)
         if f.name not in skip
     }
 
 
 _RUN_FIELDS = _keys(RunConfig, skip=("chem", "sim"))
-# section -> key -> (value kind, required), in the order format_config writes them
-_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
+# section -> key -> ((parse, format), required), in the order format_config writes them
+_SCHEMA: dict[str, dict[str, tuple[tuple, bool]]] = {
     "model": {key: _RUN_FIELDS[key] for key in _MODEL_KEYS},
     "chem": _keys(ChemParams),
     "sim": _keys(SimBlock),
@@ -145,25 +167,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
 }
 
 
-def _convert(raw: str, kind: str, line: int, column: int):
+def _convert(raw: str, section: str, key: str, line: int, column: int):
+    (parse, _format), _required = _SCHEMA[section][key]
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "float_list":
-            parts = [p for p in re.split(r"[,\s]+", raw.strip()) if p]
-            return tuple(float(p) for p in parts)
-        return raw
+        return parse(raw)
     except ValueError as exc:
-        raise ParseError(f"bad {kind} value {raw!r}: {exc}", line=line, column=column) from exc
+        raise ParseError(f"bad value {raw!r} for {key!r}: {exc}", line=line, column=column) from exc
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, object]]:
@@ -194,9 +203,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, object]]:
             raise UnknownKey(f"unknown key {key!r} in section [{current}] (line {lineno})")
         if key in sections[current]:
             raise ParseError(f"duplicate key {key!r} in section [{current}]", line=lineno, column=1)
-        column = rawline.index("=") + 2
-        kind = _SCHEMA[current][key][0]
-        sections[current][key] = _convert(value, kind, lineno, column)
+        sections[current][key] = _convert(value, current, key, lineno, rawline.index("=") + 2)
     return sections
 
 
@@ -213,7 +220,7 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
 
     for section, keys in _SCHEMA.items():
         if section in sections:
-            for key, (_kind, required) in keys.items():
+            for key, (_row, required) in keys.items():
                 if required and key not in sections[section]:
                     raise MissingKey(f"missing required key {key!r} in section [{section}]")
     if "model" not in sections:
@@ -259,20 +266,6 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     return cfg
 
 
-def _g17(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _format_value(value, kind: str) -> str:
-    if kind == "float_list":
-        return " ".join(_g17(v) for v in value)
-    if kind == "float":
-        return _g17(value)
-    if kind == "bool":
-        return "true" if value else "false"
-    return str(value)
-
-
 def format_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig in schema order (17-digit floats); None values are omitted."""
     holders = {"model": cfg, "chem": cfg.chem, "sim": cfg.sim, "run": cfg}
@@ -282,10 +275,10 @@ def format_config(cfg: RunConfig) -> str:
         if holder is None:
             continue
         lines = [f"[{section}]"]
-        for key, (kind, _required) in keys.items():
+        for key, ((_parse, format_value), _required) in keys.items():
             value = getattr(holder, key)
             if value is not None:
-                lines.append(f"{key} = {_format_value(value, kind)}")
+                lines.append(f"{key} = {format_value(value)}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -307,11 +300,13 @@ def _header_lines(config_hash: str | None) -> list[str]:
     return lines
 
 
-def _write_csv(path: str | Path, head: list[str], columns: str, table: np.ndarray) -> None:
-    """Write comment lines, the column names and one 17-digit row per table row."""
+def _write_csv(
+    path: str | Path, head: list[str], columns: str, table: np.ndarray, foot: tuple[str, ...] = ()
+) -> None:
+    """Write comment lines, the column names, one 17-digit row per table row and trailing comments."""
     template = ",".join(["%.17g"] * table.shape[1])
     rows = [template % tuple(row.tolist()) for row in table]
-    Path(path).write_text("\n".join(head + [columns] + rows) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join([*head, columns, *rows, *foot]) + "\n", encoding="utf-8")
 
 
 def emit_upsilon_csv(curve: UpsilonCurve, path: str | Path, config_hash: str | None = None) -> None:
@@ -330,14 +325,11 @@ def emit_speeds_summary(
     config_hash: str | None = None,
 ) -> None:
     """Write refined wave speeds; an empty list gets a status=no_wave footer."""
-    lines = _header_lines(config_hash) + ["c,upsilon_residual"]
     if residuals is None:
         residuals = [float("nan")] * len(roots)
-    for c, r in zip(roots, residuals):
-        lines.append(f"{_g17(c)},{_g17(r)}")
-    if not roots:
-        lines.append("# status=no_wave")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.array(list(zip(roots, residuals)), dtype=float).reshape(-1, 2)
+    foot = () if roots else ("# status=no_wave",)
+    _write_csv(path, _header_lines(config_hash), "c,upsilon_residual", table, foot)
 
 
 def emit_profile_csv(

@@ -235,9 +235,9 @@ def mean_run_length(model: VelocityModel, c: float, side: str) -> float:
     return float(np.sum(model.weights * (model.velocities - c) / T))
 
 
-def _bisect_decreasing(f, lo: float, hi: float, rtol: float = 1e-14, max_iter: int = 200) -> float:
-    """Root of a continuous strictly decreasing f with f(lo) > 0 > f(hi)."""
-    for _ in range(max_iter):
+def bisect_decreasing(f, lo: float, hi: float, rtol: float = 1e-14) -> float:
+    """Root of a continuous strictly decreasing f with f(lo) > 0 > f(hi); rtol=0 halves to the last bit."""
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi or (hi - lo) <= rtol * max(abs(lo), abs(hi)):
             break
@@ -266,19 +266,20 @@ def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
         )
     if mean_run_length(model, v_max - guard, "left") >= 0.0:
         raise NoConfinementWindow("no sign change of the left-side run length in (0, v_max)")
-    c_upper = _bisect_decreasing(lambda c: mean_run_length(model, c, "left"), 0.0, v_max - guard)
+    c_upper = bisect_decreasing(lambda c: mean_run_length(model, c, "left"), 0.0, v_max - guard)
 
+    # chi_n <= chi_s makes the right-side run length nonpositive at c=0, and
+    # chi_n == chi_s makes it 0; that 0 is only exact up to the rounding of the
+    # rates (1 - chi_s + chi_n != 1 + chi_s - chi_n) and of the n-term sum.
     g_right_0 = mean_run_length(model, 0.0, "right")
-    if g_right_0 == 0.0:
+    terms = model.weights * np.abs(model.velocities) / side_rates(model, 0.0, "right")
+    if abs(g_right_0) <= model.n_active * np.finfo(float).eps * float(np.sum(terms)):
         c_lower = 0.0
     elif g_right_0 < 0.0:
-        c_lower = _bisect_decreasing(
+        c_lower = bisect_decreasing(
             lambda c: mean_run_length(model, c, "right"), -v_max + guard, 0.0
         )
     else:
-        # chi_n <= chi_s is enforced at construction, which makes the
-        # right-side run length nonpositive at c=0; this branch would mean a
-        # violated invariant rather than bad user input.
         raise NoConfinementWindow("right-side mean run length positive at c=0")
 
     lo = max(0.0, c_lower)

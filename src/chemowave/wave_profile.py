@@ -99,9 +99,9 @@ class WaveProfile:
     left_mass: float
     right_mass: float
     # cached kinematics (derived, kept for fast evaluation)
-    denom_left: np.ndarray = field(repr=False, default=None)    # (n, m)
-    denom_right: np.ndarray = field(repr=False, default=None)   # (n, p)
-    f_at_zero: np.ndarray = field(repr=False, default=None)     # (n,)
+    denom_left: np.ndarray = field(repr=False)    # (n, m)
+    denom_right: np.ndarray = field(repr=False)   # (n, p)
+    f_at_zero: np.ndarray = field(repr=False)     # (n,)
 
     @property
     def velocities(self) -> np.ndarray:
@@ -232,11 +232,17 @@ def solve_modes(model: VelocityModel, c: float) -> WaveProfile:
     return profile
 
 
-def verification_grid(profile: WaveProfile, points_per_side: int = 2048) -> np.ndarray:
+def two_sided_grid(inner: float, left: float, right: float, points_per_side: int) -> np.ndarray:
+    """Ascending logarithmic grid on [-left, -inner] and [inner, right]."""
+    return np.concatenate(
+        [-np.geomspace(inner, left, points_per_side)[::-1], np.geomspace(inner, right, points_per_side)]
+    )
+
+
+def verification_grid(profile: WaveProfile) -> np.ndarray:
     """Logarithmic two-sided grid spanning the matching layer and the tails."""
-    z_right = np.geomspace(GRID_INNER, GRID_DECADES / profile.roots.slowest_positive, points_per_side)
-    z_left = -np.geomspace(GRID_INNER, GRID_DECADES / profile.roots.slowest_negative, points_per_side)
-    return np.concatenate([z_left[::-1], z_right])
+    roots = profile.roots
+    return two_sided_grid(GRID_INNER, GRID_DECADES / roots.slowest_negative, GRID_DECADES / roots.slowest_positive, 2048)
 
 
 def evaluate_f_matrix(profile: WaveProfile, z: np.ndarray) -> np.ndarray:
@@ -248,18 +254,6 @@ def evaluate_f_matrix(profile: WaveProfile, z: np.ndarray) -> np.ndarray:
         profile.b[:, None] / profile.denom_right.T,
         profile.roots.positive_roots,
     )
-
-
-def evaluate_f(profile: WaveProfile, z: float | np.ndarray, k: int) -> float | np.ndarray:
-    """Kinetic density at position(s) z for the active velocity index k."""
-    out = _exp_sum(
-        np.atleast_1d(np.asarray(z, dtype=float)),
-        profile.a / profile.denom_left[k],
-        -profile.roots.negative_roots,
-        profile.b / profile.denom_right[k],
-        profile.roots.positive_roots,
-    )
-    return out if np.ndim(z) else float(out[0])
 
 
 def evaluate_I(profile: WaveProfile, z: float | np.ndarray) -> float | np.ndarray:

@@ -164,8 +164,9 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
 
     Stops at relative tolerance ``ROOT_C_REL_TOL`` (1e-12): the absolute
     tolerance is set to the same fraction of the bracket's magnitude, since
-    the default of ``brentq`` is too loose for speeds of order 1e-2.  The
-    bracket ends are not evaluated again: their values come from the scan.
+    the default of ``brentq`` is too loose for speeds of order 1e-2.  No point
+    is evaluated twice: the bracket ends come from the scan, and the residual
+    is the value ``brentq`` already computed at the root it returns.
     Fills ``curve.roots`` / ``curve.root_residuals`` and returns the speeds.
     A bracket whose refinement fails raises :class:`LostBracket` rather than
     being dropped silently.
@@ -175,20 +176,19 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     for _interval_id, lo, hi, y_lo, y_hi in curve.brackets:
         if not (y_lo > 0.0 > y_hi):
             raise LostBracket(f"bracket ({lo!r}, {hi!r}) does not straddle a downward crossing")
-        ends = {lo: y_lo, hi: y_hi}  # brentq starts at both ends; the scan holds their values
+        memo = {lo: y_lo, hi: y_hi}  # every value brentq asks for, starting with the scan's
         try:
             root = brentq(
-                lambda c: ends[c] if c in ends else upsilon(model, params, c),
+                lambda c: memo[c] if c in memo else memo.setdefault(c, upsilon(model, params, c)),
                 lo,
                 hi,
                 xtol=ROOT_C_REL_TOL * max(abs(lo), abs(hi)),
                 rtol=ROOT_C_REL_TOL,
             )
-            residual = upsilon(model, params, root)
         except ChemowaveError as exc:
             raise LostBracket(f"could not refine bracket ({lo!r}, {hi!r}): {exc}") from exc
         roots.append(float(root))
-        residuals.append(float(residual))
+        residuals.append(float(memo[root]))  # brentq returns a point it has evaluated
     curve.roots = roots
     curve.root_residuals = residuals
     return roots

@@ -20,7 +20,6 @@ from chemowave import (
     admissible_speed_interval,
     build_model,
     duhamel_f,
-    evaluate_f,
     evaluate_f_matrix,
     evaluate_I,
     refine_roots,
@@ -103,12 +102,12 @@ def _check_oracle_equivalence(model, c: float) -> None:
     w_dv = model.weights * (model.velocities - c)
     f_scale = float(np.max(profile.f_at_zero))
     for z in z_samples:
-        f_here = np.array([evaluate_f(profile, float(z), k) for k in range(model.n_active)])
+        f_here = evaluate_f_matrix(profile, float(z))[0]
         assert abs(float(f_here @ w_dv)) < 1e-10 * f_scale
     for k in range(model.n_active):
         for z in z_samples[:: max(1, model.n_active // 4)]:
             oracle = duhamel_f(profile, float(z), k, quadrature_step=1e-10)
-            assert oracle == pytest.approx(evaluate_f(profile, float(z), k), abs=1e-8)
+            assert oracle == pytest.approx(evaluate_f_matrix(profile, float(z))[0, k], abs=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -172,10 +171,11 @@ def test_criterion_4_monotonicity_suite(case_one, case_two, case_three, overshoo
 
     profile = solve_modes(overshoot_model, 0.25)
     grid = verification_grid(profile)
+    f = evaluate_f_matrix(profile, grid)
     peaks = []
     for k in range(overshoot_model.n_active):
         if overshoot_model.velocities[k] < 0:
-            vals = evaluate_f(profile, grid, k)
+            vals = f[:, k]
             peaks.append(float(grid[int(np.argmax(vals))]))
     assert any(z < -1e-3 for z in peaks)
 
@@ -255,9 +255,7 @@ def test_criterion_7_chemical_fields(case_one, case_two, case_three):
             profile = solve_modes(model, c)
             rho = profile.rho_modes()
             sfield = solve_S(rho, params, c)
-            halfwidth = 40.0 / min(
-                profile.roots.slowest_positive, profile.roots.slowest_negative
-            )
+            halfwidth = profile.halfwidth
             assert slope_sign_changes(sfield, halfwidth, points_per_side=2048) == 1
             nfield = solve_N(rho, params, c, halfwidth)
             d = np.diff(nfield.values)

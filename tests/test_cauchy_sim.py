@@ -41,6 +41,13 @@ def test_config_validation():
         SimConfig(model=model, params=params, domain_length=10.0, cells=64, cfl=0.5, t_end=-1.0)
     with pytest.raises(ValueError):
         InitialDensity(kind="triangle")
+    # run() would step its next snapshot time by this interval forever
+    for interval in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="snapshot_interval"):
+            SimConfig(
+                model=model, params=params, domain_length=10.0, cells=64, cfl=0.5, t_end=1.0,
+                snapshot_interval=interval,
+            )
 
 
 def test_initial_mass_is_unit():
@@ -267,6 +274,7 @@ def test_run_produces_snapshots_and_diagnostics(case_two):
     assert snapshots[0].t == 0.0 and snapshots[-1].t == pytest.approx(40.0, rel=1e-12)
     assert snapshots[-1].f is not None and snapshots[-1].f.shape == (model.n_active, 128)
     assert diagnostics.peak_track.shape[0] == len(snapshots)
+    assert np.array_equal(diagnostics.peak_track[:, 0], [snap.t for snap in snapshots])
     assert diagnostics.peak_track[-1, 1] > 2.0  # the peak detached and moved right
     assert diagnostics.n_components >= 1
     assert abs(total_mass(config, state) - 1.0) < 1e-8

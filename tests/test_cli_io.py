@@ -207,6 +207,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_validates_equal_sensitivities(tmp_path, configs_dir, capsys):
+    text = (configs_dir / "sec4_1.ini").read_text().replace("chi_s = 0.3", "chi_s = 0.4")
+    cfg_path = tmp_path / "equal.ini"
+    cfg_path.write_text(text.replace("chi_n = 0.15", "chi_n = 0.4"))
+    assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert "c_lower=0 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("interval", ["-1", "0", "nan"])
+def test_nonpositive_snapshot_interval_is_a_config_error(interval, tmp_path, capsys):
+    text = TWO_VELOCITY_SIM.replace("t_end = 1\n", f"t_end = 1\nsnapshot_interval = {interval}\n")
+    with pytest.raises(ConfigError, match=r"in \[sim\]: snapshot_interval"):
+        parse_config(text, mode="simulate")
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "in [sim]: snapshot_interval must be positive" in capsys.readouterr().err
+
+
 def test_cli_mode_override(tmp_path):
     # the CLI positional mode wins over the config's [run] mode
     cfg_path = tmp_path / "two.ini"

@@ -11,6 +11,8 @@ from chemowave import (
     cutting_index,
     expand_half_set,
     mean_run_length,
+    refine_roots,
+    scan,
 )
 from chemowave.cli_io import parse_config
 from chemowave.errors import (
@@ -21,7 +23,7 @@ from chemowave.errors import (
     SpeedOnVelocityNode,
     WeightSumNotOne,
 )
-from chemowave.velocity_model import SensitivityBoundaryWarning, TumblingRates, side_rates
+from chemowave.velocity_model import SensitivityBoundaryWarning, TumblingRates, VelocityModel, side_rates
 
 
 def test_published_quadrature_set_builds(case_one):
@@ -197,6 +199,27 @@ def test_mirror_identity_of_run_lengths(case_one):
         tau = np.where(model.velocities + c > 0, r.t_pm, r.t_pp)
         mirrored = -float(np.sum(model.weights * (model.velocities + c) / tau))
         assert mean_run_length(model, c, "right") == pytest.approx(mirrored, rel=1e-14)
+
+
+@pytest.mark.parametrize("chi, root", [(0.15, None), (0.4, 0.14995647511016838)])
+def test_equal_sensitivities_put_the_lower_window_edge_at_zero(case_one, chem_default, chi, root):
+    # with chi_s == chi_n the right-side run length at c=0 is 0 only up to the
+    # rounding of t_pm = 1 - chi + chi against t_pp = 1 + chi - chi
+    _model, cfg = case_one
+    v, w = expand_half_set(list(cfg.velocities), list(cfg.weights))
+    model = build_model(v, w, chi, chi)
+    assert admissible_speed_interval(model).c_lower == 0.0
+    roots = refine_roots(scan(model, chem_default), model, chem_default)
+    assert len(roots) == 1
+    if root is not None:
+        assert roots == [root]
+
+
+def test_right_run_length_positive_at_zero_has_no_window():
+    # chi_n > chi_s is refused by build_model; built directly it has no window
+    model = VelocityModel(np.array([-1.0, 1.0]), np.array([0.5, 0.5]), chi_s=0.1, chi_n=0.3)
+    with pytest.raises(NoConfinementWindow, match="right-side"):
+        admissible_speed_interval(model)
 
 
 def test_no_confinement_for_unbiased_model():

@@ -10,7 +10,6 @@ from chemowave import (
     duhamel_f,
     evaluate_I,
     evaluate_I_derivative,
-    evaluate_f,
     evaluate_f_matrix,
     per_mode_mass,
     solve_modes,
@@ -143,7 +142,7 @@ def test_event_density_reconstruction(profile_one):
     model = profile_one.model
     r = model.rates
     for z in (-3.0, -0.4, 0.2, 1.5, 12.0):
-        f = np.array([evaluate_f(profile_one, z, k) for k in range(model.n_active)])
+        f = evaluate_f_matrix(profile_one, z)[0]
         T = np.where(
             model.velocities < profile_one.c,
             r.t_mm if z < 0 else r.t_pm,
@@ -169,7 +168,7 @@ def test_event_density_is_pure_mode_sum(profile_one):
 def test_duhamel_matches_mode_sum(profile_one, z):
     model = profile_one.model
     for k in (0, 5, 9, 10, 14, 17):
-        direct = evaluate_f(profile_one, z, k)
+        direct = evaluate_f_matrix(profile_one, z)[0, k]
         oracle = duhamel_f(profile_one, z, k, quadrature_step=1e-10)
         assert oracle == pytest.approx(direct, abs=1e-8)
 
@@ -177,7 +176,7 @@ def test_duhamel_matches_mode_sum(profile_one, z):
 def test_duhamel_mirror_side(profile_one):
     for z in (-0.7, -2.5):
         for k in (0, 9, 13, 17):
-            direct = evaluate_f(profile_one, z, k)
+            direct = evaluate_f_matrix(profile_one, z)[0, k]
             oracle = duhamel_f(profile_one, z, k, quadrature_step=1e-10)
             assert oracle == pytest.approx(direct, abs=1e-8)
 
@@ -197,7 +196,7 @@ def test_uniform_bound_for_incoming_velocities(profile_one):
     grid = np.geomspace(1e-6, 30.0, 200)
     for k in range(profile_one.roots.cutting_index + 1):
         bound = max_t / (profile_one.c - model.velocities[k])
-        assert np.max(evaluate_f(profile_one, grid, k)) <= bound
+        assert np.max(evaluate_f_matrix(profile_one, grid)[:, k]) <= bound
 
 
 def test_orthogonality_recovers_coefficients(profile_one, profile_two):
@@ -224,7 +223,7 @@ def test_asymptotic_slowest_mode(profile_one):
     z = 30.0 / lam_k
     for k in (0, 8, 17):
         predicted = b_k * np.exp(-lam_k * z) / profile_one.denom_right[k, 0]
-        assert evaluate_f(profile_one, z, k) == pytest.approx(predicted, rel=0.01)
+        assert evaluate_f_matrix(profile_one, z)[0, k] == pytest.approx(predicted, rel=0.01)
     di = evaluate_I_derivative(profile_one, z)
     assert di == pytest.approx(-lam_k * b_k * np.exp(-lam_k * z), rel=0.02)
     assert di < 0.0
@@ -237,12 +236,12 @@ def test_velocity_ordering_on_half_lines(profile_one):
     r = model.rates
     j = profile_one.roots.cutting_index
     for z in (0.2, 1.0, 6.0):
-        f = np.array([evaluate_f(profile_one, z, k) for k in range(model.n_active)])
+        f = evaluate_f_matrix(profile_one, z)[0]
         inc = f[: j + 1]
         assert np.all(np.diff(inc) > 0)
         assert np.all(inc < evaluate_I(profile_one, z) / r.t_pm)
     for z in (-0.2, -1.0, -6.0):
-        f = np.array([evaluate_f(profile_one, z, k) for k in range(model.n_active)])
+        f = evaluate_f_matrix(profile_one, z)[0]
         out = f[j + 1 :]
         assert np.all(np.diff(out) < 0)
         assert np.all(out < evaluate_I(profile_one, z) / r.t_mp)
@@ -256,7 +255,7 @@ def test_outgoing_alternative(profile_one):
     j = profile_one.roots.cutting_index
     for z in (0.5, 2.0, 10.0):
         I_val = evaluate_I(profile_one, z)
-        f = np.array([evaluate_f(profile_one, z, k) for k in range(model.n_active)])
+        f = evaluate_f_matrix(profile_one, z)[0]
         for i in range(j + 1, model.n_active - 1):
             if t_pp * f[i] < I_val:
                 assert np.all(f[i + 1 :] < f[i])
@@ -271,7 +270,7 @@ def test_overshoot_configuration(overshoot_model):
     for k in range(overshoot_model.n_active):
         if overshoot_model.velocities[k] >= 0:
             continue
-        vals = evaluate_f(profile, grid, k)
+        vals = evaluate_f_matrix(profile, grid)[:, k]
         peaked_left.append(grid[int(np.argmax(vals))])
     assert any(z < -1e-3 for z in peaked_left)
     rho = np.asarray(profile.rho_modes()(grid))

@@ -161,6 +161,9 @@ def test_refine_brent_on_curved_synthetic_curve(case_one, chem_default, monkeypa
     # the bracket ends' values come from the scan, not from new calls
     [(_i, lo, hi, _y_lo, _y_hi)] = curve.brackets
     assert lo not in calls and hi not in calls
+    # nor is any point evaluated twice: the residual is Brent's own value at the root
+    assert len(calls) == len(set(calls))
+    assert curve.root_residuals == [curved(model, chem_default, roots[0])]
 
 
 def test_resonance_is_retried_once_with_context(case_one, chem_default, monkeypatch):
