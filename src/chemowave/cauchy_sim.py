@@ -12,10 +12,12 @@ to roundoff accumulation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.signal import find_peaks
 
 from .chemo_fields import ChemParams
@@ -28,6 +30,10 @@ _NEGATIVE_TOL = 1e-12  # relative slack before declaring a density negative
 SIGN_DEADZONE = 1e-12  # sign arguments this small relative to their largest |value| count as 0
 FIT_WINDOW_FRACTION = 0.5  # trailing share of the peak track fitted for the front speed
 PEAK_PROMINENCE_FRACTION = 0.05  # peak prominence, as a fraction of the final rho range
+
+
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0.0
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,8 @@ class InitialDensity:
     def __post_init__(self):
         if self.kind not in ("block", "gaussian"):
             raise ValueError(f"initial density kind must be 'block' or 'gaussian', got {self.kind!r}")
-        if self.mass <= 0.0:
-            raise ValueError("initial mass must be positive")
+        if not _finite_positive(self.mass):
+            raise ValueError(f"initial mass must be finite and positive, got {self.mass!r}")
 
 
 @dataclass(frozen=True)
@@ -67,16 +73,14 @@ class SimConfig:
     keep_velocity_snapshots: bool = False
 
     def __post_init__(self):
-        if self.domain_length <= 0.0:
-            raise ValueError("domain_length must be positive")
+        # NaN fails every comparison and t_end = inf never ends, so "finite and > 0"
+        for name in ("domain_length", "t_end", "initial_n"):
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if self.cells < 64:
             raise ValueError("cells must be at least 64")
         if not (0.0 < self.cfl < 1.0):
             raise ValueError("cfl must lie strictly inside (0, 1)")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.initial_n <= 0.0:
-            raise ValueError("initial_n must be positive")
         if self.snapshot_interval is not None and not self.snapshot_interval > 0.0:
             raise ValueError("snapshot_interval must be positive")
 
@@ -162,12 +166,9 @@ def total_mass(config: SimConfig, state: SimState) -> float:
 
 
 def _sign_with_deadzone(x: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
-    if scale == 0.0:
-        return np.zeros_like(x)
-    out = np.sign(x)
-    out[np.abs(x) <= SIGN_DEADZONE * scale] = 0.0
-    return out
+    """sign(x) as int8, with |x| <= SIGN_DEADZONE * max|x| counted as 0."""
+    thr = SIGN_DEADZONE * max(float(x.max()), -float(x.min()))
+    return np.subtract((x > thr).view(np.int8), (x < -thr).view(np.int8))
 
 
 def _transport(f: np.ndarray, v: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -176,26 +177,66 @@ def _transport(f: np.ndarray, v: np.ndarray, nu: np.ndarray) -> np.ndarray:
     Walls reflect specularly: the inflow value for +v at the left wall is the
     cell-0 value of the mirrored velocity -v (row ``f[::-1]``, since the set
     is sorted and symmetric), and symmetrically on the right.  Zero-velocity
-    rows have nu = 0 and keep their values.
+    rows have nu = 0 and keep their values.  Being sorted, the rows with
+    v < 0, v == 0 and v > 0 are the slices [:neg], [neg:pos] and [pos:].
     """
-    upwind = f.copy()
-    right = v > 0.0
-    left = v < 0.0
-    upwind[right, 1:] = f[right, :-1]
-    upwind[right, 0] = f[::-1, 0][right]
-    upwind[left, :-1] = f[left, 1:]
-    upwind[left, -1] = f[::-1, -1][left]
-    return f - nu[:, None] * (f - upwind)
+    neg = int(np.searchsorted(v, 0.0, side="left"))
+    pos = int(np.searchsorted(v, 0.0, side="right"))
+    cells = f.shape[1]
+    diff = np.empty_like(f)  # f - upwind
+    # the interior differences of a block of rows as one flat pass (numpy's
+    # loop over a 2-d slice is about 4x slower); each row's wall cell is
+    # overwritten with its mirrored inflow right after
+    flat, dflat = f.reshape(-1), diff.reshape(-1)
+    np.subtract(flat[: neg * cells - 1], flat[1 : neg * cells], out=dflat[: neg * cells - 1])
+    np.subtract(f[:neg, -1], f[::-1, -1][:neg], out=diff[:neg, -1])
+    diff[neg:pos] = 0.0
+    np.subtract(flat[pos * cells + 1 :], flat[pos * cells : -1], out=dflat[pos * cells + 1 :])
+    np.subtract(f[pos:, 0], f[::-1, 0][pos:], out=diff[pos:, 0])
+    out = _scale_rows(nu, diff)
+    return np.subtract(f, out, out=out)
 
 
-def _implicit_diffusion_matrix(n_cells: int, r: float) -> np.ndarray:
-    """Banded (I - r * Laplacian) with no-flux walls, for solve_banded."""
-    ab = np.zeros((3, n_cells))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[1, 0] = ab[1, -1] = 1.0 + r
-    ab[0, 1:] = -r
-    ab[2, :-1] = -r
-    return ab
+def _gradient(u: np.ndarray, dx: float) -> np.ndarray:
+    """np.gradient(u, dx) with its default first-order ends, without its set-up cost."""
+    grad = np.empty_like(u)
+    np.subtract(u[2:], u[:-2], out=grad[1:-1])
+    grad[1:-1] /= 2.0 * dx
+    grad[0] = (u[1] - u[0]) / dx
+    grad[-1] = (u[-1] - u[-2]) / dx
+    return grad
+
+
+def _scale_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a[:, None] * b (b of shape (cells,) or (len(a), cells)), one product per element.
+
+    The same values as the broadcast product, at about half its cost on
+    (18, 2048) arrays: numpy's broadcast loop over a column is slow.
+    """
+    return np.einsum("i,j->ij" if b.ndim == 1 else "i,ij->ij", a, b, out=out)
+
+
+@lru_cache(maxsize=8)
+def _diffusion_factors(n_cells: int, r: float) -> tuple[np.ndarray, ...]:
+    """LU factors (dgttrf) of the tridiagonal I - r * Laplacian with no-flux walls."""
+    diag = np.full(n_cells, 1.0 + 2.0 * r)
+    diag[0] = diag[-1] = 1.0 + r
+    dl, d, du, du2, ipiv, info = dgttrf(np.full(n_cells - 1, -r), diag, np.full(n_cells - 1, -r))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgttrf failed with info={info} for r={r!r}")
+    for factor in (dl, d, du, du2, ipiv):
+        factor.flags.writeable = False  # shared by every step with this dt
+    return dl, d, du, du2, ipiv
+
+
+def _solve_diffusion(r: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - r * Laplacian) x = rhs, overwriting rhs.
+
+    The factors are computed once per (cells, r), that is once per distinct
+    dt: the bits of x are those of solve_banded's gtsv, which factors and
+    solves in one call.
+    """
+    return dgttrs(*_diffusion_factors(rhs.size, r), rhs, overwrite_b=True)[0]
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
@@ -204,7 +245,8 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     Order: (1) upwind transport, (2) explicit tumbling exchange with rates
     1 - chi_s sign(dS/dt + v dS/dx) - chi_n sign(dN/dt + v dN/dx) using the
     previous step's temporal differences, (3) semi-implicit chemical updates
-    driven by the new density.
+    driven by the new density.  Stages (1) and (2) run in place on four arrays
+    of the shape of f; the input state is never written.
     """
     model = config.model
     dx = config.dx
@@ -219,28 +261,35 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
 
     f = _transport(state.f, v, np.abs(v) * dt / dx)
 
-    grad_s = np.gradient(state.s, dx)
-    grad_n = np.gradient(state.n, dx)
-    arg_s = state.ds_dt[None, :] + v[:, None] * grad_s[None, :]
-    arg_n = state.dn_dt[None, :] + v[:, None] * grad_n[None, :]
-    rates = (
-        1.0
-        - model.chi_s * _sign_with_deadzone(arg_s)
-        - model.chi_n * _sign_with_deadzone(arg_n)
-    )
-    event_density = (model.weights[:, None] * rates * f).sum(axis=0)
-    f = f + dt * (event_density[None, :] - rates * f)
+    # rates = 1 - chi_s * sign(dS/dt + v dS/dx) - chi_n * sign(dN/dt + v dN/dx)
+    arg = _scale_rows(v, _gradient(state.s, dx))
+    arg += state.ds_dt
+    sign_s = _sign_with_deadzone(arg)
+    _scale_rows(v, _gradient(state.n, dx), out=arg)
+    arg += state.dn_dt
+    sign_n = _sign_with_deadzone(arg)
+    rates = np.multiply(sign_s, model.chi_s)
+    np.subtract(1.0, rates, out=rates)
+    np.multiply(sign_n, model.chi_n, out=arg)
+    rates -= arg
+    # f += dt * (event_density - rates * f), event_density = sum_k (w_k * rates_k) * f_k
+    _scale_rows(model.weights, rates, out=arg)
+    arg *= f
+    event_density = arg.sum(axis=0)
+    rates *= f
+    np.subtract(event_density, rates, out=rates)
+    rates *= dt
+    f += rates
 
-    if np.min(f) < -_NEGATIVE_TOL * max(float(np.max(f)), 1.0):
+    f_min = float(f.min())
+    if f_min < 0.0 and f_min < -_NEGATIVE_TOL * max(float(f.max()), 1.0):
         raise NegativeDensity(f"negative cell density after the exchange at t={state.t!r}")
     np.maximum(f, 0.0, out=f)
 
     rho = model.weights @ f
     p = config.params
-    rhs_s = state.s + dt * (-p.alpha * state.s + p.beta * rho)
-    s_new = solve_banded((1, 1), _implicit_diffusion_matrix(config.cells, dt * p.d_s / dx**2), rhs_s)
-    rhs_n = state.n * (1.0 - dt * p.gamma * rho)
-    n_new = solve_banded((1, 1), _implicit_diffusion_matrix(config.cells, dt * p.d_n / dx**2), rhs_n)
+    s_new = _solve_diffusion(dt * p.d_s / dx**2, state.s + dt * (-p.alpha * state.s + p.beta * rho))
+    n_new = _solve_diffusion(dt * p.d_n / dx**2, state.n * (1.0 - dt * p.gamma * rho))
     if np.min(n_new) < -_NEGATIVE_TOL * config.initial_n or np.min(s_new) < -_NEGATIVE_TOL * max(
         float(np.max(s_new)), 1.0
     ):

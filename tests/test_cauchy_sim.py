@@ -5,6 +5,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from chemowave import (
     ChemParams,
@@ -18,7 +19,7 @@ from chemowave import (
     total_mass,
 )
 import chemowave.cauchy_sim as cauchy_sim_mod
-from chemowave.cauchy_sim import SimState, cell_centers
+from chemowave.cauchy_sim import SIGN_DEADZONE, SimState, cell_centers
 from chemowave.errors import CFLViolation, InsufficientSamples, NegativeDensity
 
 
@@ -48,6 +49,21 @@ def test_config_validation():
                 model=model, params=params, domain_length=10.0, cells=64, cfl=0.5, t_end=1.0,
                 snapshot_interval=interval,
             )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["domain_length", "t_end", "initial_n", "mass"])
+def test_non_finite_values_are_rejected(key, value):
+    # NaN passed the old "x <= 0" checks; t_end = inf never ends; domain_length
+    # or initial_n = inf would turn every field into NaN without an error
+    kwargs = dict(
+        model=_pair_model(), params=_free_params(), domain_length=10.0, cells=64, cfl=0.5, t_end=1.0
+    )
+    with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+        if key == "mass":
+            InitialDensity(mass=value)
+        else:
+            SimConfig(**{**kwargs, key: value})
 
 
 def test_initial_mass_is_unit():
@@ -326,3 +342,134 @@ def test_dt_halving_is_logged(monkeypatch, caplog):
     assert state.t == pytest.approx(1.0, rel=1e-12)
     halvings = [r for r in caplog.records if "halving dt" in r.getMessage()]
     assert len(halvings) == 1 and halvings[0].levelno == logging.WARNING
+
+
+# The step as it was before it worked in place: every stage a fresh array,
+# np.gradient, np.sign with a boolean-mask deadzone, and one banded solve per
+# field and step.  The in-place step must reproduce it bit for bit.
+
+
+def _reference_sign_with_deadzone(x):
+    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    if scale == 0.0:
+        return np.zeros_like(x)
+    out = np.sign(x)
+    out[np.abs(x) <= SIGN_DEADZONE * scale] = 0.0
+    return out
+
+
+def _reference_transport(f, v, nu):
+    upwind = f.copy()
+    right = v > 0.0
+    left = v < 0.0
+    upwind[right, 1:] = f[right, :-1]
+    upwind[right, 0] = f[::-1, 0][right]
+    upwind[left, :-1] = f[left, 1:]
+    upwind[left, -1] = f[::-1, -1][left]
+    return f - nu[:, None] * (f - upwind)
+
+
+def _reference_diffusion_matrix(n_cells, r):
+    ab = np.zeros((3, n_cells))
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[1, 0] = ab[1, -1] = 1.0 + r
+    ab[0, 1:] = -r
+    ab[2, :-1] = -r
+    return ab
+
+
+def _reference_step(state, config, dt):
+    model = config.model
+    dx = config.dx
+    v = model.velocities
+    f = _reference_transport(state.f, v, np.abs(v) * dt / dx)
+    grad_s = np.gradient(state.s, dx)
+    grad_n = np.gradient(state.n, dx)
+    arg_s = state.ds_dt[None, :] + v[:, None] * grad_s[None, :]
+    arg_n = state.dn_dt[None, :] + v[:, None] * grad_n[None, :]
+    rates = (
+        1.0
+        - model.chi_s * _reference_sign_with_deadzone(arg_s)
+        - model.chi_n * _reference_sign_with_deadzone(arg_n)
+    )
+    event_density = (model.weights[:, None] * rates * f).sum(axis=0)
+    f = f + dt * (event_density[None, :] - rates * f)
+    assert np.min(f) >= -cauchy_sim_mod._NEGATIVE_TOL * max(float(np.max(f)), 1.0)
+    np.maximum(f, 0.0, out=f)
+    rho = model.weights @ f
+    p = config.params
+    rhs_s = state.s + dt * (-p.alpha * state.s + p.beta * rho)
+    s_new = solve_banded((1, 1), _reference_diffusion_matrix(config.cells, dt * p.d_s / dx**2), rhs_s)
+    rhs_n = state.n * (1.0 - dt * p.gamma * rho)
+    n_new = solve_banded((1, 1), _reference_diffusion_matrix(config.cells, dt * p.d_n / dx**2), rhs_n)
+    return SimState(
+        t=state.t + dt,
+        f=f,
+        s=s_new,
+        n=n_new,
+        ds_dt=(s_new - state.s) / dt,
+        dn_dt=(n_new - state.n) / dt,
+    )
+
+
+def _sec4_2_config(case_two):
+    model, _cfg = case_two
+    return SimConfig(
+        model=model,
+        params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
+        domain_length=30.0,
+        cells=2048,
+        cfl=0.45,
+        t_end=100.0,
+    )
+
+
+def _zero_velocity_config():
+    # the zero velocity carries weight, so it is an active row that transport leaves alone
+    return SimConfig(
+        model=build_model([-1.0, -0.6, 0.0, 0.6, 1.0], [0.15, 0.2, 0.3, 0.2, 0.15], 0.4, 0.3),
+        params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
+        domain_length=20.0,
+        cells=256,
+        cfl=0.45,
+        t_end=100.0,
+    )
+
+
+def _assert_same_state(state, expected):
+    assert state.t == expected.t
+    for name in ("f", "s", "n", "ds_dt", "dn_dt"):
+        assert np.array_equal(getattr(state, name), getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("which", ["sec4_2", "zero-velocity"])
+def test_step_matches_the_reference_step_bitwise(which, case_two):
+    config = _sec4_2_config(case_two) if which == "sec4_2" else _zero_velocity_config()
+    assert config.model.n_active == (18 if which == "sec4_2" else 5)
+    dt = config.default_dt()
+    state = initial_state(config)
+    for _ in range(200):
+        expected = _reference_step(state, config, dt)
+        state = step(state, config)
+        _assert_same_state(state, expected)
+    assert np.max(np.abs(state.ds_dt)) > 0.0 and np.max(np.abs(state.dn_dt)) > 0.0  # sensing was on
+
+
+def test_step_matches_the_reference_step_when_dt_changes(case_two):
+    # run() cuts its last step short and halves dt after a NegativeDensity;
+    # each dt has its own cached diffusion factors
+    config = _sec4_2_config(case_two)
+    dt = config.default_dt()
+    state = initial_state(config)
+    for scale in [1.0] * 20 + [0.5, 0.5, 1.0, 0.5, 1.0, 0.3, 1.0, 0.3, 0.5, 1.0]:
+        expected = _reference_step(state, config, scale * dt)
+        state = step(state, config, scale * dt)
+        _assert_same_state(state, expected)
+
+
+@pytest.mark.parametrize("r", [1e-9, 0.01, 0.37, 2.5, 1e4])
+def test_factored_diffusion_solve_matches_solve_banded(r):
+    rhs = np.random.default_rng(5).uniform(0.0, 2.0, 512)
+    expected = solve_banded((1, 1), _reference_diffusion_matrix(rhs.size, r), rhs)
+    for _ in range(2):  # the second solve reuses the cached factors
+        assert np.array_equal(cauchy_sim_mod._solve_diffusion(r, rhs.copy()), expected)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -224,6 +225,23 @@ def test_nonpositive_snapshot_interval_is_a_config_error(interval, tmp_path, cap
     cfg_path.write_text(text)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "in [sim]: snapshot_interval must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["domain_length", "t_end", "initial_n", "initial_mass"])
+def test_non_finite_sim_value_is_a_config_error(key, value, tmp_path, capsys):
+    # t_end = inf used to run forever; the others ran on or ended in a traceback
+    if f"\n{key} = " in TWO_VELOCITY_SIM:
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", TWO_VELOCITY_SIM)
+    else:
+        text = TWO_VELOCITY_SIM.replace("t_end = 1\n", f"t_end = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=r"in \[sim\]: .*must be finite and positive"):
+        parse_config(text, mode="simulate")
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_mode_override(tmp_path):
