@@ -55,6 +55,10 @@ class InitialDensity:
             raise ValueError(f"initial density kind must be 'block' or 'gaussian', got {self.kind!r}")
         if not _finite_positive(self.mass):
             raise ValueError(f"initial mass must be finite and positive, got {self.mass!r}")
+        if self.center is not None and not math.isfinite(self.center):
+            raise ValueError(f"initial center must be finite, got {self.center!r}")
+        if self.width is not None and not _finite_positive(self.width):
+            raise ValueError(f"initial width must be finite and positive, got {self.width!r}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,8 @@ class SimConfig:
             raise ValueError("cfl must lie strictly inside (0, 1)")
         if self.snapshot_interval is not None and not self.snapshot_interval > 0.0:
             raise ValueError("snapshot_interval must be positive")
+        if not np.sum(_initial_shape(self)) * self.dx > 0.0:
+            raise ValueError("initial density has no support inside [0, domain_length]")
 
     @property
     def dx(self) -> float:
@@ -134,20 +140,23 @@ def cell_centers(config: SimConfig) -> np.ndarray:
     return (np.arange(config.cells) + 0.5) * config.dx
 
 
-def initial_state(config: SimConfig) -> SimState:
-    """Build the t = 0 state: density block/bump on the left, S = 0, N uniform."""
+def _initial_shape(config: SimConfig) -> np.ndarray:
+    """The initial density block or bump on the cell centers, before normalization."""
     x = cell_centers(config)
     init = config.initial_rho
     center = init.center if init.center is not None else 0.05 * config.domain_length
     width = init.width if init.width is not None else 0.1 * config.domain_length
     if init.kind == "block":
-        shape = ((x >= center - 0.5 * width) & (x < center + 0.5 * width)).astype(float)
-    else:
-        shape = np.exp(-0.5 * ((x - center) / width) ** 2)
-    total = float(np.sum(shape) * config.dx)
-    if total <= 0.0:
-        raise ValueError("initial density has no support inside the domain")
-    rho0 = shape * (init.mass / total)
+        return ((x >= center - 0.5 * width) & (x < center + 0.5 * width)).astype(float)
+    with np.errstate(over="ignore"):  # a bump far outside the domain is 0 on every cell
+        return np.exp(-0.5 * ((x - center) / width) ** 2)
+
+
+def initial_state(config: SimConfig) -> SimState:
+    """Build the t = 0 state: density block/bump on the left, S = 0, N uniform."""
+    x = cell_centers(config)
+    shape = _initial_shape(config)
+    rho0 = shape * (config.initial_rho.mass / float(np.sum(shape) * config.dx))
     # Isotropic split: every velocity starts at the local spatial density.
     f = np.tile(rho0, (config.model.n_active, 1))
     zeros = np.zeros_like(x)

@@ -66,6 +66,40 @@ def test_non_finite_values_are_rejected(key, value):
             SimConfig(**{**kwargs, key: value})
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        (dict(center=float("nan")), "initial center must be finite"),
+        (dict(center=float("inf")), "initial center must be finite"),
+        (dict(width=-1.0), "initial width must be finite and positive"),
+        (dict(width=0.0), "initial width must be finite and positive"),
+        (dict(width=float("nan")), "initial width must be finite and positive"),
+        (dict(width=float("inf")), "initial width must be finite and positive"),
+    ],
+)
+def test_initial_center_and_width_are_checked(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        InitialDensity(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "initial_rho",
+    [
+        InitialDensity(kind="block", center=-5.0, width=2.0),
+        InitialDensity(kind="block", center=25.0, width=2.0),
+        InitialDensity(kind="block", center=10.0, width=1e-3),   # narrower than a cell, between centres
+        InitialDensity(kind="gaussian", center=-1e3, width=1.0),  # underflows to 0 on every cell
+        InitialDensity(kind="gaussian", center=1e200),  # its square overflows, without a warning
+    ],
+)
+def test_initial_density_without_support_is_refused_by_the_config(initial_rho):
+    with pytest.raises(ValueError, match="no support inside"):
+        SimConfig(
+            model=_pair_model(), params=_free_params(), domain_length=20.0, cells=64, cfl=0.5, t_end=1.0,
+            initial_rho=initial_rho,
+        )
+
+
 def test_initial_mass_is_unit():
     model = _pair_model()
     for kind in ("block", "gaussian"):

@@ -244,6 +244,26 @@ def test_non_finite_sim_value_is_a_config_error(key, value, tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("initial_center", "nan", "initial center must be finite"),
+        ("initial_width", "-1", "initial width must be finite and positive"),
+        ("initial_center", "-50", "initial density has no support"),
+    ],
+)
+def test_bad_initial_density_is_a_config_error(key, value, message, tmp_path, capsys):
+    # these used to pass validation and end in a ValueError traceback from initial_state
+    text = TWO_VELOCITY_SIM.replace("t_end = 1\n", f"t_end = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"in \[sim\]: {message}"):
+        parse_config(text, mode="simulate")
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"in [sim]: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_mode_override(tmp_path):
     # the CLI positional mode wins over the config's [run] mode
     cfg_path = tmp_path / "two.ini"

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from chemowave import (
 )
 from chemowave.errors import NonPositiveProfile, NullSpaceDimensionError
 from chemowave.velocity_model import side_rates
-from chemowave.wave_profile import GRID_DECADES
+from chemowave.wave_profile import GRID_DECADES, check_positivity, certified_rows, descartes_positive
 
 
 @pytest.fixture(scope="module")
@@ -313,8 +316,77 @@ def test_nonpositive_grid_value_raises(case_one, monkeypatch, bad):
         return values
 
     monkeypatch.setattr(wave_profile_mod, "evaluate_f_matrix", spoiled_f_matrix)
+    # every row of this profile is certified, so refuse them all to reach the grid
+    monkeypatch.setattr(wave_profile_mod, "certified_rows", lambda p: np.zeros(p.f_at_zero.size, dtype=bool))
     with pytest.raises(NonPositiveProfile):
         solve_modes(case_one[0], 0.05)
+
+
+@pytest.mark.parametrize(
+    "coefficients,rates,certified",
+    [
+        ([2.0, 1.0, 0.5], [1.0, 2.0, 3.0], True),       # no sign change
+        ([1.0, 3.0, -2.0], [1.0, 2.0, 3.0], True),      # one change, positive at t = 0
+        ([-1.0, 2.0], [2.0, 1.0], True),                # one change once sorted by rate
+        ([1.0, -2.0, 1.5], [1.0, 2.0, 3.0], False),     # two changes, though positive for t >= 0
+        ([-1.0, 3.0], [1.0, 2.0], False),               # negative slowest coefficient
+        ([1.0, -2.0], [1.0, 2.0], False),               # negative at t = 0
+        ([1.0, -1.0], [1.0, 2.0], False),               # zero at t = 0
+        ([1.0, 0.0, 1.0], [1.0, 2.0, 3.0], False),      # a zero coefficient
+        ([1.0, np.inf], [1.0, 2.0], False),
+        ([1.0, np.nan], [1.0, 2.0], False),
+        ([np.inf, -np.inf], [1.0, 2.0], False),         # inf - inf at t = 0, no warning
+        ([1.0, 1.0], [1.0, 1.0], False),                # equal rates
+        ([1e-300, 1.0], [1.0, 2.0], False),             # slowest coefficient lost in rounding
+    ],
+)
+def test_descartes_certificate_on_single_sums(coefficients, rates, certified):
+    got = descartes_positive(np.array([coefficients]), np.array(rates))
+    assert got.tolist() == [certified]
+
+
+def _with_right_row(profile, k, coefficients):
+    """The profile with row k's right-side coefficients b_j / denom_right[k, j] replaced."""
+    denom = profile.denom_right.copy()
+    denom[k] = profile.b / coefficients
+    return dataclasses.replace(profile, denom_right=denom)
+
+
+def test_every_row_of_a_shipped_profile_is_certified(profile_one, caplog):
+    assert certified_rows(profile_one).all()
+    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_profile"):
+        check_positivity(profile_one)
+    assert not caplog.records
+
+
+def test_refused_row_goes_to_the_grid(profile_one, caplog):
+    # Row 3 gets coefficients C_slowest, ..., -C_slowest / 2, C_fastest: two sign
+    # changes, so the certificate refuses it, yet it stays positive (the
+    # negative term never outweighs the slowest one), so the grid accepts it.
+    k = 3
+    coefficients = np.abs(profile_one.b / profile_one.denom_right[k])
+    assert coefficients.size >= 3
+    coefficients[-2] = -0.5 * coefficients[0]
+    spoiled = _with_right_row(profile_one, k, coefficients)
+    assert np.flatnonzero(~certified_rows(spoiled)).tolist() == [k]
+    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_profile"):
+        check_positivity(spoiled)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"positivity grid checks 1 of {profile_one.f_at_zero.size} rows at c={profile_one.c!r}"
+    ]
+
+
+def test_refused_row_that_the_grid_rejects_raises(profile_one, caplog):
+    # A negative slowest coefficient makes the row negative far out on the right.
+    k = 3
+    coefficients = np.abs(profile_one.b / profile_one.denom_right[k])
+    coefficients[0] = -coefficients[0]
+    spoiled = _with_right_row(profile_one, k, coefficients)
+    assert np.flatnonzero(~certified_rows(spoiled)).tolist() == [k]
+    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_profile"):
+        with pytest.raises(NonPositiveProfile):
+            check_positivity(spoiled)
+    assert "positivity grid checks 1 of" in caplog.text
 
 
 def _singular(x):
