@@ -11,11 +11,13 @@ significant digits so files re-parse to the exact in-memory doubles.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import logging
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -57,8 +59,6 @@ from .wave_speed import (
 
 logger = logging.getLogger(__name__)
 
-MODES = ("validate", "upsilon-scan", "profile", "simulate")
-
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 
 
@@ -77,9 +77,27 @@ class SimBlock:
     snapshot_f: bool = SimConfig.keep_velocity_snapshots
 
 
+def _kept(build):
+    """Method decorator: the value ``build(self)`` gives on first use, kept in the instance dict.
+
+    The value sits outside the dataclass fields, so eq, repr and replace ignore it.
+    """
+    name = "_" + build.__name__
+
+    @functools.wraps(build)
+    def kept(self):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = build(self)
+            object.__setattr__(self, name, value)
+        return value
+
+    return kept
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated run description; its model is built once, on first use."""
+    """Parsed and validated run description; its model and SimConfig are built once, on first use."""
 
     mode: str
     velocities: tuple[float, ...]       # nonnegative half of the symmetric set
@@ -92,18 +110,24 @@ class RunConfig:
     samples_per_interval: int = SAMPLES_PER_INTERVAL
     profile_speed: float | None = None
 
-    def build_model(self) -> VelocityModel:
-        # kept in the instance dict, outside the fields: eq, repr and replace ignore it
-        model = self.__dict__.get("_model")
-        if model is None:
-            v, w = expand_half_set(list(self.velocities), list(self.weights))
-            model = build_model(v, w, self.chi_s, self.chi_n)
-            object.__setattr__(self, "_model", model)
-        return model
+    def __post_init__(self):
+        if self.samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
+            raise ValueError(
+                f"samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}, "
+                f"got {self.samples_per_interval}"
+            )
+        if self.profile_speed is not None and not 0.0 < self.profile_speed < float("inf"):
+            raise ValueError(f"profile_speed must be finite and positive, got {self.profile_speed!r}")
 
+    @_kept
+    def build_model(self) -> VelocityModel:
+        v, w = expand_half_set(list(self.velocities), list(self.weights))
+        return build_model(v, w, self.chi_s, self.chi_n)
+
+    @_kept
     def build_sim_config(self) -> SimConfig:
         if self.chem is None or self.sim is None:
-            raise MissingKey("simulate mode requires both [chem] and [sim] sections")
+            raise MissingKey("a simulation requires both [chem] and [sim] sections")
         s = self.sim
         return SimConfig(
             model=self.build_model(),
@@ -175,6 +199,16 @@ def _convert(raw: str, section: str, key: str, line: int, column: int):
         raise ParseError(f"bad value {raw!r} for {key!r}: {exc}", line=line, column=column) from exc
 
 
+@contextmanager
+def _section(name: str):
+    """Prefix a ValueError raised in the block with its section; a package error keeps its class."""
+    try:
+        yield
+    except ValueError as exc:
+        cls = type(exc) if isinstance(exc, ChemowaveError) else ConfigError
+        raise cls(f"in [{name}]: {exc}") from exc
+
+
 def _parse_sections(text: str) -> dict[str, dict[str, object]]:
     sections: dict[str, dict[str, object]] = {}
     current: str | None = None
@@ -230,39 +264,24 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
 
     run_sec = sections["run"]
     mode = run_sec["mode"] if mode is None else mode
-    if mode not in MODES:
-        raise ParseError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode in ("upsilon-scan", "profile", "simulate") and "chem" not in sections:
-        raise MissingKey(f"mode {mode!r} requires a [chem] section")
-    if mode == "simulate" and "sim" not in sections:
-        raise MissingKey("mode 'simulate' requires a [sim] section")
-    if mode == "profile" and "profile_speed" not in run_sec:
-        raise MissingKey("mode 'profile' requires 'profile_speed' in [run]")
+    if mode not in _MODES:
+        raise ParseError(f"mode must be one of {tuple(_MODES)}, got {mode!r}")
+    for need in _MODES[mode][1]:
+        if need in _SCHEMA and need not in sections:
+            raise MissingKey(f"mode {mode!r} requires a [{need}] section")
+        if need in _SCHEMA["run"] and need not in run_sec:
+            raise MissingKey(f"mode {mode!r} requires {need!r} in [run]")
 
-    chem = None
-    if "chem" in sections:
-        try:
-            chem = ChemParams(**sections["chem"])
-        except ValueError as exc:
-            raise ConfigError(f"in [chem]: {exc}") from exc
+    with _section("chem"):
+        chem = ChemParams(**sections["chem"]) if "chem" in sections else None
     sim = SimBlock(**sections["sim"]) if "sim" in sections else None
-    cfg = RunConfig(**sections["model"], **{**run_sec, "mode": mode}, chem=chem, sim=sim)
-    if cfg.samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
-        raise ConfigError(
-            f"in [run]: samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}, "
-            f"got {cfg.samples_per_interval}"
-        )
-    try:
+    with _section("run"):
+        cfg = RunConfig(**sections["model"], **{**run_sec, "mode": mode}, chem=chem, sim=sim)
+    with _section("model"):
         cfg.build_model()
-    except ModelError as exc:
-        raise type(exc)(f"in [model]: {exc}") from exc
     if cfg.sim is not None and cfg.chem is not None:
-        try:
+        with _section("sim"):
             cfg.build_sim_config()
-        except ValueError as exc:
-            if isinstance(exc, ChemowaveError):
-                raise
-            raise ConfigError(f"in [sim]: {exc}") from exc
     return cfg
 
 
@@ -285,7 +304,13 @@ def format_config(cfg: RunConfig) -> str:
 
 def load_config(path: str | Path, mode: str | None = None) -> tuple[RunConfig, str]:
     """Read a config file; returns (config, provenance hash of the raw text)."""
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc.reason}", line=data.count(b"\n", 0, exc.start) + 1) from exc
+    # the newlines Path.read_text gives, so config_sha256 hashes the same text as ever
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_config(text, mode), hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -434,13 +459,22 @@ def _mode_simulate(cfg: RunConfig, out: Path, config_hash: str) -> None:
     )
 
 
+# mode -> (runner, the sections and [run] keys it needs beyond [model] and [run])
+_MODES = {
+    "validate": (_mode_validate, ()),
+    "upsilon-scan": (_mode_scan, ("chem",)),
+    "profile": (_mode_profile, ("chem", "profile_speed")),
+    "simulate": (_mode_simulate, ("chem", "sim")),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="chemowave",
         description="Travelling-wave construction and simulation for a discrete-velocity "
         "kinetic chemotaxis model.",
     )
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=_MODES)
     parser.add_argument("--config", required=True, help="path to the configuration file")
     parser.add_argument("--out", default=None, help="output directory (default: [run] out_dir or '.')")
     args = parser.parse_args(argv)
@@ -459,13 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out or cfg.out_dir or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        dispatch = {
-            "validate": _mode_validate,
-            "upsilon-scan": _mode_scan,
-            "profile": _mode_profile,
-            "simulate": _mode_simulate,
-        }
-        dispatch[cfg.mode](cfg, out, config_hash)
+        runner, _needs = _MODES[cfg.mode]
+        runner(cfg, out, config_hash)
     except (ConfigError, ModelError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,6 @@ class UpsilonCurve:
     brackets: list[tuple[int, float, float, float, float]]  # (interval_id, c_lo, c_hi, y_lo, y_hi)
     discontinuities: list[Discontinuity]
     upward_crossings: list[tuple[int, float, float]]
-    roots: list[float] = field(default_factory=list)
     root_residuals: list[float] = field(default_factory=list)
 
     @property
@@ -167,7 +166,7 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     the default of ``brentq`` is too loose for speeds of order 1e-2.  No point
     is evaluated twice: the bracket ends come from the scan, and the residual
     is the value ``brentq`` already computed at the root it returns.
-    Fills ``curve.roots`` / ``curve.root_residuals`` and returns the speeds.
+    Fills ``curve.root_residuals`` and returns the speeds.
     A bracket whose refinement fails raises :class:`LostBracket` rather than
     being dropped silently.
     """
@@ -189,7 +188,6 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
             raise LostBracket(f"could not refine bracket ({lo!r}, {hi!r}): {exc}") from exc
         roots.append(float(root))
         residuals.append(float(memo[root]))  # brentq returns a point it has evaluated
-    curve.roots = roots
     curve.root_residuals = residuals
     return roots
 

@@ -294,6 +294,38 @@ def test_too_few_samples_per_interval_is_a_config_error(tmp_path, capsys):
     cfg_path.write_text(text)
     assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "samples_per_interval" in capsys.readouterr().err
+    # the floor is RunConfig's own check, so a replaced config is checked too
+    with pytest.raises(ValueError, match="samples_per_interval must be at least"):
+        dataclasses.replace(parse_config(TWO_VELOCITY_SCAN), samples_per_interval=4)
+
+
+@pytest.mark.parametrize("speed", ["-0.05", "0", "nan", "inf"])
+def test_nonpositive_profile_speed_is_a_config_error(speed, tmp_path, capsys):
+    # -0.05 and 0 lie inside the speed window (c_lower = -0.15) and used to exit 3 from
+    # the nutrient solve; nan used to exit 2 with an unrelated dispersion message
+    text = TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", f"mode = profile\nprofile_speed = {speed}")
+    with pytest.raises(ConfigError, match=r"in \[run\]: profile_speed must be finite and positive"):
+        parse_config(text)
+    cfg_path = tmp_path / "prof.ini"
+    cfg_path.write_text(text)
+    assert main(["profile", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "in [run]: profile_speed must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_non_utf8_config_is_a_parse_error(tmp_path, capsys):
+    # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback (exit 1)
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_bytes(TWO_VELOCITY_SCAN.replace("chi_n = 0.15", "chi_n = 0.15\xff").encode("latin-1"))
+    with pytest.raises(ParseError, match=r"not valid UTF-8.*\(line 6\)"):
+        load_config(cfg_path)
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert "invalid config: not valid UTF-8" in capsys.readouterr().err
+    # the hash is of the text with its newlines read as \n, as before: CRLF and LF agree
+    lf, crlf = tmp_path / "lf.ini", tmp_path / "crlf.ini"
+    lf.write_bytes(TWO_VELOCITY_SCAN.encode())
+    crlf.write_bytes(TWO_VELOCITY_SCAN.replace("\n", "\r\n").encode())
+    assert load_config(crlf) == load_config(lf)
 
 
 REMOVED_KEYS = [
@@ -367,17 +399,26 @@ def test_sim_block_defaults_are_the_library_defaults():
 def test_one_model_build_per_loaded_config(configs_dir, monkeypatch):
     # sec4_2 has chi_s = 0.5, so every build of its model issues one boundary warning
     builds = []
+    sim_configs = []
 
     def counting_build(*args):
         builds.append(args)
         return build_model(*args)
 
+    def counting_sim_config(**kwargs):
+        sim_configs.append(kwargs)
+        return SimConfig(**kwargs)
+
     monkeypatch.setattr(cli_io_mod, "build_model", counting_build)
+    monkeypatch.setattr(cli_io_mod, "SimConfig", counting_sim_config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg, _h = load_config(configs_dir / "sec4_2.ini")
-        assert cfg.build_sim_config().model is cfg.build_model()
+        sim_config = cfg.build_sim_config()
+        assert sim_config.model is cfg.build_model()
+        assert cfg.build_sim_config() is sim_config
     assert len(builds) == 1
+    assert len(sim_configs) == 1  # the one parse_config validated is the one simulate runs
     assert sum(issubclass(w.category, SensitivityBoundaryWarning) for w in caught) == 1
     # a replaced config builds its own model; the kept model takes no part in equality
     other = dataclasses.replace(cfg, chi_n=0.4)
