@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode
+from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode, raise_first
 from .velocity_model import bisect_decreasing
 from .wave_profile import PiecewiseExponential, two_sided_grid
 
@@ -61,11 +61,13 @@ class SField(PiecewiseExponential):
     z > 0: sum_j A_j exp(mu_j z) (mu_j < 0)  +  coef_plus  * exp(theta_minus z)
 
     The homogeneous term is the last entry of each side's coefficients and rates.
+    Built by ``solve_S`` for a stack of speeds, every field carries a leading
+    axis of speeds, and only ``slope_at_zero`` is read from it.
     """
 
-    theta_plus: float
-    theta_minus: float
-    slope_at_zero: float
+    theta_plus: float | np.ndarray
+    theta_minus: float | np.ndarray
+    slope_at_zero: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,27 +84,43 @@ class NField:
 
 
 def _particular_coefficients(
-    params: ChemParams, c: float, mu: np.ndarray, source_coef: np.ndarray
+    params: ChemParams, c: np.ndarray, mu: np.ndarray, source_coef: np.ndarray
 ) -> np.ndarray:
-    """Coefficients A of the particular terms A exp(mu z) for sources coef exp(mu z)."""
-    denom = params.alpha - c * mu - params.d_s * mu * mu
-    scale = np.maximum(np.maximum(params.alpha, np.abs(c * mu)), params.d_s * mu * mu)
+    """Coefficients A of the particular terms A exp(mu z) for sources coef exp(mu z).
+
+    ``c`` is one speed (0-d) with ``mu`` of shape (modes,), or a stack of
+    speeds with one row of ``mu`` per speed.
+    """
+    c_mu = c[..., None] * mu
+    denom = params.alpha - c_mu - params.d_s * mu * mu
+    scale = np.maximum(np.maximum(params.alpha, np.abs(c_mu)), params.d_s * mu * mu)
     resonant = np.abs(denom) < RESONANCE_GUARD_REL * scale
-    if np.any(resonant):
-        k = int(np.argmax(resonant))
-        raise ResonantMode(
-            f"source exponent {mu[k]!r} resonates with the homogeneous operator "
-            f"(alpha - c*mu - d_s*mu^2 = {denom[k]!r})"
-        )
+    if resonant.any():
+        rows, mus, denoms = np.atleast_2d(resonant, mu, denom)
+
+        def resonance(i: int) -> ResonantMode:
+            k = int(np.argmax(rows[i]))
+            return ResonantMode(
+                f"source exponent {mus[i, k]!r} resonates with the homogeneous operator "
+                f"(alpha - c*mu - d_s*mu^2 = {denoms[i, k]!r})"
+            )
+
+        raise_first(rows.any(axis=1), np.atleast_1d(c), resonance)
     return params.beta * source_coef / denom
 
 
-def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
+def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float | np.ndarray) -> SField:
     """Closed-form solution of -c S' - D_S S'' + alpha S = beta rho.
 
     Decaying homogeneous exponents are theta = (-c +/- sqrt(c^2 + 4 alpha D_S))
     / (2 D_S); their two coefficients come from matching S and S' at z = 0.
+
+    ``c`` may also be an array of speeds, with ``rho`` the stacked density of
+    ``solve_modes`` at those speeds (a leading axis of speeds on every
+    array).  The field then carries that axis too, and each value is
+    bit-identical to its one-speed value.
     """
+    c = np.asarray(c, dtype=float)
     disc = np.sqrt(c * c + 4.0 * params.alpha * params.d_s)
     theta_plus = (-c + disc) / (2.0 * params.d_s)
     theta_minus = (-c - disc) / (2.0 * params.d_s)
@@ -112,20 +130,20 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
     A_left = _particular_coefficients(params, c, mu_left, rho.left_coefficients)
     A_right = _particular_coefficients(params, c, mu_right, rho.right_coefficients)
 
-    d0 = float(np.sum(A_left) - np.sum(A_right))          # C_+ - C_-
-    d1 = float(A_left @ mu_left - A_right @ mu_right)     # theta_- C_+ - theta_+ C_-
+    d0 = A_left.sum(axis=-1) - A_right.sum(axis=-1)                     # C_+ - C_-
+    d1 = np.vecdot(A_left, mu_left) - np.vecdot(A_right, mu_right)      # theta_- C_+ - theta_+ C_-
     coef_minus = (d1 - theta_minus * d0) / (theta_minus - theta_plus)
     coef_plus = coef_minus + d0
-    slope = float(A_right @ mu_right + coef_plus * theta_minus)
+    slope = np.vecdot(A_right, mu_right) + coef_plus * theta_minus
 
     return SField(
-        left_coefficients=np.concatenate([A_left, [coef_minus]]),
-        left_rates=np.concatenate([mu_left, [theta_plus]]),
-        right_coefficients=np.concatenate([A_right, [coef_plus]]),
-        right_rates=np.concatenate([rho.right_rates, [-theta_minus]]),
-        theta_plus=float(theta_plus),
-        theta_minus=float(theta_minus),
-        slope_at_zero=slope,
+        left_coefficients=np.concatenate([A_left, coef_minus[..., None]], axis=-1),
+        left_rates=np.concatenate([mu_left, theta_plus[..., None]], axis=-1),
+        right_coefficients=np.concatenate([A_right, coef_plus[..., None]], axis=-1),
+        right_rates=np.concatenate([rho.right_rates, -theta_minus[..., None]], axis=-1),
+        theta_plus=float(theta_plus) if c.ndim == 0 else theta_plus,
+        theta_minus=float(theta_minus) if c.ndim == 0 else theta_minus,
+        slope_at_zero=float(slope) if c.ndim == 0 else slope,
     )
 
 

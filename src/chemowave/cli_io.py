@@ -303,10 +303,14 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str | Path, mode: str | None = None) -> tuple[RunConfig, str]:
-    """Read a config file; returns (config, provenance hash of the raw text)."""
+    """Read a config file; returns (config, provenance hash of the raw text).
+
+    One leading UTF-8 byte-order mark, as some editors write it, is dropped
+    before parsing and hashing, so it changes neither the config nor its hash.
+    """
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc.reason}", line=data.count(b"\n", 0, exc.start) + 1) from exc
     # the newlines Path.read_text gives, so config_sha256 hashes the same text as ever

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketFailure, SingularLambda, SpeedNotAdmissible
+from .errors import BracketFailure, SingularLambda, SpeedNotAdmissible, at_speed, raise_first
 from .velocity_model import (
     VelocityModel,
     cutting_index,
@@ -41,19 +42,23 @@ logger = logging.getLogger(__name__)
 RESIDUAL_REL_TOL = 1e-12          # |residual| < tol * max-term-magnitude at a root
 _COINCIDENT_POLE_FACTOR = 1e3     # bracket width guard, in units of machine epsilon
 _NEWTON_STEPS = 2                 # polish steps after the eigenvalue solve
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class DispersionRoots:
-    """Dispersion roots of one model at one wave speed.
+    """Dispersion roots of one model at one wave speed, or at a stack of speeds.
 
     ``negative_roots`` (left side, rates T_-) and ``positive_roots`` (right
     side, rates T_+) are sorted ascending, so ``negative_roots[-1]`` and
     ``positive_roots[0]`` are the slowest decay rates toward -inf and +inf.
-    Counts equal the number of active velocities below/above c.
+    Counts equal the number of active velocities below/above c.  For a stack
+    (``solve_roots`` on an array of speeds of one continuity interval) ``c``
+    is that array and every array field has a leading axis of speeds;
+    :meth:`speed` takes one speed out.
     """
 
-    c: float
+    c: float | np.ndarray
     cutting_index: int
     negative_roots: np.ndarray
     positive_roots: np.ndarray
@@ -70,10 +75,26 @@ class DispersionRoots:
         """Decay rate of the slowest right mode, lambda_K > 0."""
         return float(self.positive_roots[0])
 
+    def speed(self, i: int) -> DispersionRoots:
+        """The roots at speed ``c[i]`` of a stack; one-speed roots are their own speed 0."""
+        if np.ndim(self.c) == 0:
+            return self
+        return DispersionRoots(
+            c=float(self.c[i]),
+            cutting_index=self.cutting_index,
+            negative_roots=self.negative_roots[i],
+            positive_roots=self.positive_roots[i],
+            negative_brackets=self.negative_brackets[i],
+            positive_brackets=self.positive_brackets[i],
+        )
 
-def singular_values(model: VelocityModel, c: float, side: str) -> np.ndarray:
-    """Poles T(v_k - c)/(v_k - c) of the dispersion sum, in velocity order."""
-    return side_rates(model, c, side) / (model.velocities - c)
+
+def singular_values(model: VelocityModel, c: float | np.ndarray, side: str) -> np.ndarray:
+    """Poles T(v_k - c)/(v_k - c) of the dispersion sum, in velocity order.
+
+    An array of speeds gives one row of poles per speed.
+    """
+    return side_rates(model, c, side) / (model.velocities - np.asarray(c)[..., None])
 
 
 def dispersion_residual(model: VelocityModel, c: float, lam: float, side: str) -> float:
@@ -85,24 +106,29 @@ def dispersion_residual(model: VelocityModel, c: float, lam: float, side: str) -
     """
     poles = singular_values(model, c, side)
     gap = poles - lam
-    if np.any(np.abs(gap) <= 4.0 * np.finfo(float).eps * np.abs(poles)):
+    if np.any(np.abs(gap) <= 4.0 * _EPS * np.abs(poles)):
         raise SingularLambda(f"lambda={lam!r} coincides with a singular value on side {side!r}")
     return float(np.sum(model.weights / gap))
 
 
 def _residual_vector(w: np.ndarray, poles: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The dispersion sum at each entry of ``lam``; ``poles`` is one row, or one row per entry."""
     with np.errstate(divide="ignore"):
-        return np.sum(w[None, :] / (poles[None, :] - lam[:, None]), axis=1)
+        return np.sum(w / (poles - lam[:, None]), axis=1)
 
 
-def _bisect_brackets(w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _bisect_brackets(
+    w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.ndarray, speeds: np.ndarray | None = None
+) -> np.ndarray:
     """Bisect every bracket simultaneously down to machine width.
 
     The residual is -inf just above the lower endpoint and +inf just below
     the upper one (endpoints are poles, or 0 with the known confinement
     sign), so no endpoint evaluation is needed and every step halves the
     bracket.  Stops when no representable midpoint remains, 200 iterations
-    at most.  Used for the roots the Newton polish cannot place.
+    at most.  Used for the roots the Newton polish cannot place.  ``poles``
+    is one row for every bracket or one row per bracket; ``speeds``, one per
+    bracket, names the speed of a failure.
     """
     lo = lo.copy()
     hi = hi.copy()
@@ -112,8 +138,12 @@ def _bisect_brackets(w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.nd
         if not np.any(active):
             break
         res = _residual_vector(w, poles, mid)
-        if np.any(np.isnan(res[active])):
-            raise BracketFailure("dispersion residual evaluated to NaN inside a bracket")
+        nan = active & np.isnan(res)
+        if nan.any():
+            raise at_speed(
+                BracketFailure("dispersion residual evaluated to NaN inside a bracket"),
+                None if speeds is None else speeds[nan.argmax()],
+            )
         go_up = active & (res < 0.0)
         go_dn = active & ~go_up
         lo[go_up] = mid[go_up]
@@ -121,111 +151,161 @@ def _bisect_brackets(w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.nd
     return 0.5 * (lo + hi)
 
 
-def _complement_basis(w: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _complement_basis(weights: bytes) -> np.ndarray:
     """Orthonormal basis, shape (n, n - 1), of the complement of sqrt(w).
 
     The trailing columns of the Householder reflector that maps sqrt(w) to
-    -e_0.  Depends only on the (positive, unit-sum) weights.
+    -e_0.  Depends only on the (positive, unit-sum) weights, given as their
+    bytes, so the read-only bases of the last few weight sets are kept
+    instead of being rebuilt for every call.
     """
-    u = np.sqrt(w)
+    u = np.sqrt(np.frombuffer(weights))
     u = u / np.linalg.norm(u)
     h = u.copy()
     h[0] += 1.0  # u[0] > 0, so no cancellation
-    reflector = np.eye(u.size) - np.outer(h, h) / h[0]
-    return reflector[:, 1:]
+    basis = (np.eye(u.size) - np.outer(h, h) / h[0])[:, 1:]
+    basis.setflags(write=False)
+    return basis
 
 
 def _secular_eigenvalues(basis: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """All n - 1 roots of sum_k w_k / (p_k - lambda) as eigenvalues, ascending."""
-    return np.linalg.eigvalsh(basis.T @ (poles[:, None] * basis))
+    """All n - 1 roots of sum_k w_k / (p_k - lambda) as eigenvalues, ascending, per row of ``poles``."""
+    return np.linalg.eigvalsh(basis.T @ (poles[..., :, None] * basis))
 
 
 def _polish(
-    w: np.ndarray, poles: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    w: np.ndarray,
+    poles: np.ndarray,
+    lam: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    speeds: np.ndarray | None = None,
 ) -> np.ndarray:
     """Safeguarded Newton steps on every root, then bisection where needed.
 
     A Newton step is kept only if it lands strictly inside the root's
     bracket (lo, hi); the residual is strictly increasing there, so that
     bracket holds exactly one root.  Entries still outside their bracket
-    after the polish are bisected inside it.
+    after the polish are bisected inside it.  ``lam``, ``lo`` and ``hi`` are
+    (roots,) with ``poles`` (n,), or (speeds, roots) with ``poles`` (speeds,
+    n) and the stack's ``speeds``.
     """
     lam = lam.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            inv = 1.0 / (poles[None, :] - lam[:, None])
+            inv = 1.0 / (poles[..., None, :] - lam[..., :, None])
             new = lam - (inv @ w) / ((inv * inv) @ w)
             keep = (new > lo) & (new < hi)
             lam[keep] = new[keep]
     outside = ~((lam > lo) & (lam < hi))
-    if np.any(outside):
+    if outside.any():
         logger.debug(
             "%d of %d dispersion roots outside their brackets after the Newton polish; "
             "bisecting them",
             int(np.count_nonzero(outside)),
             lam.size,
         )
-        lam[outside] = _bisect_brackets(w, poles, lo[outside], hi[outside])
+        rows = np.broadcast_to(poles[..., None, :], outside.shape + poles.shape[-1:])[outside]
+        per_root = None if speeds is None else np.broadcast_to(speeds[:, None], outside.shape)[outside]
+        lam[outside] = _bisect_brackets(w, rows, lo[outside], hi[outside], per_root)
     return lam
 
 
-def _check_pole_separation(poles_sorted: np.ndarray) -> None:
-    if poles_sorted.size < 2:
+def _brackets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The (lo, hi) pairs as a trailing axis of length 2."""
+    out = np.empty(lo.shape + (2,))
+    out[..., 0] = lo
+    out[..., 1] = hi
+    return out
+
+
+def _check_pole_separation(poles_sorted: np.ndarray, speeds: np.ndarray) -> None:
+    """Refuse numerically coincident poles; ``poles_sorted`` has one sorted row per speed."""
+    if poles_sorted.shape[1] < 2:
         return
-    gaps = np.diff(poles_sorted)
-    scale = np.maximum(np.abs(poles_sorted[:-1]), np.abs(poles_sorted[1:]))
-    bad = gaps <= _COINCIDENT_POLE_FACTOR * np.finfo(float).eps * scale
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise BracketFailure(
-            f"singular values {poles_sorted[i]!r} and {poles_sorted[i + 1]!r} are "
+    gaps = poles_sorted[:, 1:] - poles_sorted[:, :-1]
+    scale = np.maximum(np.abs(poles_sorted[:, :-1]), np.abs(poles_sorted[:, 1:]))
+    bad = gaps <= _COINCIDENT_POLE_FACTOR * _EPS * scale
+
+    def coincident(i: int) -> BracketFailure:
+        j = int(np.argmax(bad[i]))
+        return BracketFailure(
+            f"singular values {poles_sorted[i, j]!r} and {poles_sorted[i, j + 1]!r} are "
             "numerically coincident; mode counts would be unreliable"
         )
 
+    raise_first(bad.any(axis=1), speeds, coincident)
 
-def solve_roots(model: VelocityModel, c: float) -> DispersionRoots:
+
+def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
     """All decaying Case-mode exponents of the model at speed c.
 
     Requires c strictly inside the confinement window and away from velocity
     nodes.  The trivial root lambda = 0 is excluded throughout: only
     integrable (decaying) modes are kept.
+
+    ``c`` may also be a 1-d array of speeds inside one continuity interval
+    (one cutting index).  Every step then runs once over the stack, every
+    check runs on every speed, and the result carries a leading axis of
+    speeds.  Each root is bit-identical to its one-speed value.  A failed
+    check raises for the first speed that fails it (see ``raise_first``).
     """
-    j_cut = cutting_index(model, c)  # raises on node collision
-    if mean_run_length(model, c, "left") <= 0.0:
-        raise SpeedNotAdmissible(f"c={c!r}: no confinement on the left side (c >= c_upper)")
-    if mean_run_length(model, c, "right") >= 0.0:
-        raise SpeedNotAdmissible(f"c={c!r}: no confinement on the right side (c <= c_lower)")
+    speeds = np.atleast_1d(np.asarray(c, dtype=float))
+    j = cutting_index(model, speeds)  # raises on node collision
+    j_cut = int(j[0])
+    if (j != j_cut).any():
+        raise ValueError("a stack of speeds must lie in one continuity interval")
+    raise_first(
+        mean_run_length(model, speeds, "left") <= 0.0,
+        speeds,
+        lambda i: SpeedNotAdmissible(
+            f"c={float(speeds[i])!r}: no confinement on the left side (c >= c_upper)"
+        ),
+    )
+    raise_first(
+        mean_run_length(model, speeds, "right") >= 0.0,
+        speeds,
+        lambda i: SpeedNotAdmissible(
+            f"c={float(speeds[i])!r}: no confinement on the right side (c <= c_lower)"
+        ),
+    )
 
     w = model.weights
     m = j_cut + 1                 # velocities below c
     if m == 0 or m == model.n_active:
-        raise SpeedNotAdmissible(f"c={c!r}: all relative velocities share one sign")
-    basis = _complement_basis(w)
+        raise_first(
+            np.ones(speeds.shape, dtype=bool),
+            speeds,
+            lambda i: SpeedNotAdmissible(f"c={float(speeds[i])!r}: all relative velocities share one sign"),
+        )
 
-    # Left side: poles from v<c are negative, ordered like the velocities.
-    # The m smallest of the n - 1 roots are the negative ones.
-    poles_left = singular_values(model, c, "left")
-    neg_poles = np.sort(poles_left[:m])
-    _check_pole_separation(neg_poles)
+    # Left side: poles from v<c are negative, ordered like the velocities;
+    # the m smallest of the n - 1 roots are the negative ones.  Right side:
+    # poles from v>c are positive, smaller for larger velocities; the n - m
+    # largest roots are the positive ones.  One eigenvalue call serves both.
+    poles_left = singular_values(model, speeds, "left")
+    poles_right = singular_values(model, speeds, "right")
+    neg_poles = np.sort(poles_left[:, :m], axis=1)
+    pos_poles = np.sort(poles_right[:, m:], axis=1)
+    _check_pole_separation(neg_poles, speeds)
+    _check_pole_separation(pos_poles, speeds)
+    basis = _complement_basis(w.tobytes())
+    eig_left, eig_right = _secular_eigenvalues(basis, np.stack([poles_left, poles_right]))
+    zeros = np.zeros((speeds.size, 1))
+
     lo = neg_poles
-    hi = np.concatenate([neg_poles[1:], [0.0]])
-    guess = _secular_eigenvalues(basis, poles_left)[:m]
-    negative_roots = _polish(w, poles_left, guess, lo, hi)
-    negative_brackets = np.column_stack([lo, hi])
+    hi = np.concatenate([neg_poles[:, 1:], zeros], axis=1)
+    negative_roots = _polish(w, poles_left, eig_left[:, :m], lo, hi, speeds)
+    negative_brackets = _brackets(lo, hi)
 
-    # Right side: poles from v>c are positive; smaller for larger velocities.
-    # The n - m largest roots are the positive ones.
-    poles_right = singular_values(model, c, "right")
-    pos_poles = np.sort(poles_right[m:])
-    _check_pole_separation(pos_poles)
-    lo = np.concatenate([[0.0], pos_poles[:-1]])
+    lo = np.concatenate([zeros, pos_poles[:, :-1]], axis=1)
     hi = pos_poles
-    guess = _secular_eigenvalues(basis, poles_right)[m - 1 :]
-    positive_roots = _polish(w, poles_right, guess, lo, hi)
-    positive_brackets = np.column_stack([lo, hi])
+    positive_roots = _polish(w, poles_right, eig_right[:, m - 1 :], lo, hi, speeds)
+    positive_brackets = _brackets(lo, hi)
 
     roots = DispersionRoots(
-        c=float(c),
+        c=speeds,
         cutting_index=j_cut,
         negative_roots=negative_roots,
         positive_roots=positive_roots,
@@ -233,7 +313,7 @@ def solve_roots(model: VelocityModel, c: float) -> DispersionRoots:
         positive_brackets=positive_brackets,
     )
     _verify_residuals(model, roots)
-    return roots
+    return roots if np.ndim(c) else roots.speed(0)
 
 
 def residual_scale(model: VelocityModel, c: float, lam: float, side: str) -> float:
@@ -249,24 +329,33 @@ def _verify_residuals(model: VelocityModel, roots: DispersionRoots) -> None:
     ascending: :class:`SingularLambda` on a pole collision, else
     :class:`BracketFailure` when |residual| exceeds ``RESIDUAL_REL_TOL``
     times the largest term (the checks of :func:`dispersion_residual` and
-    :func:`residual_scale`).
+    :func:`residual_scale`).  On a stack each side is checked for every
+    speed before the next side, and the first speed with a failing root
+    raises.
     """
-    for side, lams in (("left", roots.negative_roots), ("right", roots.positive_roots)):
-        poles = singular_values(model, roots.c, side)
-        gap = poles[None, :] - lams[:, None]
-        singular = np.any(np.abs(gap) <= 4.0 * np.finfo(float).eps * np.abs(poles), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = model.weights / gap
-            res = np.sum(terms, axis=1)
-            scale = np.max(np.abs(terms), axis=1)
-            failed = singular | (np.abs(res) > RESIDUAL_REL_TOL * scale)
-        if not np.any(failed):
-            continue
-        i = int(np.argmax(failed))
-        lam = float(lams[i])
-        if singular[i]:
-            raise SingularLambda(f"lambda={lam!r} coincides with a singular value on side {side!r}")
-        raise BracketFailure(
-            f"root {lam!r} on side {side!r} has residual {float(res[i])!r} "
-            f"above {RESIDUAL_REL_TOL} * {float(scale[i])!r}"
+    speeds = np.atleast_1d(roots.c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _verify_side(model, speeds, "left", np.atleast_2d(roots.negative_roots))
+        _verify_side(model, speeds, "right", np.atleast_2d(roots.positive_roots))
+
+
+def _verify_side(model: VelocityModel, speeds: np.ndarray, side: str, lams: np.ndarray) -> None:
+    poles = singular_values(model, speeds, side)[:, None, :]
+    gap = poles - lams[:, :, None]
+    singular = (np.abs(gap) <= 4.0 * _EPS * np.abs(poles)).any(axis=2)
+    terms = model.weights / gap
+    res = terms.sum(axis=2)
+    scale = np.abs(terms).max(axis=2)
+    failed = singular | (np.abs(res) > RESIDUAL_REL_TOL * scale)
+
+    def refused(i: int):
+        k = int(np.argmax(failed[i]))
+        lam = float(lams[i, k])
+        if singular[i, k]:
+            return SingularLambda(f"lambda={lam!r} coincides with a singular value on side {side!r}")
+        return BracketFailure(
+            f"root {lam!r} on side {side!r} has residual {float(res[i, k])!r} "
+            f"above {RESIDUAL_REL_TOL} * {float(scale[i, k])!r}"
         )
+
+    raise_first(failed.any(axis=1), speeds, refused)

@@ -7,9 +7,41 @@ losing the class.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 
 class ChemowaveError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``c`` is the wave speed whose check failed when the check ran on a stack
+    of speeds (see :func:`raise_first` and :func:`at_speed`), else None.
+    """
+
+    c: float | None = None
+
+
+def at_speed(exc: ChemowaveError, c: float | None) -> ChemowaveError:
+    """``exc`` with the wave speed it belongs to recorded as ``exc.c``.
+
+    Raise the returned error directly: a local name bound to an error in the
+    raising frame makes a reference cycle through its traceback, and the
+    frame's arrays then live until the cyclic garbage collector runs.
+    """
+    exc.c = None if c is None else float(c)
+    return exc
+
+
+def raise_first(failed, speeds, error: Callable[[int], ChemowaveError]) -> None:
+    """Raise ``error(i)`` for the first speed ``speeds[i]`` whose check failed.
+
+    ``failed`` is a bool array with one entry per speed of the array
+    ``speeds``.  The raised error records its speed as ``c``.  A stack runs
+    its checks stage by stage, so the speed named is the first one to fail
+    at the earliest failing stage.
+    """
+    if failed.any():
+        i = int(failed.argmax())
+        raise at_speed(error(i), speeds[i])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     SensitivityOutOfRange,
     SpeedOnVelocityNode,
     WeightSumNotOne,
+    raise_first,
 )
 
 SYMMETRY_TOL = 1e-12      # absolute, for velocity/weight mirror pairing
@@ -92,7 +94,7 @@ class VelocityModel:
         """Minimum allowed distance between a wave speed and any node."""
         return NODE_GUARD_REL * self.v_max
 
-    @property
+    @cached_property
     def rates(self) -> TumblingRates:
         return TumblingRates.from_sensitivities(self.chi_s, self.chi_n)
 
@@ -208,14 +210,15 @@ def build_model(
     return VelocityModel(velocities=_readonly(v), weights=_readonly(w), chi_s=chi_s, chi_n=chi_n)
 
 
-def side_rates(model: VelocityModel, c: float, side: str) -> np.ndarray:
+def side_rates(model: VelocityModel, c: float | np.ndarray, side: str) -> np.ndarray:
     """Tumbling rate per active velocity on one side of the origin.
 
     ``side`` is "left" (z < 0) or "right" (z > 0).  Velocities equal to c are
-    not resolved here; callers must keep c away from nodes.
+    not resolved here; callers must keep c away from nodes.  An array of
+    speeds gives one row of rates per speed.
     """
     r = model.rates
-    below = model.velocities < c
+    below = model.velocities < np.asarray(c)[..., None]
     if side == "left":
         return np.where(below, r.t_mm, r.t_mp)
     if side == "right":
@@ -223,16 +226,17 @@ def side_rates(model: VelocityModel, c: float, side: str) -> np.ndarray:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def mean_run_length(model: VelocityModel, c: float, side: str) -> float:
+def mean_run_length(model: VelocityModel, c: float | np.ndarray, side: str) -> float | np.ndarray:
     """Mean algebraic run length sum_k w_k (v_k - c) / T(v_k - c) on a side.
 
     Positive on the left side and negative on the right side exactly when the
     speed c is inside the confinement window.  Each term vanishes continuously
     as c crosses a node, so the function is continuous and strictly decreasing
-    in c.
+    in c.  An array of speeds gives one run length per speed.
     """
     T = side_rates(model, c, side)
-    return float(np.sum(model.weights * (model.velocities - c) / T))
+    total = (model.weights * (model.velocities - np.asarray(c)[..., None]) / T).sum(axis=-1)
+    return float(total) if np.ndim(c) == 0 else total
 
 
 def bisect_decreasing(f, lo: float, hi: float, rtol: float = 1e-14) -> float:
@@ -289,13 +293,19 @@ def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
     return SpeedInterval(c_lower=c_lower, c_upper=c_upper, admissible_intervals=components)
 
 
-def cutting_index(model: VelocityModel, c: float) -> int:
+def cutting_index(model: VelocityModel, c: float | np.ndarray) -> int | np.ndarray:
     """Index (into the active, sorted set) of the largest velocity below c.
 
     Returns -1 if every active velocity exceeds c.  Speeds closer than the
-    node guard to any active velocity are rejected.
+    node guard to any active velocity are rejected.  An array of speeds gives
+    one index per speed, and its first speed on a node raises.
     """
+    speeds = np.atleast_1d(c)
     v = model.velocities
-    if np.min(np.abs(v - c)) <= model.node_guard:
-        raise SpeedOnVelocityNode(f"speed c={c!r} collides with a velocity node")
-    return int(np.searchsorted(v, c)) - 1
+    raise_first(
+        np.abs(v - speeds[:, None]).min(axis=1) <= model.node_guard,
+        speeds,
+        lambda i: SpeedOnVelocityNode(f"speed c={float(speeds[i])!r} collides with a velocity node"),
+    )
+    j = np.searchsorted(v, speeds) - 1
+    return int(j[0]) if np.ndim(c) == 0 else j

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .dispersion import DispersionRoots, solve_roots
-from .errors import NonPositiveProfile, NullSpaceDimensionError
+from .errors import NonPositiveProfile, NullSpaceDimensionError, at_speed, raise_first
 from .velocity_model import VelocityModel, side_rates
 
 logger = logging.getLogger(__name__)
@@ -36,6 +36,8 @@ MATCHING_REL_TOL = 1e-10
 MASS_TOL = 1e-12
 GRID_INNER = 1e-6        # delta_z of the verification grid
 GRID_DECADES = 40.0      # grid spans [delta_z, GRID_DECADES / slowest rate]
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _exp_sum(z: np.ndarray, left_coef, left_rates, right_coef, right_rates) -> np.ndarray:
@@ -71,7 +73,7 @@ class PiecewiseExponential:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(self.left_rates <= 0.0) or np.any(self.right_rates <= 0.0):
+        if (self.left_rates <= 0.0).any() or (self.right_rates <= 0.0).any():
             raise ValueError("piecewise-exponential rates must be strictly positive")
         if self.left_coefficients.shape != self.left_rates.shape:
             raise ValueError("left coefficient/rate arrays must have equal shapes")
@@ -98,10 +100,15 @@ class PiecewiseExponential:
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """Solved stationary density at one admissible wave speed."""
+    """Solved stationary density at one admissible wave speed, or at a stack of speeds.
+
+    A stack (``solve_modes`` on an array of speeds) has ``c`` that array, a
+    stacked ``roots`` and a leading axis of speeds on every array and mass;
+    :meth:`speed` takes one speed out.  The evaluators take one speed.
+    """
 
     model: VelocityModel
-    c: float
+    c: float | np.ndarray
     roots: DispersionRoots
     a: np.ndarray                 # left-mode coefficients, one per negative root
     b: np.ndarray                 # right-mode coefficients, one per positive root
@@ -115,6 +122,23 @@ class WaveProfile:
     @property
     def velocities(self) -> np.ndarray:
         return self.model.velocities
+
+    def speed(self, i: int) -> WaveProfile:
+        """The profile at speed ``c[i]`` of a stack; a one-speed profile is its own speed 0."""
+        if np.ndim(self.c) == 0:
+            return self
+        return WaveProfile(
+            model=self.model,
+            c=float(self.c[i]),
+            roots=self.roots.speed(i),
+            a=self.a[i],
+            b=self.b[i],
+            left_mass=float(self.left_mass[i]),
+            right_mass=float(self.right_mass[i]),
+            denom_left=self.denom_left[i],
+            denom_right=self.denom_right[i],
+            f_at_zero=self.f_at_zero[i],
+        )
 
     @property
     def halfwidth(self) -> float:
@@ -157,7 +181,7 @@ def per_mode_mass(model: VelocityModel, c: float, lam: float, side: str) -> floa
     return -s / lam if side == "left" else s / lam
 
 
-def solve_modes(model: VelocityModel, c: float) -> WaveProfile:
+def solve_modes(model: VelocityModel, c: float | np.ndarray) -> WaveProfile:
     """Solve the matching problem at z = 0 and return the unit-mass profile.
 
     The matching matrix has a known left null vector (w_k (v_k - c)); its row
@@ -169,64 +193,93 @@ def solve_modes(model: VelocityModel, c: float) -> WaveProfile:
     stricter than the verification grid's samples on [1e-6, GRID_DECADES /
     slowest rate]; a row the certificate refuses is still checked on that
     grid, unchanged.
+
+    ``c`` may also be a 1-d array of speeds inside one continuity interval:
+    every step and check then runs once over the stack (see ``solve_roots``)
+    and the profile carries a leading axis of speeds.  Each value is
+    bit-identical to its one-speed value.
     """
     roots = solve_roots(model, c)
+    speeds = np.atleast_1d(roots.c)
+    negative = roots.negative_roots.reshape(speeds.size, -1)
+    positive = roots.positive_roots.reshape(speeds.size, -1)
     v = model.velocities
     w = model.weights
-    dv = v - c
-    m = roots.negative_roots.size
+    dv = v - speeds[:, None]
+    m = negative.shape[1]
+    stack = np.arange(speeds.size)
 
-    denom_left = side_rates(model, c, "left")[:, None] - roots.negative_roots[None, :] * dv[:, None]
-    denom_right = side_rates(model, c, "right")[:, None] - roots.positive_roots[None, :] * dv[:, None]
+    # one cutting index per stack, so one set of side rates
+    denom_left = side_rates(model, speeds[0], "left")[:, None] - negative[:, None, :] * dv[:, :, None]
+    denom_right = side_rates(model, speeds[0], "right")[:, None] - positive[:, None, :] * dv[:, :, None]
     inv_left = 1.0 / denom_left
     inv_right = 1.0 / denom_right
-    matching = np.hstack([inv_left, -inv_right])
+    matching = np.concatenate([inv_left, -inv_right], axis=2)
 
     # per_mode_mass of every root at once
-    mass_row = np.concatenate(
-        [-(w @ inv_left) / roots.negative_roots, (w @ inv_right) / roots.positive_roots]
-    )
-    k_star = int(np.argmax(np.abs(w * dv)))
+    mass_row = np.concatenate([-(w @ inv_left) / negative, (w @ inv_right) / positive], axis=1)
+    k_star = np.argmax(np.abs(w * dv), axis=1)
     system = matching.copy()
-    system[k_star, :] = mass_row
-    rhs = np.zeros(model.n_active)
-    rhs[k_star] = 1.0
+    system[stack, k_star, :] = mass_row
+    rhs = np.zeros((speeds.size, model.n_active))
+    rhs[stack, k_star] = 1.0
     try:
-        x = np.linalg.solve(system, rhs)
+        if speeds.size == 1:
+            x = np.linalg.solve(system[0], rhs[0])[None, :]
+        else:  # numpy reads a 2-d right-hand side as a matrix, so each speed's is a column
+            x = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        raise NullSpaceDimensionError(f"matching system singular at c={c!r}: {exc}") from exc
+        # slogdet runs the same LU, so it finds the speed whose zero pivot stopped the solve
+        singular = np.linalg.slogdet(system)[1] == -np.inf
+        raise_first(
+            singular if singular.any() else stack == 0,
+            speeds,
+            lambda i: NullSpaceDimensionError(f"matching system singular at c={float(speeds[i])!r}: {exc}"),
+        )
 
-    a = x[:m]
-    b = x[m:]
-    f0 = inv_right @ b
-    if f0[-1] < 0.0:
-        a, b, f0 = -a, -b, -f0
+    a = x[:, :m]
+    b = x[:, m:]
+    f0 = (inv_right @ b[:, :, None])[:, :, 0]
+    flip = f0[:, -1] < 0.0
+    if flip.any():  # orient every speed so that f(0, v_max) > 0; negation is exact
+        sign = np.where(flip, -1.0, 1.0)[:, None]
+        a, b, f0 = a * sign, b * sign, f0 * sign
 
     # Replaced-equation residual: the solution must still satisfy the row we
     # dropped, otherwise the null space was not one-dimensional.
-    dropped = float(matching[k_star, :] @ x)
-    dropped_scale = float(np.sum(np.abs(matching[k_star, :] * x)))
-    if abs(dropped) > MATCHING_REL_TOL * max(dropped_scale, np.finfo(float).tiny):
-        raise NullSpaceDimensionError(
-            f"replaced matching equation violated at c={c!r}: residual {dropped!r}"
-        )
-    mismatch = matching @ x
-    if np.max(np.abs(mismatch)) > MATCHING_REL_TOL * np.max(np.abs(f0)):
-        raise NullSpaceDimensionError(
-            f"left/right expansions disagree at z=0 for c={c!r}: "
-            f"max mismatch {np.max(np.abs(mismatch))!r}"
-        )
+    replaced = matching[stack, k_star, :]
+    dropped = np.vecdot(replaced, x)
+    dropped_scale = np.abs(replaced * x).sum(axis=1)
+    raise_first(
+        np.abs(dropped) > MATCHING_REL_TOL * np.maximum(dropped_scale, _TINY),
+        speeds,
+        lambda i: NullSpaceDimensionError(
+            f"replaced matching equation violated at c={float(speeds[i])!r}: residual {float(dropped[i])!r}"
+        ),
+    )
+    mismatch = np.abs((matching @ x[:, :, None])[:, :, 0]).max(axis=1)
+    raise_first(
+        mismatch > MATCHING_REL_TOL * np.abs(f0).max(axis=1),
+        speeds,
+        lambda i: NullSpaceDimensionError(
+            f"left/right expansions disagree at z=0 for c={float(speeds[i])!r}: "
+            f"max mismatch {mismatch[i]!r}"
+        ),
+    )
 
-    left_mass = float(a @ mass_row[:m])
-    right_mass = float(b @ mass_row[m:])
-    if abs(left_mass + right_mass - 1.0) > MASS_TOL:
-        raise NullSpaceDimensionError(
-            f"normalized masses sum to {left_mass + right_mass!r} instead of 1"
-        )
+    left_mass = np.vecdot(a, mass_row[:, :m])
+    right_mass = np.vecdot(b, mass_row[:, m:])
+    raise_first(
+        np.abs(left_mass + right_mass - 1.0) > MASS_TOL,
+        speeds,
+        lambda i: NullSpaceDimensionError(
+            f"normalized masses sum to {float(left_mass[i]) + float(right_mass[i])!r} instead of 1"
+        ),
+    )
 
     profile = WaveProfile(
         model=model,
-        c=float(c),
+        c=speeds,
         roots=roots,
         a=a,
         b=b,
@@ -236,6 +289,8 @@ def solve_modes(model: VelocityModel, c: float) -> WaveProfile:
         denom_right=denom_right,
         f_at_zero=f0,
     )
+    if np.ndim(c) == 0:
+        profile = profile.speed(0)
     check_positivity(profile)
     return profile
 
@@ -254,31 +309,42 @@ def descartes_positive(coefficients: np.ndarray, rates: np.ndarray) -> np.ndarra
     must also clear the rounding error of an evaluated sum, about
     (terms + GRID_DECADES) ulps of sum |coefficient| wherever the slowest
     rate times t stays within GRID_DECADES, so that the grid's floating-point
-    values are positive too.  Returns one bool per row.
+    values are positive too.  Returns one bool per row.  Leading axes of
+    speeds, (speeds, rows, terms) with rates (speeds, terms), give one bool
+    per speed and row.
     """
-    order = np.argsort(rates)
-    coef = coefficients[:, order]
-    terms = coef.shape[1]
-    if terms == 0 or np.any(np.diff(rates[order]) <= 0.0):
-        return np.zeros(coef.shape[0], dtype=bool)
+    order = np.argsort(rates, axis=-1)
+    if order.ndim == 1:  # one order for every row
+        coef, ordered = coefficients[..., order], rates[order]
+    else:
+        coef = np.take_along_axis(coefficients, order[..., None, :], axis=-1)
+        ordered = np.take_along_axis(rates, order, axis=-1)
+    terms = coef.shape[-1]
+    if terms == 0:
+        return np.zeros(coef.shape[:-1], dtype=bool)
+    distinct = ~(ordered[..., 1:] - ordered[..., :-1] <= 0.0).any(axis=-1)
     sign = np.sign(coef)
-    sign_changes = np.count_nonzero(sign[:, 1:] != sign[:, :-1], axis=1)
+    sign_changes = (sign[..., 1:] != sign[..., :-1]).sum(axis=-1)
     with np.errstate(invalid="ignore"):  # inf - inf in a row already refused as non-finite
-        margin = (terms + GRID_DECADES) * np.finfo(float).eps * np.abs(coef).sum(axis=1)
+        margin = (terms + GRID_DECADES) * _EPS * np.abs(coef).sum(axis=-1)
         return (
-            np.all(np.isfinite(coef) & (coef != 0.0), axis=1)
+            distinct[..., None]
+            & (np.isfinite(coef) & (coef != 0.0)).all(axis=-1)
             & (sign_changes <= 1)
-            & (coef[:, 0] > margin)
-            & (coef.sum(axis=1) > margin)
+            & (coef[..., 0] > margin)
+            & (coef.sum(axis=-1) > margin)
         )
 
 
 def certified_rows(profile: WaveProfile) -> np.ndarray:
-    """Velocities k whose f(z, v_k) ``descartes_positive`` proves positive on both half-lines."""
+    """Velocities k whose f(z, v_k) ``descartes_positive`` proves positive on both half-lines.
+
+    On a stack, one row of bools per speed.
+    """
     roots = profile.roots
-    return descartes_positive(profile.a / profile.denom_left, -roots.negative_roots) & descartes_positive(
-        profile.b / profile.denom_right, roots.positive_roots
-    )
+    return descartes_positive(
+        profile.a[..., None, :] / profile.denom_left, -roots.negative_roots
+    ) & descartes_positive(profile.b[..., None, :] / profile.denom_right, roots.positive_roots)
 
 
 def check_positivity(profile: WaveProfile) -> None:
@@ -287,20 +353,26 @@ def check_positivity(profile: WaveProfile) -> None:
     Rows that ``certified_rows`` proves positive hold for every z, including
     z = 0 and the far tails, which is stricter than any sample.  The other
     rows are evaluated on the verification grid and must be finite and
-    positive there.
+    positive there.  On a stack the grid runs only for the speeds with a
+    refused row, one speed at a time.
     """
     certified = certified_rows(profile)
     if certified.all():
         return
-    logger.debug(
-        "positivity grid checks %d of %d rows at c=%r",
-        np.count_nonzero(~certified), certified.size, profile.c,
-    )
-    values = evaluate_f_matrix(profile, verification_grid(profile))[:, ~certified]
-    if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
-        raise NonPositiveProfile(
-            f"profile not strictly positive on the verification grid at c={profile.c!r}"
+    certified = np.atleast_2d(certified)
+    for i in np.flatnonzero(~certified.all(axis=1)):
+        one = profile.speed(i)
+        refused = ~certified[i]
+        logger.debug(
+            "positivity grid checks %d of %d rows at c=%r",
+            np.count_nonzero(refused), refused.size, one.c,
         )
+        values = evaluate_f_matrix(one, verification_grid(one))[:, refused]
+        if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
+            raise at_speed(
+                NonPositiveProfile(f"profile not strictly positive on the verification grid at c={one.c!r}"),
+                one.c,
+            )
 
 
 def two_sided_grid(inner: float, left: float, right: float, points_per_side: int) -> np.ndarray:

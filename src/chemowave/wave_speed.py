@@ -66,13 +66,22 @@ class UpsilonCurve:
         return max(abs(y) for _c, y in self.samples)
 
 
-def upsilon(model: VelocityModel, params: ChemParams, c: float) -> float:
+def upsilon(model: VelocityModel, params: ChemParams, c: float | np.ndarray) -> float | np.ndarray:
     """Slope of the chemoattractant at the origin for the profile at speed c.
 
     Composes the dispersion solve, the matching solve and the closed-form S.
     A resonant source mode (a measure-zero parameter coincidence) is retried
     once with c perturbed by 1e-9 relative.
+
+    ``c`` may also be a 1-d array of speeds inside one continuity interval.
+    Each stage then runs once over the whole stack, every check runs on every
+    speed, and the values are bit-identical to one call per speed.  A stack
+    is not retried: a failed check raises for the first speed that fails it
+    at the earliest failing stage, with the message the one-speed call gives
+    there (``scan`` then evaluates the stack one speed at a time).
     """
+    if np.ndim(c):
+        return _upsilon_once(model, params, c)
     try:
         return _upsilon_once(model, params, c)
     except ResonantMode:
@@ -83,12 +92,12 @@ def upsilon(model: VelocityModel, params: ChemParams, c: float) -> float:
         return _upsilon_once(model, params, c_perturbed)
 
 
-def _upsilon_once(model: VelocityModel, params: ChemParams, c: float) -> float:
+def _upsilon_once(model: VelocityModel, params: ChemParams, c: float | np.ndarray) -> float | np.ndarray:
     try:
         profile = solve_modes(model, c)
         sfield = solve_S(profile.rho_modes(), params, c)
     except ChemowaveError as exc:  # type(exc) keeps ResonantMode catchable by the retry
-        raise type(exc)(f"at c={c!r}: {exc}") from exc
+        raise type(exc)(f"at c={c if np.ndim(c) == 0 else exc.c!r}: {exc}") from exc
     return sfield.slope_at_zero
 
 
@@ -103,7 +112,11 @@ def scan(
     """Sample Upsilon over every continuity interval and bracket sign changes.
 
     Samples are Chebyshev-spaced inside each component of the admissible
-    range (endpoints inset by the node guard) and evaluated in ascending c.
+    range (endpoints inset by the node guard).  Each interval's samples are
+    evaluated by one stacked ``upsilon`` call, bit-identical to one call per
+    sample.  If the stack raises, the interval is logged at DEBUG and
+    evaluated again one speed at a time in ascending c, so the error raised
+    and the resonance retry are those of the one-speed calls.
     """
     if samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
         raise ValueError(f"samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}")
@@ -118,7 +131,15 @@ def scan(
             cs = np.array([0.5 * (lo + hi)])
         else:
             cs = _chebyshev_points(lo + guard, hi - guard, samples_per_interval)
-        ys = np.array([upsilon(model, params, float(c)) for c in cs])
+        try:
+            ys = upsilon(model, params, cs)
+        except ChemowaveError as exc:
+            logger.debug(
+                "interval %d (c from %r to %r): stacked Upsilon raised %s; "
+                "evaluating its %d speeds one at a time",
+                i, float(cs[0]), float(cs[-1]), type(exc).__name__, cs.size,
+            )
+            ys = np.array([upsilon(model, params, float(c)) for c in cs])
         intervals.append(IntervalSamples(interval_id=i, lo=lo, hi=hi, c=cs, upsilon=ys))
 
     brackets: list[tuple[int, float, float, float, float]] = []

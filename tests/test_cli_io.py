@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import re
 import warnings
 
@@ -326,6 +327,22 @@ def test_non_utf8_config_is_a_parse_error(tmp_path, capsys):
     lf.write_bytes(TWO_VELOCITY_SCAN.encode())
     crlf.write_bytes(TWO_VELOCITY_SCAN.replace("\n", "\r\n").encode())
     assert load_config(crlf) == load_config(lf)
+
+
+def test_byte_order_mark_is_dropped(tmp_path, configs_dir, capsys):
+    # a UTF-8 byte-order mark in front of a config, as some editors write it, was a
+    # parse error at line 1, column 1; it is dropped before parsing and hashing
+    original = configs_dir / "sec4_2.ini"
+    marked = tmp_path / "bom.ini"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert load_config(marked) == load_config(original)
+    assert load_config(original)[1] == hashlib.sha256(original.read_bytes()).hexdigest()[:16]
+    assert main(["validate", "--config", str(marked)]) == 0
+    # only one mark is dropped: a second one is text in front of the first line
+    twice = tmp_path / "twice.ini"
+    twice.write_bytes(b"\xef\xbb\xbf" * 2 + original.read_bytes())
+    with pytest.raises(ParseError, match=r"\(line 1, column 1\)"):
+        load_config(twice)
 
 
 REMOVED_KEYS = [

@@ -1,0 +1,216 @@
+"""The stacked Upsilon: one pass over the speeds of a continuity interval.
+
+Every value must be bit-identical to one call per speed, every failure must
+be one the one-speed path raises, and ``scan`` must fall back to one speed
+at a time, logged, whenever a stack raises.
+"""
+
+from __future__ import annotations
+
+import gc
+import logging
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chemowave.wave_profile as wave_profile_mod
+import chemowave.wave_speed as wave_speed_mod
+from chemowave import ChemParams, admissible_speed_interval, build_model, scan, solve_modes, upsilon
+from chemowave.errors import BracketFailure, ChemowaveError, NonPositiveProfile, ResonantMode, raise_first
+
+CASES = ["case_one", "case_two", "case_three"]
+
+
+def _one_at_a_time(model, params, speeds) -> np.ndarray:
+    return np.array([upsilon(model, params, float(c)) for c in speeds])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stack_equals_one_speed_at_every_scan_sample(case, request):
+    model, cfg = request.getfixturevalue(case)
+    curve = scan(model, cfg.chem)
+    assert sum(seg.c.size for seg in curve.intervals) > 100
+    for seg in curve.intervals:
+        one = _one_at_a_time(model, cfg.chem, seg.c)
+        assert upsilon(model, cfg.chem, seg.c).tobytes() == one.tobytes()
+        assert seg.upsilon.tobytes() == one.tobytes()
+
+
+def test_stack_must_lie_in_one_interval(case_one):
+    model, cfg = case_one
+    node = 0.0848  # the one node below c_upper
+    with pytest.raises(ValueError, match="one continuity interval"):
+        upsilon(model, cfg.chem, np.array([0.5 * node, 1.5 * node]))
+
+
+@st.composite
+def gauss_legendre_stacks(draw):
+    """A model and parameters drawn as the velocity-sweep benchmark draws them, and speeds of one interval."""
+    n = draw(st.sampled_from([8, 32, 128]))
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    chi_s = draw(st.floats(0.1, 0.45))
+    chi_n = draw(st.floats(0.0, chi_s))
+    alpha = draw(st.sampled_from([0.5, 10.0]))
+    model = build_model(nodes, weights / weights.sum(), chi_s, chi_n)
+    params = ChemParams(d_s=0.5, d_n=1.0, alpha=alpha, beta=1.0, gamma=1.0)
+    guard = 2.0 * model.node_guard
+    intervals = [
+        (lo, hi) for lo, hi in admissible_speed_interval(model).admissible_intervals if hi - lo > 4.0 * guard
+    ]
+    lo, hi = draw(st.sampled_from(intervals))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True))
+    speeds = np.unique(lo + guard + np.array(fractions) * (hi - lo - 2.0 * guard))
+    return model, params, speeds
+
+
+def _outcome(model, params, c):
+    try:
+        return upsilon(model, params, c)
+    except ChemowaveError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauss_legendre_stacks())
+def test_stack_raises_what_the_one_speed_path_raises(drawn):
+    model, params, speeds = drawn
+    one = [_outcome(model, params, float(c)) for c in speeds]
+    failures = [o for o in one if isinstance(o, tuple)]
+    stacked = _outcome(model, params, speeds)
+    if not failures:
+        assert stacked.tobytes() == np.array(one).tobytes()
+        return
+    # a stack runs its checks stage by stage, so it names a failing speed, with its own message
+    assert stacked in failures
+    for c, o in zip(speeds, one):
+        if isinstance(o, tuple):
+            assert _outcome(model, params, np.array([c])) == o
+
+
+def _gauss_legendre_128(cfg):
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    return build_model(nodes, weights / weights.sum(), cfg.chi_s, cfg.chi_n)
+
+
+def test_gauss_legendre_128_scan_raises_the_one_speed_bracket_failure(case_one, caplog):
+    _model, cfg = case_one
+    model = _gauss_legendre_128(cfg)
+    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_speed"):
+        with pytest.raises(BracketFailure) as info:
+            scan(model, cfg.chem)
+    assert str(info.value) == (
+        "at c=0.00022139619705014487: root 1.1505321938260131 on side 'right' has residual "
+        "3.9397374251848305e-12 above 1e-12 * 2.9553467813314573"
+    )
+    lo, hi = admissible_speed_interval(model).admissible_intervals[0]
+    cs = wave_speed_mod._chebyshev_points(lo + model.node_guard, hi - model.node_guard, 64)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
+        f"interval 0 (c from {float(cs[0])!r} to {float(cs[-1])!r}): stacked Upsilon raised BracketFailure; "
+        "evaluating its 64 speeds one at a time"
+    ]
+
+
+def test_a_failed_check_leaves_no_reference_cycle(case_one):
+    # an error bound to a local name of the frame that raises it makes a cycle
+    # through its traceback, which keeps that frame's arrays alive until the
+    # cyclic collector runs (about 5 MB of n = 128 temporaries in a sweep)
+    _model, cfg = case_one
+    model = _gauss_legendre_128(cfg)
+    lo, hi = admissible_speed_interval(model).admissible_intervals[0]
+    speeds = wave_speed_mod._chebyshev_points(lo + model.node_guard, hi - model.node_guard, 64)
+    gc.collect()
+    gc.disable()
+    try:
+        for c in (speeds, 0.00022139619705014487):  # the stack, and its first failing speed
+            try:
+                upsilon(model, cfg.chem, c)
+            except BracketFailure:
+                pass
+            else:
+                pytest.fail("expected a BracketFailure")
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_resonance_in_a_stack_is_retried_one_speed_at_a_time(case_one, monkeypatch, caplog):
+    model, cfg = case_one
+    reference = scan(model, cfg.chem, 16)
+    target = float(reference.intervals[1].c[5])
+    real_solve_S = wave_speed_mod.solve_S
+    retried = []
+
+    def resonant_at_target(rho, params, c):
+        speeds = np.atleast_1d(c)
+        if np.ndim(c):  # the stack holding the target resonates there
+            raise_first(speeds == target, speeds, lambda i: ResonantMode("coincident exponents"))
+        elif c == target and not retried:  # and so does the target's first one-speed attempt
+            retried.append(c)
+            raise ResonantMode("coincident exponents")
+        return real_solve_S(rho, params, c)
+
+    monkeypatch.setattr(wave_speed_mod, "solve_S", resonant_at_target)
+    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_speed"):
+        curve = scan(model, cfg.chem, 16)
+    perturbed = target * (1.0 + 1e-9)
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (
+            logging.DEBUG,
+            f"interval 1 (c from {float(curve.intervals[1].c[0])!r} to {float(curve.intervals[1].c[-1])!r}): "
+            "stacked Upsilon raised ResonantMode; evaluating its 16 speeds one at a time",
+        ),
+        (logging.WARNING, f"resonant source mode at c={target!r}; retrying with perturbed c={perturbed!r}"),
+    ]
+    # the one-speed retry, as a direct call makes it
+    retried.clear()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="chemowave.wave_speed"):
+        direct = upsilon(model, cfg.chem, target)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"resonant source mode at c={target!r}; retrying with perturbed c={perturbed!r}"
+    ]
+    expected = reference.intervals[1].upsilon.copy()
+    expected[5] = direct
+    assert curve.intervals[1].upsilon.tobytes() == expected.tobytes()
+    assert curve.intervals[0].upsilon.tobytes() == reference.intervals[0].upsilon.tobytes()
+
+
+def test_refused_row_of_a_stacked_speed_goes_to_the_grid_for_that_speed_only(case_two, monkeypatch, caplog):
+    model, cfg = case_two
+    speeds = scan(model, cfg.chem, 8).intervals[-1].c
+    i, k = 3, 5
+    real_certified_rows = wave_profile_mod.certified_rows
+
+    def refuse_one_row(profile):
+        rows = real_certified_rows(profile)
+        if np.ndim(profile.c):
+            assert rows.all()
+            rows[i, k] = False
+        return rows
+
+    graded = []
+
+    def spy(profile, z, evaluate=wave_profile_mod.evaluate_f_matrix):
+        graded.append(profile.c)
+        return evaluate(profile, z)
+
+    monkeypatch.setattr(wave_profile_mod, "certified_rows", refuse_one_row)
+    monkeypatch.setattr(wave_profile_mod, "evaluate_f_matrix", spy)
+    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_profile"):
+        stack = solve_modes(model, speeds)
+    assert graded == [float(speeds[i])]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"positivity grid checks 1 of {model.n_active} rows at c={float(speeds[i])!r}"
+    ]
+    assert stack.speed(i).a.tobytes() == solve_modes(model, float(speeds[i])).a.tobytes()
+
+    # a grid that rejects the row fails that speed, and names it
+    monkeypatch.setattr(
+        wave_profile_mod, "evaluate_f_matrix", lambda profile, z: -np.ones((z.size, model.n_active))
+    )
+    with pytest.raises(NonPositiveProfile) as info:
+        upsilon(model, cfg.chem, speeds)
+    c = float(speeds[i])
+    assert str(info.value) == f"at c={c!r}: profile not strictly positive on the verification grid at c={c!r}"
