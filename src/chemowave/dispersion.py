@@ -76,9 +76,7 @@ class DispersionRoots:
         return float(self.positive_roots[0])
 
     def speed(self, i: int) -> DispersionRoots:
-        """The roots at speed ``c[i]`` of a stack; one-speed roots are their own speed 0."""
-        if np.ndim(self.c) == 0:
-            return self
+        """The roots at speed ``c[i]`` of a stack."""
         return DispersionRoots(
             c=float(self.c[i]),
             cutting_index=self.cutting_index,
@@ -312,7 +310,7 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
         negative_brackets=negative_brackets,
         positive_brackets=positive_brackets,
     )
-    _verify_residuals(model, roots)
+    _verify_residuals(model, roots, poles_left, poles_right)
     return roots if np.ndim(c) else roots.speed(0)
 
 
@@ -322,9 +320,12 @@ def residual_scale(model: VelocityModel, c: float, lam: float, side: str) -> flo
     return float(np.max(np.abs(model.weights / (poles - lam))))
 
 
-def _verify_residuals(model: VelocityModel, roots: DispersionRoots) -> None:
-    """Residual gate on every root, all roots of a side at once.
+def _verify_residuals(
+    model: VelocityModel, roots: DispersionRoots, poles_left: np.ndarray, poles_right: np.ndarray
+) -> None:
+    """Residual gate on every root, all roots of a side at once, at the poles the solve used.
 
+    ``poles_left`` / ``poles_right`` are each side's ``singular_values`` at ``roots.c``.
     Raises for the first failing root in the order left then right,
     ascending: :class:`SingularLambda` on a pole collision, else
     :class:`BracketFailure` when |residual| exceeds ``RESIDUAL_REL_TOL``
@@ -335,12 +336,14 @@ def _verify_residuals(model: VelocityModel, roots: DispersionRoots) -> None:
     """
     speeds = np.atleast_1d(roots.c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _verify_side(model, speeds, "left", np.atleast_2d(roots.negative_roots))
-        _verify_side(model, speeds, "right", np.atleast_2d(roots.positive_roots))
+        _verify_side(model, speeds, "left", poles_left, np.atleast_2d(roots.negative_roots))
+        _verify_side(model, speeds, "right", poles_right, np.atleast_2d(roots.positive_roots))
 
 
-def _verify_side(model: VelocityModel, speeds: np.ndarray, side: str, lams: np.ndarray) -> None:
-    poles = singular_values(model, speeds, side)[:, None, :]
+def _verify_side(
+    model: VelocityModel, speeds: np.ndarray, side: str, poles: np.ndarray, lams: np.ndarray
+) -> None:
+    poles = np.atleast_2d(poles)[:, None, :]
     gap = poles - lams[:, :, None]
     singular = (np.abs(gap) <= 4.0 * _EPS * np.abs(poles)).any(axis=2)
     terms = model.weights / gap

@@ -194,15 +194,15 @@ def solve_modes(model: VelocityModel, c: float | np.ndarray) -> WaveProfile:
     slowest rate]; a row the certificate refuses is still checked on that
     grid, unchanged.
 
-    ``c`` may also be a 1-d array of speeds inside one continuity interval:
-    every step and check then runs once over the stack (see ``solve_roots``)
-    and the profile carries a leading axis of speeds.  Each value is
-    bit-identical to its one-speed value.
+    ``c`` may also be a 1-d array of speeds inside one continuity interval.
+    A scalar is solved as a stack of one speed, with the one matching solve:
+    every step and check runs once over the stack (see ``solve_roots``), and
+    a stack's values match their one-speed calls bit for bit.
     """
-    roots = solve_roots(model, c)
-    speeds = np.atleast_1d(roots.c)
-    negative = roots.negative_roots.reshape(speeds.size, -1)
-    positive = roots.positive_roots.reshape(speeds.size, -1)
+    speeds = np.atleast_1d(np.asarray(c, dtype=float))
+    roots = solve_roots(model, speeds)
+    negative = roots.negative_roots
+    positive = roots.positive_roots
     v = model.velocities
     w = model.weights
     dv = v - speeds[:, None]
@@ -223,11 +223,8 @@ def solve_modes(model: VelocityModel, c: float | np.ndarray) -> WaveProfile:
     system[stack, k_star, :] = mass_row
     rhs = np.zeros((speeds.size, model.n_active))
     rhs[stack, k_star] = 1.0
-    try:
-        if speeds.size == 1:
-            x = np.linalg.solve(system[0], rhs[0])[None, :]
-        else:  # numpy reads a 2-d right-hand side as a matrix, so each speed's is a column
-            x = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    try:  # numpy reads a 2-d right-hand side as a matrix, so each speed's is a column
+        x = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         # slogdet runs the same LU, so it finds the speed whose zero pivot stopped the solve
         singular = np.linalg.slogdet(system)[1] == -np.inf

@@ -185,12 +185,16 @@ def _with_roots(roots, negative, positive):
     )
 
 
+def _poles(model, c):
+    return singular_values(model, c, "left"), singular_values(model, c, "right")
+
+
 def test_vectorised_gate_matches_loop(case_one):
     model, _cfg = case_one
     c = 0.1
     roots = solve_roots(model, c)
     _loop_gate(model, roots)
-    _verify_residuals(model, roots)
+    _verify_residuals(model, roots, *_poles(model, c))
     # nudge one right root off its zero: both gates must refuse it
     shifted = roots.positive_roots.copy()
     shifted[2] *= 1.0 + 1e-9
@@ -198,18 +202,18 @@ def test_vectorised_gate_matches_loop(case_one):
     with pytest.raises(BracketFailure):
         _loop_gate(model, bad)
     with pytest.raises(BracketFailure, match="side 'right'"):
-        _verify_residuals(model, bad)
+        _verify_residuals(model, bad, *_poles(model, c))
 
 
 def test_vectorised_gate_raises_singular_lambda(case_one):
     model, _cfg = case_one
     c = 0.1
     roots = solve_roots(model, c)
-    pole = float(singular_values(model, c, "left")[0])
+    poles = _poles(model, c)
     on_pole = roots.negative_roots.copy()
-    on_pole[0] = pole
+    on_pole[0] = float(poles[0][0])
     with pytest.raises(SingularLambda):
-        _verify_residuals(model, _with_roots(roots, on_pole, roots.positive_roots))
+        _verify_residuals(model, _with_roots(roots, on_pole, roots.positive_roots), *poles)
 
 
 def test_polish_bisects_entries_outside_their_brackets(case_one, caplog):

@@ -1,0 +1,114 @@
+"""End-to-end property test: from a random velocity model to checked waves.
+
+Each drawn model runs the chain that produces a reported wave: ``scan``,
+``refine_roots``, ``verify_root``, ``solve_modes`` and ``solve_N`` at every
+root.  Models are drawn as the velocity-sweep benchmark draws them
+(Gauss-Legendre sets, here of up to 32 velocities) and as
+``test_dispersion_property`` draws symmetric sets.  A typed failure of the
+scan or the refinement is an allowed outcome and is counted with
+``hypothesis.event``; every reported root must pass every check, and no
+exception may be untyped.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from chemowave import (
+    ChemParams,
+    build_model,
+    cutting_index,
+    evaluate_f_matrix,
+    expand_half_set,
+    refine_roots,
+    scan,
+    solve_modes,
+    solve_N,
+    verification_grid,
+    verify_root,
+)
+from chemowave.chemo_fields import N_MONOTONE_TOL
+from chemowave.errors import ChemowaveError
+
+MAX_LOCATION_TOL = 1e-6   # |argmax S| at a verified root, as in the case-study acceptance test
+MASS_REL_TOL = 1e-10      # unit mass of rho, recomputed from its modes
+
+
+def _params(alpha: float) -> ChemParams:
+    return ChemParams(d_s=0.5, d_n=1.0, alpha=alpha, beta=1.0, gamma=1.0)
+
+
+@st.composite
+def gauss_legendre_models(draw):
+    """A Gauss-Legendre model and parameters, drawn as the velocity-sweep benchmark draws them."""
+    n = draw(st.integers(min_value=2, max_value=32))
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    chi_s = draw(st.floats(0.1, 0.45))
+    chi_n = draw(st.floats(0.0, chi_s))
+    alpha = draw(st.sampled_from([0.5, 10.0]))
+    return (nodes, weights / weights.sum(), chi_s, chi_n), _params(alpha)
+
+
+@st.composite
+def symmetric_models(draw):
+    """A symmetric velocity set drawn as ``test_dispersion_property`` draws them, and parameters."""
+    k = draw(st.integers(min_value=2, max_value=40))
+    half_v = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k, unique=True))
+    half_w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    chi_s = draw(st.floats(0.05, 0.45, exclude_min=True, exclude_max=True))
+    chi_n = draw(st.floats(0.0, chi_s))
+    alpha = draw(st.sampled_from([0.5, 10.0]))
+    v, w = expand_half_set(sorted(half_v), list(half_w / (2.0 * half_w.sum())))
+    return (v, w, chi_s, chi_n), _params(alpha)
+
+
+def _check_root(model, params, c: float) -> None:
+    check = verify_root(model, params, c)
+    assert check.slope_sign_changes == 1
+    assert abs(check.maximum_location) < MAX_LOCATION_TOL
+
+    profile = solve_modes(model, c)  # runs the unit-mass and positivity checks itself
+    rho = profile.rho_modes()
+    mass = np.sum(rho.left_coefficients / rho.left_rates) + np.sum(rho.right_coefficients / rho.right_rates)
+    assert abs(mass - 1.0) < MASS_REL_TOL
+    assert np.all(evaluate_f_matrix(profile, verification_grid(profile)) > 0.0)
+
+    nfield = solve_N(rho, params, c, profile.halfwidth)
+    assert np.all(np.diff(nfield.values) >= -N_MONOTONE_TOL * np.max(nfield.values))
+    assert 0.0 < nfield.n_minus <= nfield.n_plus
+
+
+def _check_chain(drawn) -> None:
+    (v, w, chi_s, chi_n), params = drawn
+    try:
+        model = build_model(v, w, chi_s, chi_n)
+        curve = scan(model, params)
+        roots = refine_roots(curve, model, params)
+    except ChemowaveError as exc:  # allowed, and counted; anything else fails the test
+        event(f"typed failure: {type(exc).__name__}")
+        return
+    event(f"roots: {len(roots)}")
+
+    intervals = {seg.interval_id: seg for seg in curve.intervals}
+    assert len(roots) == len(curve.brackets)
+    for (interval_id, lo, hi, y_lo, y_hi), c in zip(curve.brackets, roots):
+        seg = intervals[interval_id]
+        assert seg.lo < lo < hi < seg.hi
+        assert cutting_index(model, lo) == cutting_index(model, hi)  # no velocity node in between
+        assert y_lo > 0.0 > y_hi
+        assert lo <= c <= hi
+        _check_root(model, params, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauss_legendre_models())
+def test_gauss_legendre_models_give_checked_waves(drawn):
+    _check_chain(drawn)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_models())
+def test_symmetric_models_give_checked_waves(drawn):
+    _check_chain(drawn)

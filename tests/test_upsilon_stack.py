@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import gc
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chemowave.dispersion as dispersion_mod
+import chemowave.velocity_model as velocity_model_mod
 import chemowave.wave_profile as wave_profile_mod
 import chemowave.wave_speed as wave_speed_mod
 from chemowave import ChemParams, admissible_speed_interval, build_model, scan, solve_modes, upsilon
@@ -43,6 +46,29 @@ def test_stack_must_lie_in_one_interval(case_one):
     node = 0.0848  # the one node below c_upper
     with pytest.raises(ValueError, match="one continuity interval"):
         upsilon(model, cfg.chem, np.array([0.5 * node, 1.5 * node]))
+
+
+def test_one_speed_upsilon_builds_each_sides_poles_once(case_one, monkeypatch):
+    """The residual gate reads the poles the dispersion solve built, and solve_modes solves one stack."""
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    singular_values = dispersion_mod.singular_values
+    side_rates = velocity_model_mod.side_rates
+    monkeypatch.setattr(dispersion_mod, "singular_values", counted("singular_values", singular_values))
+    for module in (dispersion_mod, wave_profile_mod, velocity_model_mod):
+        monkeypatch.setattr(module, "side_rates", counted("side_rates", side_rates))
+    model, cfg = case_one
+    upsilon(model, cfg.chem, 0.05)
+    # one set of poles per side; side rates for the confinement checks, the poles and the matching system
+    assert calls["singular_values"] == 2
+    assert calls["side_rates"] <= 6
 
 
 @st.composite

@@ -397,7 +397,10 @@ def _singular(x):
     "spoil,message",
     [
         (_singular, "singular"),
-        (lambda x: x * np.r_[1.0 + 1e-6, np.ones(x.size - 1)], "replaced matching equation violated"),
+        (
+            lambda x: x * np.r_[1.0 + 1e-6, np.ones(x.size - 1)].reshape(x.shape),
+            "replaced matching equation violated",
+        ),
         (lambda x: x * (1.0 + 1e-9), "normalized masses sum to"),
     ],
     ids=["singular", "one-coefficient", "whole-solution"],
