@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.signal import find_peaks
 
 from .chemo_fields import ChemParams
 from .errors import CFLViolation, InsufficientSamples, NegativeDensity
@@ -314,6 +313,22 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     )
 
 
+def _next_snapshot_time(next_snap: float, snap_dt: float, t: float) -> float:
+    """The first point of the schedule ``next_snap + k * snap_dt`` (k = 0, 1, ...) past ``t``, in O(1).
+
+    When ``t`` lies less than one ``snap_dt`` past ``next_snap`` this is
+    ``next_snap + snap_dt``.  A jump over many points is clamped to
+    ``(t, t + snap_dt]``, so rounding cannot leave it at or before ``t``; a
+    ``snap_dt`` below the spacing of doubles near ``t`` gives the next double,
+    and every step then takes a snapshot.
+    """
+    past = t * (1.0 + 1e-12)
+    if next_snap > past:
+        return next_snap
+    k = (past - next_snap) // snap_dt + 1.0  # inf if the ratio overflows
+    return max(min(next_snap + k * snap_dt, past + snap_dt), math.nextafter(past, math.inf))
+
+
 def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
     """Integrate to t_end, recording snapshots and the density-peak track.
 
@@ -353,8 +368,9 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
             continue
         if state.t >= next_snap * (1.0 - 1e-12) or state.t >= config.t_end * (1.0 - 1e-12):
             snapshots.append(snap(state))
-            while next_snap <= state.t * (1.0 + 1e-12):
-                next_snap += snap_dt
+            next_snap = _next_snapshot_time(next_snap, snap_dt, state.t)
+
+    from scipy.signal import find_peaks  # imported here: it loads scipy.stats, which nothing else needs
 
     rho_final = snapshots[-1].rho
     prominence = PEAK_PROMINENCE_FRACTION * (float(np.max(rho_final)) - float(np.min(rho_final)))

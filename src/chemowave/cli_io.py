@@ -261,6 +261,8 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         raise MissingKey("missing required section [model]")
     if "run" not in sections:
         raise MissingKey("missing required section [run]")
+    if "sim" in sections and "chem" not in sections:  # a SimConfig needs ChemParams
+        raise MissingKey("a [sim] section requires a [chem] section")
 
     run_sec = sections["run"]
     mode = run_sec["mode"] if mode is None else mode
@@ -279,7 +281,7 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         cfg = RunConfig(**sections["model"], **{**run_sec, "mode": mode}, chem=chem, sim=sim)
     with _section("model"):
         cfg.build_model()
-    if cfg.sim is not None and cfg.chem is not None:
+    if cfg.sim is not None:
         with _section("sim"):
             cfg.build_sim_config()
     return cfg

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dispersion import DispersionRoots, solve_roots
 from .errors import NonPositiveProfile, NullSpaceDimensionError, at_speed, raise_first
@@ -433,6 +432,8 @@ def duhamel_f(profile: WaveProfile, z: float, k: int, quadrature_step: float = 1
     and relative target ``quadrature_step``) used as an oracle for the mode
     expansion.  Works on either side of the origin.
     """
+    from scipy.integrate import quad  # imported here: only this oracle integrates numerically
+
     z = float(z)
     if z == 0.0:
         return float(profile.f_at_zero[k])

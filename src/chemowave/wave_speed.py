@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chemo_fields import ChemParams, locate_maximum, slope_sign_changes, solve_S
 from .errors import ChemowaveError, LostBracket, ResonantMode
@@ -191,6 +190,8 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     A bracket whose refinement fails raises :class:`LostBracket` rather than
     being dropped silently.
     """
+    from scipy.optimize import brentq  # imported here: the scan and upsilon never need it
+
     roots: list[float] = []
     residuals: list[float] = []
     for _interval_id, lo, hi, y_lo, y_hi in curve.brackets:

@@ -442,3 +442,39 @@ def test_one_model_build_per_loaded_config(configs_dir, monkeypatch):
     assert other.build_model().chi_n == 0.4 and cfg.build_model().chi_n == 0.45
     assert len(builds) == 2
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_sim_block_without_chem_is_a_missing_key(tmp_path, configs_dir, capsys):
+    # a SimConfig needs ChemParams, so a [sim] block without [chem] cannot be checked
+    text = (configs_dir / "sec4_2.ini").read_text()
+    text = re.sub(r"(?s)\[chem\].*?\n\n", "", text)
+    text = re.sub(r"(?m)^cells = .*$", "cells = 3", re.sub(r"(?m)^cfl = .*$", "cfl = 7", text))
+    assert "[chem]" not in text and "[sim]" in text
+    with pytest.raises(MissingKey, match=r"\[sim\] section requires a \[chem\] section"):
+        parse_config(text)
+    cfg_path = tmp_path / "no_chem.ini"
+    cfg_path.write_text(text)
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert "[sim] section requires a [chem] section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells,t_end,interval", [("64", "0.02", "1e-300"), ("256", "1", "1e-9")])
+def test_snapshot_interval_far_below_the_step_takes_one_snapshot_per_step(
+    cells, t_end, interval, tmp_path, configs_dir, capsys
+):
+    # stepping the schedule one interval at a time, 1e-300 never gets past t = 0.02
+    # and 1e-9 takes a billion steps to reach t = 1
+    text = (configs_dir / "sec4_2.ini").read_text()
+    for key, value in (("cells", cells), ("t_end", t_end), ("snapshot_interval", interval)):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    cfg_path = tmp_path / "fine.ini"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    dt = parse_config(text).build_sim_config().default_dt()
+    steps = int(np.ceil(float(t_end) / dt))
+    snapshots = sorted((tmp_path / "sim").glob("snapshot_*.csv"))
+    assert len(snapshots) == steps + 1
+    times = [float(p.read_text().split("# t=")[1].split("\n")[0]) for p in snapshots]
+    assert times[0] == 0.0 and np.all(np.diff(times) > 0.0)
+    assert times[-1] == pytest.approx(float(t_end), rel=1e-12)
