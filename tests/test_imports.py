@@ -25,13 +25,10 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
-deferred = {deferred!r}
-loaded = {{}}
+deferred, config, out = json.loads(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
 import chemowave
 from chemowave import cli_io
-loaded["import"] = [m for m in deferred if m in sys.modules]
-config = Path({config!r})
-out = Path({out!r})
+loaded = {"import": [m for m in deferred if m in sys.modules]}
 cfg, _hash = cli_io.load_config(config)
 profile = out / "profile.ini"
 profile.write_text(cli_io.format_config(replace(cfg, mode="profile", profile_speed=0.05246996633768716)))
@@ -46,10 +43,10 @@ print(json.dumps(loaded))
 
 
 def test_construction_loads_no_deferred_scipy_module(tmp_path, configs_dir):
-    script = PROBE.format(deferred=DEFERRED, config=str(configs_dir / "sec4_1.ini"), out=str(tmp_path))
+    argv = [json.dumps(DEFERRED), str(configs_dir / "sec4_1.ini"), str(tmp_path)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300, check=True
+        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=300, check=True
     )
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded["import"] == []
