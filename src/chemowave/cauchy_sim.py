@@ -377,7 +377,7 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
     peaks, _props = find_peaks(rho_final, prominence=max(prominence, np.finfo(float).tiny))
     peak_track = np.array([(s.t, float(x[int(np.argmax(s.rho))])) for s in snapshots])
     try:
-        speed, residual = measure_front_speed(peak_track, FIT_WINDOW_FRACTION)
+        speed, residual = measure_front_speed(peak_track)
     except InsufficientSamples:
         logger.warning("too few snapshots for a front-speed fit; diagnostics carry NaN")
         speed, residual = float("nan"), float("nan")
@@ -390,19 +390,15 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
     return state, diagnostics, snapshots
 
 
-def measure_front_speed(
-    peak_track: np.ndarray, window_fraction: float
-) -> tuple[float, float]:
-    """Least-squares speed of the peak over the trailing window of samples.
+def measure_front_speed(peak_track: np.ndarray) -> tuple[float, float]:
+    """Least-squares speed of the peak over the trailing ``FIT_WINDOW_FRACTION`` of samples.
 
     Returns (speed, rms residual of the linear fit).
     """
     track = np.asarray(peak_track, dtype=float)
     if track.ndim != 2 or track.shape[1] != 2:
         raise ValueError("peak_track must be an (n, 2) array of (t, x) pairs")
-    if not (0.0 < window_fraction <= 1.0):
-        raise ValueError("window_fraction must lie in (0, 1]")
-    n_window = int(np.ceil(window_fraction * track.shape[0]))
+    n_window = int(np.ceil(FIT_WINDOW_FRACTION * track.shape[0]))
     if n_window < 10:
         raise InsufficientSamples(
             f"need at least 10 samples in the fitting window, have {n_window}"

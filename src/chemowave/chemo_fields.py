@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 
 from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode, raise_first
 from .velocity_model import bisect_decreasing
-from .wave_profile import PiecewiseExponential, two_sided_grid
+from .wave_profile import GRID_POINTS_PER_SIDE, PiecewiseExponential, two_sided_grid
 
 logger = logging.getLogger(__name__)
 
@@ -60,24 +60,26 @@ class SField(PiecewiseExponential):
     z < 0: sum_j A_j exp(mu_j z) (mu_j > 0)  +  coef_minus * exp(theta_plus  z)
     z > 0: sum_j A_j exp(mu_j z) (mu_j < 0)  +  coef_plus  * exp(theta_minus z)
 
-    The homogeneous term is the last entry of each side's coefficients and rates.
-    Built by ``solve_S`` for a stack of speeds, every field carries a leading
-    axis of speeds, and only ``slope_at_zero`` is read from it.
+    The homogeneous term is the last entry of each side's coefficients and
+    rates, so ``theta_plus`` is ``left_rates[..., -1]`` and ``theta_minus`` is
+    ``-right_rates[..., -1]``.  Built by ``solve_S`` for a stack of speeds,
+    every field carries a leading axis of speeds, and only ``slope_at_zero``
+    is read from it.
     """
 
-    theta_plus: float | np.ndarray
-    theta_minus: float | np.ndarray
     slope_at_zero: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class NField:
-    """Nutrient profile on a uniform grid, normalized to N(+L) = 1."""
+    """Nutrient profile on a uniform grid, normalized to the far-field limit N_+ = 1.
+
+    ``n_minus`` is the left far-field level N(-L), in (0, 1].
+    """
 
     grid: np.ndarray
     values: np.ndarray
     n_minus: float
-    n_plus: float
 
     def __call__(self, z: float | np.ndarray) -> float | np.ndarray:
         return np.interp(z, self.grid, self.values, left=self.values[0], right=self.values[-1])
@@ -141,15 +143,13 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float | np.ndarray
         left_rates=np.concatenate([mu_left, theta_plus[..., None]], axis=-1),
         right_coefficients=np.concatenate([A_right, coef_plus[..., None]], axis=-1),
         right_rates=np.concatenate([rho.right_rates, -theta_minus[..., None]], axis=-1),
-        theta_plus=float(theta_plus) if c.ndim == 0 else theta_plus,
-        theta_minus=float(theta_minus) if c.ndim == 0 else theta_minus,
         slope_at_zero=float(slope) if c.ndim == 0 else slope,
     )
 
 
-def slope_sign_changes(sfield: SField, halfwidth: float, points_per_side: int = 2048) -> int:
+def slope_sign_changes(sfield: SField, halfwidth: float) -> int:
     """Count sign changes of S' on a two-sided logarithmic grid."""
-    s = np.sign(sfield.derivative(two_sided_grid(1e-8, halfwidth, halfwidth, points_per_side)))
+    s = np.sign(sfield.derivative(two_sided_grid(1e-8, halfwidth, halfwidth, GRID_POINTS_PER_SIDE)))
     s = s[s != 0.0]
     return int(np.sum(s[1:] != s[:-1]))
 
@@ -165,7 +165,7 @@ def locate_maximum(sfield: SField, halfwidth: float) -> float:
 
 
 def _n_system(
-    rho_vals: np.ndarray, params: ChemParams, c: float, h: float, boundary_value: float
+    rho_vals: np.ndarray, params: ChemParams, c: float, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Banded matrix (ab form) and rhs for the nutrient two-point problem."""
     n = rho_vals.size
@@ -198,7 +198,7 @@ def _n_system(
     # carry an O(exp(-c L / D)) truncation error, far above the tail scale.
     sub[-1] = 2.0 * d * inv_h2
     main[-1] = -2.0 * d * inv_h2 - 2.0 * c / h - c * c / d - params.gamma * rho_vals[-1]
-    rhs[-1] = -(2.0 * c / h + c * c / d) * boundary_value
+    rhs[-1] = -(2.0 * c / h + c * c / d)  # N_+ = 1
 
     ab = np.zeros((3, n))
     ab[0, 1:] = sup[:-1]
@@ -213,15 +213,14 @@ def solve_N(
     c: float,
     domain_halfwidth: float,
     cells: int = 4096,
-    boundary_value: float = 1.0,
 ) -> NField:
     """Finite-difference solve of -c N' - D_N N'' + gamma rho N = 0.
 
     Boundary conditions: N'(-L) = 0 (flat left tail) and the far-field limit
-    N(+inf) pinned to ``boundary_value`` through the integrated relation
-    D N' + c N = c N_+ at +L.  The equation is linear in N, so the pinned
-    limit is a pure normalization.  The profile must come out nondecreasing;
-    if it does not, the mesh is refined up to three times before giving up.
+    N(+inf) = N_+ = 1 through the integrated relation D N' + c N = c N_+ at
+    +L.  The equation is linear in N, so N_+ = 1 is a pure normalization.
+    The profile must come out nondecreasing with N(-L) in (0, 1]; if it is
+    not nondecreasing, the mesh is refined up to three times before giving up.
     """
     if not c > 0.0:
         raise NonPositiveSpeed(f"nutrient solve requires c > 0, got {c!r}")
@@ -231,17 +230,15 @@ def solve_N(
         grid = np.linspace(-domain_halfwidth, domain_halfwidth, n_cells + 1)
         h = grid[1] - grid[0]
         rho_vals = np.asarray(rho(grid), dtype=float)
-        ab, rhs = _n_system(rho_vals, params, c, h, boundary_value)
+        ab, rhs = _n_system(rho_vals, params, c, h)
         values = solve_banded((1, 1), ab, rhs)
         increments = np.diff(values)
         if np.all(increments >= -N_MONOTONE_TOL * np.max(np.abs(values))):
             n_minus = float(values[0])
-            # n_minus == boundary_value only in the consumption-free limit
-            if not (0.0 < n_minus <= boundary_value * (1.0 + N_MONOTONE_TOL)):
-                raise NonMonotoneN(
-                    f"far-field level {n_minus!r} outside (0, {boundary_value!r}]"
-                )
-            return NField(grid=grid, values=values, n_minus=n_minus, n_plus=float(boundary_value))
+            # n_minus == 1 only in the consumption-free limit
+            if not (0.0 < n_minus <= 1.0 + N_MONOTONE_TOL):
+                raise NonMonotoneN(f"far-field level {n_minus!r} outside (0, 1.0]")
+            return NField(grid=grid, values=values, n_minus=n_minus)
         if attempt < _MAX_N_REFINEMENTS:
             logger.warning(
                 "nutrient profile not monotone on %d cells; refining the mesh to %d cells",

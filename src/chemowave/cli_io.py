@@ -352,12 +352,10 @@ def emit_upsilon_csv(curve: UpsilonCurve, path: str | Path, config_hash: str | N
 def emit_speeds_summary(
     roots: list[float],
     path: str | Path,
-    residuals: list[float] | None = None,
+    residuals: list[float],
     config_hash: str | None = None,
 ) -> None:
-    """Write refined wave speeds; an empty list gets a status=no_wave footer."""
-    if residuals is None:
-        residuals = [float("nan")] * len(roots)
+    """Write refined wave speeds with their Upsilon residuals; an empty list gets a status=no_wave footer."""
     table = np.array(list(zip(roots, residuals)), dtype=float).reshape(-1, 2)
     foot = () if roots else ("# status=no_wave",)
     _write_csv(path, _header_lines(config_hash), "c,upsilon_residual", table, foot)

@@ -62,8 +62,6 @@ class DispersionRoots:
     cutting_index: int
     negative_roots: np.ndarray
     positive_roots: np.ndarray
-    negative_brackets: np.ndarray  # (m, 2) pole/zero bracket per root
-    positive_brackets: np.ndarray  # (p, 2)
 
     @property
     def slowest_negative(self) -> float:
@@ -82,8 +80,6 @@ class DispersionRoots:
             cutting_index=self.cutting_index,
             negative_roots=self.negative_roots[i],
             positive_roots=self.positive_roots[i],
-            negative_brackets=self.negative_brackets[i],
-            positive_brackets=self.positive_brackets[i],
         )
 
 
@@ -116,7 +112,7 @@ def _residual_vector(w: np.ndarray, poles: np.ndarray, lam: np.ndarray) -> np.nd
 
 
 def _bisect_brackets(
-    w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.ndarray, speeds: np.ndarray | None = None
+    w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.ndarray, speeds: np.ndarray
 ) -> np.ndarray:
     """Bisect every bracket simultaneously down to machine width.
 
@@ -139,8 +135,7 @@ def _bisect_brackets(
         nan = active & np.isnan(res)
         if nan.any():
             raise at_speed(
-                BracketFailure("dispersion residual evaluated to NaN inside a bracket"),
-                None if speeds is None else speeds[nan.argmax()],
+                BracketFailure("dispersion residual evaluated to NaN inside a bracket"), speeds[nan.argmax()]
             )
         go_up = active & (res < 0.0)
         go_dn = active & ~go_up
@@ -178,7 +173,7 @@ def _polish(
     lam: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    speeds: np.ndarray | None = None,
+    speeds: np.ndarray,
 ) -> np.ndarray:
     """Safeguarded Newton steps on every root, then bisection where needed.
 
@@ -186,8 +181,7 @@ def _polish(
     bracket (lo, hi); the residual is strictly increasing there, so that
     bracket holds exactly one root.  Entries still outside their bracket
     after the polish are bisected inside it.  ``lam``, ``lo`` and ``hi`` are
-    (roots,) with ``poles`` (n,), or (speeds, roots) with ``poles`` (speeds,
-    n) and the stack's ``speeds``.
+    (speeds, roots), with ``poles`` (speeds, n) at the stack's ``speeds``.
     """
     lam = lam.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -204,18 +198,10 @@ def _polish(
             int(np.count_nonzero(outside)),
             lam.size,
         )
-        rows = np.broadcast_to(poles[..., None, :], outside.shape + poles.shape[-1:])[outside]
-        per_root = None if speeds is None else np.broadcast_to(speeds[:, None], outside.shape)[outside]
+        rows = np.broadcast_to(poles[:, None, :], outside.shape + poles.shape[-1:])[outside]
+        per_root = np.broadcast_to(speeds[:, None], outside.shape)[outside]
         lam[outside] = _bisect_brackets(w, rows, lo[outside], hi[outside], per_root)
     return lam
-
-
-def _brackets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The (lo, hi) pairs as a trailing axis of length 2."""
-    out = np.empty(lo.shape + (2,))
-    out[..., 0] = lo
-    out[..., 1] = hi
-    return out
 
 
 def _check_pole_separation(poles_sorted: np.ndarray, speeds: np.ndarray) -> None:
@@ -248,12 +234,17 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
     check runs on every speed, and the result carries a leading axis of
     speeds.  Each root is bit-identical to its one-speed value.  A failed
     check raises for the first speed that fails it (see ``raise_first``).
+    An empty stack, or one that spans two intervals, raises ValueError.
+
+    Every root passes the residual gate of :func:`_verify_side`, left side
+    then right side: :class:`SingularLambda` on a pole collision, else
+    :class:`BracketFailure`.
     """
     speeds = np.atleast_1d(np.asarray(c, dtype=float))
     j = cutting_index(model, speeds)  # raises on node collision
+    if j.size == 0 or (j != j[0]).any():
+        raise ValueError("a stack of speeds must be nonempty and lie in one continuity interval")
     j_cut = int(j[0])
-    if (j != j_cut).any():
-        raise ValueError("a stack of speeds must lie in one continuity interval")
     raise_first(
         mean_run_length(model, speeds, "left") <= 0.0,
         speeds,
@@ -271,7 +262,7 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
 
     w = model.weights
     m = j_cut + 1                 # velocities below c
-    if m == 0 or m == model.n_active:
+    if m == 0 or m == model.n_active:  # also reached by a NaN speed, which fails no check above
         raise_first(
             np.ones(speeds.shape, dtype=bool),
             speeds,
@@ -295,22 +286,20 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
     lo = neg_poles
     hi = np.concatenate([neg_poles[:, 1:], zeros], axis=1)
     negative_roots = _polish(w, poles_left, eig_left[:, :m], lo, hi, speeds)
-    negative_brackets = _brackets(lo, hi)
 
     lo = np.concatenate([zeros, pos_poles[:, :-1]], axis=1)
     hi = pos_poles
     positive_roots = _polish(w, poles_right, eig_right[:, m - 1 :], lo, hi, speeds)
-    positive_brackets = _brackets(lo, hi)
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _verify_side(model, speeds, "left", poles_left, negative_roots)
+        _verify_side(model, speeds, "right", poles_right, positive_roots)
     roots = DispersionRoots(
         c=speeds,
         cutting_index=j_cut,
         negative_roots=negative_roots,
         positive_roots=positive_roots,
-        negative_brackets=negative_brackets,
-        positive_brackets=positive_brackets,
     )
-    _verify_residuals(model, roots, poles_left, poles_right)
     return roots if np.ndim(c) else roots.speed(0)
 
 
@@ -320,30 +309,19 @@ def residual_scale(model: VelocityModel, c: float, lam: float, side: str) -> flo
     return float(np.max(np.abs(model.weights / (poles - lam))))
 
 
-def _verify_residuals(
-    model: VelocityModel, roots: DispersionRoots, poles_left: np.ndarray, poles_right: np.ndarray
-) -> None:
-    """Residual gate on every root, all roots of a side at once, at the poles the solve used.
-
-    ``poles_left`` / ``poles_right`` are each side's ``singular_values`` at ``roots.c``.
-    Raises for the first failing root in the order left then right,
-    ascending: :class:`SingularLambda` on a pole collision, else
-    :class:`BracketFailure` when |residual| exceeds ``RESIDUAL_REL_TOL``
-    times the largest term (the checks of :func:`dispersion_residual` and
-    :func:`residual_scale`).  On a stack each side is checked for every
-    speed before the next side, and the first speed with a failing root
-    raises.
-    """
-    speeds = np.atleast_1d(roots.c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _verify_side(model, speeds, "left", poles_left, np.atleast_2d(roots.negative_roots))
-        _verify_side(model, speeds, "right", poles_right, np.atleast_2d(roots.positive_roots))
-
-
 def _verify_side(
     model: VelocityModel, speeds: np.ndarray, side: str, poles: np.ndarray, lams: np.ndarray
 ) -> None:
-    poles = np.atleast_2d(poles)[:, None, :]
+    """Residual gate on every root of one side, at the poles the solve used.
+
+    ``poles`` (speeds, n) is the side's ``singular_values`` at ``speeds`` and
+    ``lams`` (speeds, roots) its roots.  Raises for the first speed with a
+    failing root, and names its first failing root in ascending order:
+    :class:`SingularLambda` on a pole collision, else :class:`BracketFailure`
+    when |residual| exceeds ``RESIDUAL_REL_TOL`` times the largest term (the
+    checks of :func:`dispersion_residual` and :func:`residual_scale`).
+    """
+    poles = poles[:, None, :]
     gap = poles - lams[:, :, None]
     singular = (np.abs(gap) <= 4.0 * _EPS * np.abs(poles)).any(axis=2)
     terms = model.weights / gap

@@ -13,21 +13,21 @@ from collections.abc import Callable
 class ChemowaveError(Exception):
     """Base class for every error raised by this package.
 
-    ``c`` is the wave speed whose check failed when the check ran on a stack
-    of speeds (see :func:`raise_first` and :func:`at_speed`), else None.
+    ``c`` is the wave speed whose check failed, for the checks that run per
+    speed (see :func:`raise_first` and :func:`at_speed`), else None.
     """
 
     c: float | None = None
 
 
-def at_speed(exc: ChemowaveError, c: float | None) -> ChemowaveError:
+def at_speed(exc: ChemowaveError, c: float) -> ChemowaveError:
     """``exc`` with the wave speed it belongs to recorded as ``exc.c``.
 
     Raise the returned error directly: a local name bound to an error in the
     raising frame makes a reference cycle through its traceback, and the
     frame's arrays then live until the cyclic garbage collector runs.
     """
-    exc.c = None if c is None else float(c)
+    exc.c = float(c)
     return exc
 
 

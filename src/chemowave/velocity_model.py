@@ -67,10 +67,6 @@ class TumblingRates:
     def max_rate(self) -> float:
         return max(self.t_mm, self.t_mp, self.t_pm, self.t_pp)
 
-    @property
-    def min_rate(self) -> float:
-        return min(self.t_mm, self.t_mp, self.t_pm, self.t_pp)
-
 
 @dataclass(frozen=True)
 class VelocityModel:

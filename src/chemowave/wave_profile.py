@@ -35,6 +35,7 @@ MATCHING_REL_TOL = 1e-10
 MASS_TOL = 1e-12
 GRID_INNER = 1e-6        # delta_z of the verification grid
 GRID_DECADES = 40.0      # grid spans [delta_z, GRID_DECADES / slowest rate]
+GRID_POINTS_PER_SIDE = 2048  # verification grid and S' sign-change count, per half-line
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -381,7 +382,9 @@ def two_sided_grid(inner: float, left: float, right: float, points_per_side: int
 def verification_grid(profile: WaveProfile) -> np.ndarray:
     """Logarithmic two-sided grid spanning the matching layer and the tails."""
     roots = profile.roots
-    return two_sided_grid(GRID_INNER, GRID_DECADES / roots.slowest_negative, GRID_DECADES / roots.slowest_positive, 2048)
+    return two_sided_grid(
+        GRID_INNER, GRID_DECADES / roots.slowest_negative, GRID_DECADES / roots.slowest_positive, GRID_POINTS_PER_SIDE
+    )
 
 
 def evaluate_f_matrix(profile: WaveProfile, z: np.ndarray) -> np.ndarray:

@@ -61,9 +61,6 @@ class UpsilonCurve:
     def samples(self) -> list[tuple[float, float]]:
         return [(float(c), float(y)) for seg in self.intervals for c, y in zip(seg.c, seg.upsilon)]
 
-    def max_abs_upsilon(self) -> float:
-        return max(abs(y) for _c, y in self.samples)
-
 
 def upsilon(model: VelocityModel, params: ChemParams, c: float | np.ndarray) -> float | np.ndarray:
     """Slope of the chemoattractant at the origin for the profile at speed c.
@@ -96,7 +93,7 @@ def _upsilon_once(model: VelocityModel, params: ChemParams, c: float | np.ndarra
         profile = solve_modes(model, c)
         sfield = solve_S(profile.rho_modes(), params, c)
     except ChemowaveError as exc:  # type(exc) keeps ResonantMode catchable by the retry
-        raise type(exc)(f"at c={c if np.ndim(c) == 0 else exc.c!r}: {exc}") from exc
+        raise type(exc)(f"at c={exc.c!r}: {exc}") from exc
     return sfield.slope_at_zero
 
 

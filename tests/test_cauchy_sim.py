@@ -19,7 +19,7 @@ from chemowave import (
     total_mass,
 )
 import chemowave.cauchy_sim as cauchy_sim_mod
-from chemowave.cauchy_sim import SIGN_DEADZONE, SimState, cell_centers
+from chemowave.cauchy_sim import FIT_WINDOW_FRACTION, SIGN_DEADZONE, SimState, cell_centers
 from chemowave.errors import CFLViolation, InsufficientSamples, NegativeDensity
 
 
@@ -291,19 +291,21 @@ def test_measure_front_speed_linear_fit():
     t = np.linspace(0.0, 50.0, 120)
     dx2 = 0.05
     track = np.column_stack([t, 0.15 * t + rng.normal(0.0, dx2, t.size)])
-    speed, residual = measure_front_speed(track, 0.5)
+    assert FIT_WINDOW_FRACTION == 0.5  # the fit uses the trailing half of the track
+    speed, residual = measure_front_speed(track)
     assert speed == pytest.approx(0.15, abs=2.0 * dx2 / 25.0)
     assert residual < 3.0 * dx2
 
     flat = np.column_stack([t, np.full(t.size, 3.0)])
-    speed, residual = measure_front_speed(flat, 1.0)
+    speed, residual = measure_front_speed(flat)
     assert speed == pytest.approx(0.0, abs=1e-14)
     assert residual == pytest.approx(0.0, abs=1e-14)
 
+    # half of 18 samples is 9, one short of the 10 a fit needs; half of 19 rounds up to 10
     with pytest.raises(InsufficientSamples):
-        measure_front_speed(track[:5], 1.0)
-    with pytest.raises(InsufficientSamples):
-        measure_front_speed(track, 0.05)
+        measure_front_speed(track[:18])
+    for n in (19, 20):
+        assert np.isfinite(measure_front_speed(track[:n])[0])
 
 
 def test_run_produces_snapshots_and_diagnostics(case_two):

@@ -139,7 +139,7 @@ def test_emitted_floats_roundtrip(tmp_path):
 
 def test_speeds_summary_no_wave_footer(tmp_path):
     path = tmp_path / "speeds.csv"
-    emit_speeds_summary([], path)
+    emit_speeds_summary([], path, [])
     content = path.read_text().splitlines()
     assert content[-1] == "# status=no_wave"
     assert "c,upsilon_residual" in content

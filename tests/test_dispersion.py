@@ -14,10 +14,9 @@ from chemowave import (
 )
 from chemowave.dispersion import (
     RESIDUAL_REL_TOL,
-    DispersionRoots,
     _bisect_brackets,
     _polish,
-    _verify_residuals,
+    _verify_side,
     residual_scale,
 )
 from chemowave.errors import (
@@ -36,6 +35,17 @@ def _cases(case_one, case_two, case_three):
         "two": case_two[0],
         "three": case_three[0],
     }
+
+
+def _brackets(model, c, side):
+    """(lo, hi) of each root's exact bracket, from the sorted poles of its side and 0."""
+    m = int(np.sum(model.velocities < c))
+    poles = singular_values(model, c, side)
+    if side == "left":
+        neg = np.sort(poles[:m])
+        return neg, np.append(neg[1:], 0.0)
+    pos = np.sort(poles[m:])
+    return np.insert(pos[:-1], 0, 0.0), pos
 
 
 def test_two_velocity_closed_form(two_velocity_model):
@@ -95,9 +105,8 @@ def test_interlacing_is_strict(case_one):
 def test_monotone_residual_orientation(case_one):
     model, _cfg = case_one
     c = 0.1
-    roots = solve_roots(model, c)
-    for side, brackets in (("left", roots.negative_brackets), ("right", roots.positive_brackets)):
-        for lo, hi in brackets:
+    for side in ("left", "right"):
+        for lo, hi in zip(*_brackets(model, c, side)):
             width = hi - lo
             assert dispersion_residual(model, c, lo + 1e-9 * width, side) < 0.0
             assert dispersion_residual(model, c, hi - 1e-9 * width, side) > 0.0
@@ -158,6 +167,14 @@ def test_inadmissible_speeds_rejected(case_one):
         solve_roots(model, 0.0848)
 
 
+def test_nan_speed_is_not_admissible(case_one):
+    # NaN fails neither confinement check and sorts above every node, so it
+    # reaches the "all relative velocities share one sign" refusal.
+    model, _cfg = case_one
+    with pytest.raises(SpeedNotAdmissible, match="c=nan: all relative velocities share one sign"):
+        solve_roots(model, float("nan"))
+
+
 def test_coincident_singular_values_raise():
     v = 0.5 * (1.0 + 4e-16)
     model = build_model([-v, -0.5, 0.5, v], [0.25, 0.25, 0.25, 0.25], 0.3, 0.15)
@@ -165,68 +182,57 @@ def test_coincident_singular_values_raise():
         solve_roots(model, 0.1)
 
 
-def _loop_gate(model, roots):
+def _loop_gate(model, c, side, lams):
     """Per-root reference for the vectorised residual gate."""
-    for side, lams in (("left", roots.negative_roots), ("right", roots.positive_roots)):
-        for lam in lams:
-            res = dispersion_residual(model, roots.c, float(lam), side)
-            if abs(res) > RESIDUAL_REL_TOL * residual_scale(model, roots.c, float(lam), side):
-                raise BracketFailure(f"root {lam!r} on side {side!r}")
+    for lam in lams:
+        res = dispersion_residual(model, c, float(lam), side)
+        if abs(res) > RESIDUAL_REL_TOL * residual_scale(model, c, float(lam), side):
+            raise BracketFailure(f"root {lam!r} on side {side!r}")
 
 
-def _with_roots(roots, negative, positive):
-    return DispersionRoots(
-        c=roots.c,
-        cutting_index=roots.cutting_index,
-        negative_roots=np.asarray(negative, dtype=float),
-        positive_roots=np.asarray(positive, dtype=float),
-        negative_brackets=roots.negative_brackets,
-        positive_brackets=roots.positive_brackets,
-    )
-
-
-def _poles(model, c):
-    return singular_values(model, c, "left"), singular_values(model, c, "right")
+def _gate(model, c, side, lams):
+    """The vectorised residual gate of solve_roots, on one speed's roots of one side."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _verify_side(model, np.array([c]), side, singular_values(model, np.array([c]), side), lams[None, :])
 
 
 def test_vectorised_gate_matches_loop(case_one):
     model, _cfg = case_one
     c = 0.1
     roots = solve_roots(model, c)
-    _loop_gate(model, roots)
-    _verify_residuals(model, roots, *_poles(model, c))
+    for side, lams in (("left", roots.negative_roots), ("right", roots.positive_roots)):
+        _loop_gate(model, c, side, lams)
+        _gate(model, c, side, lams)
     # nudge one right root off its zero: both gates must refuse it
     shifted = roots.positive_roots.copy()
     shifted[2] *= 1.0 + 1e-9
-    bad = _with_roots(roots, roots.negative_roots, shifted)
     with pytest.raises(BracketFailure):
-        _loop_gate(model, bad)
+        _loop_gate(model, c, "right", shifted)
     with pytest.raises(BracketFailure, match="side 'right'"):
-        _verify_residuals(model, bad, *_poles(model, c))
+        _gate(model, c, "right", shifted)
 
 
 def test_vectorised_gate_raises_singular_lambda(case_one):
     model, _cfg = case_one
     c = 0.1
-    roots = solve_roots(model, c)
-    poles = _poles(model, c)
-    on_pole = roots.negative_roots.copy()
-    on_pole[0] = float(poles[0][0])
+    on_pole = solve_roots(model, c).negative_roots.copy()
+    on_pole[0] = float(singular_values(model, c, "left")[0])
     with pytest.raises(SingularLambda):
-        _verify_residuals(model, _with_roots(roots, on_pole, roots.positive_roots), *poles)
+        _gate(model, c, "left", on_pole)
 
 
 def test_polish_bisects_entries_outside_their_brackets(case_one, caplog):
     model, _cfg = case_one
     c = 0.1
+    speeds = np.array([c])
     roots = solve_roots(model, c)
-    poles = singular_values(model, c, "right")
-    lo, hi = roots.positive_brackets[:, 0], roots.positive_brackets[:, 1]
+    poles = singular_values(model, speeds, "right")
+    lo, hi = _brackets(model, c, "right")
     guess = roots.positive_roots.copy()
     guess[1] = hi[1]  # on a pole: the Newton step is undefined there
     with caplog.at_level(logging.DEBUG, logger="chemowave.dispersion"):
-        polished = _polish(model.weights, poles, guess, lo, hi)
+        polished = _polish(model.weights, poles, guess[None, :], lo[None, :], hi[None, :], speeds)[0]
     assert "1 of %d dispersion roots" % guess.size in caplog.text
-    assert polished[1] == _bisect_brackets(model.weights, poles, lo[1:2], hi[1:2])[0]
+    assert polished[1] == _bisect_brackets(model.weights, poles, lo[1:2], hi[1:2], speeds)[0]
     keep = np.arange(guess.size) != 1
     np.testing.assert_allclose(polished[keep], roots.positive_roots[keep], rtol=1e-14)

@@ -59,17 +59,24 @@ def _rounding_bound(w: np.ndarray, poles: np.ndarray, lam: np.ndarray) -> np.nda
     return np.finfo(float).eps * (np.abs(inv) @ w) / ((inv * inv) @ w)
 
 
+def _brackets(poles: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of each root's exact bracket: consecutive sorted poles of the side, and 0."""
+    if side == "left":
+        neg = np.sort(poles[:m])
+        return neg, np.append(neg[1:], 0.0)
+    pos = np.sort(poles[m:])
+    return np.insert(pos[:-1], 0, 0.0), pos
+
+
 def _check_roots(model, c: float) -> None:
     roots = solve_roots(model, c)
     w = model.weights
-    for side, lams, brackets in (
-        ("left", roots.negative_roots, roots.negative_brackets),
-        ("right", roots.positive_roots, roots.positive_brackets),
-    ):
-        lo, hi = brackets[:, 0], brackets[:, 1]
-        assert np.all((lo < lams) & (lams < hi))
+    m = int(np.sum(model.velocities < c))
+    for side, lams in (("left", roots.negative_roots), ("right", roots.positive_roots)):
         poles = singular_values(model, c, side)
-        reference = _bisect_brackets(w, poles, lo, hi)
+        lo, hi = _brackets(poles, m, side)
+        assert np.all((lo < lams) & (lams < hi))
+        reference = _bisect_brackets(w, poles, lo, hi, np.full(lo.size, c))
         tol = AGREEMENT_REL * np.abs(reference) + ROUNDING_FACTOR * _rounding_bound(w, poles, reference)
         assert np.all(np.abs(lams - reference) <= tol)
 

@@ -77,7 +77,7 @@ def _check_root(model, params, c: float) -> None:
 
     nfield = solve_N(rho, params, c, profile.halfwidth)
     assert np.all(np.diff(nfield.values) >= -N_MONOTONE_TOL * np.max(nfield.values))
-    assert 0.0 < nfield.n_minus <= nfield.n_plus
+    assert 0.0 < nfield.n_minus <= 1.0
 
 
 def _check_chain(drawn) -> None:

@@ -21,7 +21,14 @@ import chemowave.velocity_model as velocity_model_mod
 import chemowave.wave_profile as wave_profile_mod
 import chemowave.wave_speed as wave_speed_mod
 from chemowave import ChemParams, admissible_speed_interval, build_model, scan, solve_modes, upsilon
-from chemowave.errors import BracketFailure, ChemowaveError, NonPositiveProfile, ResonantMode, raise_first
+from chemowave.errors import (
+    BracketFailure,
+    ChemowaveError,
+    NonPositiveProfile,
+    ResonantMode,
+    SpeedOnVelocityNode,
+    raise_first,
+)
 
 CASES = ["case_one", "case_two", "case_three"]
 
@@ -46,6 +53,21 @@ def test_stack_must_lie_in_one_interval(case_one):
     node = 0.0848  # the one node below c_upper
     with pytest.raises(ValueError, match="one continuity interval"):
         upsilon(model, cfg.chem, np.array([0.5 * node, 1.5 * node]))
+
+
+def test_empty_stack_raises_value_error(case_one):
+    model, cfg = case_one
+    with pytest.raises(ValueError, match="nonempty"):
+        upsilon(model, cfg.chem, np.array([]))
+    with pytest.raises(ValueError, match="nonempty"):
+        solve_modes(model, np.array([]))
+
+
+def test_numpy_scalar_speed_is_named_as_a_float(case_one):
+    model, cfg = case_one
+    with pytest.raises(SpeedOnVelocityNode) as info:
+        upsilon(model, cfg.chem, np.float64(0.0848))
+    assert str(info.value) == "at c=0.0848: speed c=0.0848 collides with a velocity node"
 
 
 def test_one_speed_upsilon_builds_each_sides_poles_once(case_one, monkeypatch):

@@ -129,7 +129,7 @@ def test_rate_ordering_and_positivity(chi_s, chi_n):
     if chi_n > chi_s:
         pytest.skip("ordering assumes chi_n <= chi_s")
     r = TumblingRates.from_sensitivities(chi_s, chi_n)
-    assert r.min_rate > 0
+    assert min(r.t_mm, r.t_mp, r.t_pm, r.t_pp) > 0
     assert r.t_mp <= r.t_pm <= r.t_pp <= r.t_mm
 
 
