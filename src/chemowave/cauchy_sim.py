@@ -14,10 +14,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .chemo_fields import ChemParams
 from .errors import CFLViolation, InsufficientSamples, NegativeDensity
@@ -225,8 +224,17 @@ def _scale_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
 
 
 @lru_cache(maxsize=8)
-def _diffusion_factors(n_cells: int, r: float) -> tuple[np.ndarray, ...]:
-    """LU factors (dgttrf) of the tridiagonal I - r * Laplacian with no-flux walls."""
+def _diffusion_solver(n_cells: int, r: float) -> partial:
+    """LAPACK dgttrs bound to the LU factors (dgttrf) of I - r * Laplacian with no-flux walls.
+
+    Called as ``solver(rhs, overwrite_b=True)``.  The nutrient profile's one
+    solve per run uses ``chemo_fields.solve_tridiagonal``, a Python port of
+    dgtsv, so that the construction needs no scipy; the simulation solves
+    twice per step for thousands of steps, where that loop would double the
+    step, so it keeps LAPACK and imports it on its first factorization.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     diag = np.full(n_cells, 1.0 + 2.0 * r)
     diag[0] = diag[-1] = 1.0 + r
     dl, d, du, du2, ipiv, info = dgttrf(np.full(n_cells - 1, -r), diag, np.full(n_cells - 1, -r))
@@ -234,7 +242,7 @@ def _diffusion_factors(n_cells: int, r: float) -> tuple[np.ndarray, ...]:
         raise np.linalg.LinAlgError(f"dgttrf failed with info={info} for r={r!r}")
     for factor in (dl, d, du, du2, ipiv):
         factor.flags.writeable = False  # shared by every step with this dt
-    return dl, d, du, du2, ipiv
+    return partial(dgttrs, dl, d, du, du2, ipiv)
 
 
 def _solve_diffusion(r: float, rhs: np.ndarray) -> np.ndarray:
@@ -244,7 +252,7 @@ def _solve_diffusion(r: float, rhs: np.ndarray) -> np.ndarray:
     dt: the bits of x are those of solve_banded's gtsv, which factors and
     solves in one call.
     """
-    return dgttrs(*_diffusion_factors(rhs.size, r), rhs, overwrite_b=True)[0]
+    return _diffusion_solver(rhs.size, r)(rhs, overwrite_b=True)[0]
 
 
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:

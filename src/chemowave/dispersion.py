@@ -318,8 +318,11 @@ def _verify_side(
     ``lams`` (speeds, roots) its roots.  Raises for the first speed with a
     failing root, and names its first failing root in ascending order:
     :class:`SingularLambda` on a pole collision, else :class:`BracketFailure`
-    when |residual| exceeds ``RESIDUAL_REL_TOL`` times the largest term (the
-    checks of :func:`dispersion_residual` and :func:`residual_scale`).
+    when |r(lambda)| exceeds ``RESIDUAL_REL_TOL`` times the largest term plus
+    eps |lambda| r'(lambda).  The second term is what rounding lambda to a
+    double can leave (the ``|tau| (psi' + phi')`` of LAPACK dlaed4's stopping
+    test): near a pole it exceeds the first, and a correctly rounded root
+    would fail without it.
     """
     poles = poles[:, None, :]
     gap = poles - lams[:, :, None]
@@ -327,7 +330,9 @@ def _verify_side(
     terms = model.weights / gap
     res = terms.sum(axis=2)
     scale = np.abs(terms).max(axis=2)
-    failed = singular | (np.abs(res) > RESIDUAL_REL_TOL * scale)
+    slope = (terms / gap).sum(axis=2)  # r'(lambda) = sum_k w_k / (p_k - lambda)^2
+    bound = RESIDUAL_REL_TOL * scale + _EPS * np.abs(lams) * slope
+    failed = singular | (np.abs(res) > bound)
 
     def refused(i: int):
         k = int(np.argmax(failed[i]))
@@ -336,7 +341,8 @@ def _verify_side(
             return SingularLambda(f"lambda={lam!r} coincides with a singular value on side {side!r}")
         return BracketFailure(
             f"root {lam!r} on side {side!r} has residual {float(res[i, k])!r} "
-            f"above {RESIDUAL_REL_TOL} * {float(scale[i, k])!r}"
+            f"above {RESIDUAL_REL_TOL} * {float(scale[i, k])!r} + eps * |lambda| * "
+            f"{float(slope[i, k])!r}"
         )
 
     raise_first(failed.any(axis=1), speeds, refused)

@@ -10,6 +10,8 @@ across a node are jump discontinuities, never roots.
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +95,19 @@ def _upsilon_once(model: VelocityModel, params: ChemParams, c: float | np.ndarra
         profile = solve_modes(model, c)
         sfield = solve_S(profile.rho_modes(), params, c)
     except ChemowaveError as exc:  # type(exc) keeps ResonantMode catchable by the retry
-        raise type(exc)(f"at c={exc.c!r}: {exc}") from exc
+        raise _at_its_speed(exc) from exc
     return sfield.slope_at_zero
+
+
+def _at_its_speed(exc: ChemowaveError) -> ChemowaveError:
+    """A fresh error of the type of ``exc``, naming its speed and carrying it as ``c``.
+
+    Built here rather than in the ``except`` clause, so that no frame the
+    error's traceback holds binds the error itself (see ``errors.at_speed``).
+    """
+    error = type(exc)(f"at c={exc.c!r}: {exc}")
+    error.c = exc.c
+    return error
 
 
 def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
@@ -187,8 +200,6 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     A bracket whose refinement fails raises :class:`LostBracket` rather than
     being dropped silently.
     """
-    from scipy.optimize import brentq  # imported here: the scan and upsilon never need it
-
     roots: list[float] = []
     residuals: list[float] = []
     for _interval_id, lo, hi, y_lo, y_hi in curve.brackets:
@@ -209,6 +220,75 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
         residuals.append(float(memo[root]))  # brentq returns a point it has evaluated
     curve.root_residuals = residuals
     return roots
+
+
+def brentq(
+    f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
+) -> float:
+    """A root of ``f`` in ``[xa, xb]`` by Brent's method, as ``scipy.optimize.brentq``.
+
+    A line-for-line port of scipy's ``brentq.c``: the same operations in the
+    same order and the same stopping test ``|xblk - xcur| / 2 < (xtol + rtol
+    |xcur|) / 2``, so it evaluates ``f`` at the same points and returns the
+    same bits.  As scipy's wrapper does, it raises ValueError when ``f``
+    returns NaN or ``f(xa)`` and ``f(xb)`` share a sign, and RuntimeError
+    after ``maxiter`` iterations without convergence.  Kept in the package
+    so that the construction runs on numpy alone.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    # f is never NaN and a zero value returns at once, so the C code's
+    # signbit(a) != signbit(b) is (a < 0) != (b < 0) below
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # C's MIN
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ import chemowave.chemo_fields as chemo_fields_mod
 from chemowave.errors import NonMonotoneN, NonPositiveSpeed, ResonantMode
 from chemowave.wave_profile import two_sided_grid
 
+SOLVE_TRIDIAGONAL = chemo_fields_mod.solve_tridiagonal  # the solver the spoiled solves wrap
+
 
 def _one_sided_mode(rate: float) -> PiecewiseExponential:
     return PiecewiseExponential(
@@ -263,14 +265,14 @@ def test_nutrient_mesh_refinement_is_logged(monkeypatch, caplog):
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
     calls = []
 
-    def solve_with_dip(l_and_u, ab, rhs):
-        values = solve_banded(l_and_u, ab, rhs)
+    def solve_with_dip(ab, rhs):
+        values = SOLVE_TRIDIAGONAL(ab, rhs)
         calls.append(values.size)
         if len(calls) == 1:
             values[values.size // 2] -= 0.5
         return values
 
-    monkeypatch.setattr(chemo_fields_mod, "solve_banded", solve_with_dip)
+    monkeypatch.setattr(chemo_fields_mod, "solve_tridiagonal", solve_with_dip)
     with caplog.at_level(logging.WARNING, logger="chemowave.chemo_fields"):
         nfield = solve_N(_symmetric_mode(1.3), params, 0.2, 30.0, cells=256)
     assert calls == [257, 513]
@@ -287,13 +289,13 @@ def test_nutrient_dip_on_every_mesh_raises(case_one, chem_default, monkeypatch, 
     profile = solve_modes(model, 0.05)
     calls = []
 
-    def solve_with_dip(l_and_u, ab, rhs):
-        values = solve_banded(l_and_u, ab, rhs)
+    def solve_with_dip(ab, rhs):
+        values = SOLVE_TRIDIAGONAL(ab, rhs)
         calls.append(values.size)
         values[values.size // 2] -= 0.5
         return values
 
-    monkeypatch.setattr(chemo_fields_mod, "solve_banded", solve_with_dip)
+    monkeypatch.setattr(chemo_fields_mod, "solve_tridiagonal", solve_with_dip)
     with caplog.at_level(logging.WARNING, logger="chemowave.chemo_fields"):
         with pytest.raises(NonMonotoneN, match="not monotone after mesh refinement"):
             solve_N(profile.rho_modes(), chem_default, 0.05, profile.halfwidth, cells=256)
@@ -306,8 +308,6 @@ def test_nutrient_far_field_level_below_zero_raises(case_one, chem_default, monk
     # a shifted solve stays monotone, but its far-field level N(-L) is negative
     model, _cfg = case_one
     profile = solve_modes(model, 0.05)
-    monkeypatch.setattr(
-        chemo_fields_mod, "solve_banded", lambda l_and_u, ab, rhs: solve_banded(l_and_u, ab, rhs) - 2.0
-    )
+    monkeypatch.setattr(chemo_fields_mod, "solve_tridiagonal", lambda ab, rhs: SOLVE_TRIDIAGONAL(ab, rhs) - 2.0)
     with pytest.raises(NonMonotoneN, match="far-field level"):
         solve_N(profile.rho_modes(), chem_default, 0.05, profile.halfwidth, cells=256)

@@ -184,9 +184,11 @@ def test_coincident_singular_values_raise():
 
 def _loop_gate(model, c, side, lams):
     """Per-root reference for the vectorised residual gate."""
+    poles = singular_values(model, c, side)
     for lam in lams:
         res = dispersion_residual(model, c, float(lam), side)
-        if abs(res) > RESIDUAL_REL_TOL * residual_scale(model, c, float(lam), side):
+        rounding = np.finfo(float).eps * abs(lam) * float(np.sum(model.weights / (poles - lam) ** 2))
+        if abs(res) > RESIDUAL_REL_TOL * residual_scale(model, c, float(lam), side) + rounding:
             raise BracketFailure(f"root {lam!r} on side {side!r}")
 
 

@@ -1,9 +1,11 @@
-"""Which scipy modules importing chemowave and running its construction modes load.
+"""Which scipy modules importing chemowave and running its modes load.
 
-scipy.signal (with scipy.stats behind it), scipy.integrate and scipy.optimize
-are imported by the one function that calls each, so a fresh interpreter that
-only constructs waves never pays for them.  Each check runs in a subprocess:
-this test process has long since loaded them.
+The construction runs on numpy alone: Brent's method and the nutrient's
+tridiagonal solve are in-package ports.  Only the simulation loads scipy:
+``scipy.linalg`` (LAPACK dgttrf/dgttrs) when it first factors its diffusion
+matrix, and ``scipy.signal`` (with ``scipy.stats`` behind it) after its last
+step.  Each check runs in a subprocess: this test process has long since
+loaded scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from pathlib import Path
 import chemowave
 
 SRC = Path(chemowave.__file__).resolve().parents[1]
-DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.signal", "scipy.stats")
 
 PROBE = """
 import io, json, sys
@@ -25,10 +26,11 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
-deferred, config, out = json.loads(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
+config, out = Path(sys.argv[1]), Path(sys.argv[2])
+scipy_modules = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import chemowave
-from chemowave import cli_io
-loaded = {"import": [m for m in deferred if m in sys.modules]}
+from chemowave import cauchy_sim, cli_io
+loaded = {"import": scipy_modules()}
 cfg, _hash = cli_io.load_config(config)
 profile = out / "profile.ini"
 profile.write_text(cli_io.format_config(replace(cfg, mode="profile", profile_speed=0.05246996633768716)))
@@ -37,18 +39,24 @@ with redirect_stdout(io.StringIO()):
                  ["upsilon-scan", "--config", str(config), "--out", str(out / "scan")],
                  ["profile", "--config", str(profile), "--out", str(out / "profile")]):
         assert cli_io.main(argv) == 0, argv
-loaded["modes"] = [m for m in deferred if m in sys.modules]
+loaded["modes"] = scipy_modules()
+sim = cli_io.load_config(Path(sys.argv[3]))[0].build_sim_config()
+state = cauchy_sim.initial_state(sim)
+loaded["sim_setup"] = scipy_modules()
+cauchy_sim.step(state, sim)
+loaded["sim_step"] = [m for m in ("scipy.linalg", "scipy.signal", "scipy.stats") if m in sys.modules]
 print(json.dumps(loaded))
 """
 
 
 def test_construction_loads_no_deferred_scipy_module(tmp_path, configs_dir):
-    argv = [json.dumps(DEFERRED), str(configs_dir / "sec4_1.ini"), str(tmp_path)]
+    argv = [str(configs_dir / "sec4_1.ini"), str(tmp_path), str(configs_dir / "sec4_2.ini")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=300, check=True
     )
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded["import"] == []
-    # refine_roots imports scipy.optimize for brentq; nothing in these modes integrates or simulates
-    assert set(loaded["modes"]) <= {"scipy.optimize"}
+    assert loaded["modes"] == []  # validate, upsilon-scan and profile
+    assert loaded["sim_setup"] == []  # a simulation's config and initial state
+    assert loaded["sim_step"] == ["scipy.linalg"]  # its first step factors the diffusion matrix

@@ -20,7 +20,16 @@ import chemowave.dispersion as dispersion_mod
 import chemowave.velocity_model as velocity_model_mod
 import chemowave.wave_profile as wave_profile_mod
 import chemowave.wave_speed as wave_speed_mod
-from chemowave import ChemParams, admissible_speed_interval, build_model, scan, solve_modes, upsilon
+from chemowave import (
+    ChemParams,
+    admissible_speed_interval,
+    build_model,
+    refine_roots,
+    scan,
+    solve_modes,
+    upsilon,
+    verify_root,
+)
 from chemowave.errors import (
     BracketFailure,
     ChemowaveError,
@@ -68,6 +77,27 @@ def test_numpy_scalar_speed_is_named_as_a_float(case_one):
     with pytest.raises(SpeedOnVelocityNode) as info:
         upsilon(model, cfg.chem, np.float64(0.0848))
     assert str(info.value) == "at c=0.0848: speed c=0.0848 collides with a velocity node"
+
+
+def test_upsilon_error_carries_the_failing_speed(case_one):
+    model, cfg = case_one
+    with pytest.raises(SpeedOnVelocityNode) as info:
+        upsilon(model, cfg.chem, 0.0848)
+    assert info.value.c == 0.0848 and info.value.__cause__.c == 0.0848
+
+
+
+def test_stacked_upsilon_error_carries_its_first_failing_speed(case_one, monkeypatch):
+    model, cfg = case_one
+    speeds = np.array([0.02, 0.03, 0.04])
+
+    def resonant_from_second(rho, params, c):
+        raise_first(np.asarray(c) >= 0.03, np.asarray(c), lambda i: ResonantMode("coincident exponents"))
+
+    monkeypatch.setattr(wave_speed_mod, "solve_S", resonant_from_second)
+    with pytest.raises(ResonantMode, match=r"^at c=0\.03: coincident exponents$") as info:
+        upsilon(model, cfg.chem, speeds)
+    assert info.value.c == 0.03
 
 
 def test_one_speed_upsilon_builds_each_sides_poles_once(case_one, monkeypatch):
@@ -142,25 +172,24 @@ def _gauss_legendre_128(cfg):
     return build_model(nodes, weights / weights.sum(), cfg.chi_s, cfg.chi_n)
 
 
-def test_gauss_legendre_128_scan_raises_the_one_speed_bracket_failure(case_one, caplog):
+def test_gauss_legendre_128_scan_finds_two_verified_roots(case_one, caplog):
+    # The residual gate's rounding term admits the near-pole roots of the
+    # first sample, c = 2.2e-4, that a gate on the largest term alone
+    # refused: every stack now runs without the one-speed fallback, and both
+    # roots pass the S-shape check.
     _model, cfg = case_one
     model = _gauss_legendre_128(cfg)
     with caplog.at_level(logging.DEBUG, logger="chemowave.wave_speed"):
-        with pytest.raises(BracketFailure) as info:
-            scan(model, cfg.chem)
-    assert str(info.value) == (
-        "at c=0.00022139619705014487: root 1.1505321938260131 on side 'right' has residual "
-        "3.9397374251848305e-12 above 1e-12 * 2.9553467813314573"
-    )
-    lo, hi = admissible_speed_interval(model).admissible_intervals[0]
-    cs = wave_speed_mod._chebyshev_points(lo + model.node_guard, hi - model.node_guard, 64)
-    assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
-        f"interval 0 (c from {float(cs[0])!r} to {float(cs[-1])!r}): stacked Upsilon raised BracketFailure; "
-        "evaluating its 64 speeds one at a time"
-    ]
+        curve = scan(model, cfg.chem, 16)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == []
+    roots = refine_roots(curve, model, cfg.chem)
+    assert roots == pytest.approx([0.0585224, 0.0615894], rel=1e-6)
+    for c in roots:
+        check = verify_root(model, cfg.chem, c)
+        assert check.slope_sign_changes == 1 and abs(check.maximum_location) < 1e-10
 
 
-def test_a_failed_check_leaves_no_reference_cycle(case_one):
+def test_a_failed_check_leaves_no_reference_cycle(case_one, monkeypatch):
     # an error bound to a local name of the frame that raises it makes a cycle
     # through its traceback, which keeps that frame's arrays alive until the
     # cyclic collector runs (about 5 MB of n = 128 temporaries in a sweep)
@@ -168,10 +197,13 @@ def test_a_failed_check_leaves_no_reference_cycle(case_one):
     model = _gauss_legendre_128(cfg)
     lo, hi = admissible_speed_interval(model).admissible_intervals[0]
     speeds = wave_speed_mod._chebyshev_points(lo + model.node_guard, hi - model.node_guard, 64)
+    real_polish = dispersion_mod._polish
+    # every root moved by 1e-9 relative, far past the residual gate
+    monkeypatch.setattr(dispersion_mod, "_polish", lambda *args: real_polish(*args) * (1.0 + 1e-9))
     gc.collect()
     gc.disable()
     try:
-        for c in (speeds, 0.00022139619705014487):  # the stack, and its first failing speed
+        for c in (speeds, float(speeds[0])):  # the stack, and its first failing speed
             try:
                 upsilon(model, cfg.chem, c)
             except BracketFailure:
