@@ -86,7 +86,6 @@ def test_upsilon_error_carries_the_failing_speed(case_one):
     assert info.value.c == 0.0848 and info.value.__cause__.c == 0.0848
 
 
-
 def test_stacked_upsilon_error_carries_its_first_failing_speed(case_one, monkeypatch):
     model, cfg = case_one
     speeds = np.array([0.02, 0.03, 0.04])
