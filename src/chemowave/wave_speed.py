@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chemo_fields import ChemParams, locate_maximum, slope_sign_changes, solve_S
-from .errors import ChemowaveError, LostBracket, ResonantMode
+from .errors import ChemowaveError, LostBracket, ResonantMode, at_speed
 from .velocity_model import VelocityModel, admissible_speed_interval
 from .wave_profile import solve_modes
 
 logger = logging.getLogger(__name__)
 
 ROOT_C_REL_TOL = 1e-12
+_BRENT_MAXITER = 100
 SAMPLES_PER_INTERVAL = 64
 MIN_SAMPLES_PER_INTERVAL = 8
 _NARROW_INTERVAL_FACTOR = 10.0  # intervals narrower than this * node guard get one sample
@@ -95,19 +96,9 @@ def _upsilon_once(model: VelocityModel, params: ChemParams, c: float | np.ndarra
         profile = solve_modes(model, c)
         sfield = solve_S(profile.rho_modes(), params, c)
     except ChemowaveError as exc:  # type(exc) keeps ResonantMode catchable by the retry
-        raise _at_its_speed(exc) from exc
+        speed = exc.c if np.ndim(c) else float(c)  # a stack's error names its failing speed
+        raise at_speed(type(exc)(f"at c={speed!r}: {exc}"), speed) from exc
     return sfield.slope_at_zero
-
-
-def _at_its_speed(exc: ChemowaveError) -> ChemowaveError:
-    """A fresh error of the type of ``exc``, naming its speed and carrying it as ``c``.
-
-    Built here rather than in the ``except`` clause, so that no frame the
-    error's traceback holds binds the error itself (see ``errors.at_speed``).
-    """
-    error = type(exc)(f"at c={exc.c!r}: {exc}")
-    error.c = exc.c
-    return error
 
 
 def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
@@ -212,7 +203,6 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
                 lo,
                 hi,
                 xtol=ROOT_C_REL_TOL * max(abs(lo), abs(hi)),
-                rtol=ROOT_C_REL_TOL,
             )
         except ChemowaveError as exc:
             raise LostBracket(f"could not refine bracket ({lo!r}, {hi!r}): {exc}") from exc
@@ -222,17 +212,16 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     return roots
 
 
-def brentq(
-    f: Callable[[float], float], xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
-) -> float:
+def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
     """A root of ``f`` in ``[xa, xb]`` by Brent's method, as ``scipy.optimize.brentq``.
 
     A line-for-line port of scipy's ``brentq.c``: the same operations in the
     same order and the same stopping test ``|xblk - xcur| / 2 < (xtol + rtol
-    |xcur|) / 2``, so it evaluates ``f`` at the same points and returns the
-    same bits.  As scipy's wrapper does, it raises ValueError when ``f``
-    returns NaN or ``f(xa)`` and ``f(xb)`` share a sign, and RuntimeError
-    after ``maxiter`` iterations without convergence.  Kept in the package
+    |xcur|) / 2`` with ``rtol = ROOT_C_REL_TOL``, so it evaluates ``f`` at the
+    same points and returns the same bits as scipy with that ``rtol``.  As
+    scipy's wrapper does, it raises ValueError when ``f`` returns NaN or
+    ``f(xa)`` and ``f(xb)`` share a sign, and RuntimeError after
+    ``_BRENT_MAXITER`` (scipy's default 100) iterations without convergence.  Kept in the package
     so that the construction runs on numpy alone.
     """
 
@@ -254,7 +243,7 @@ def brentq(
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -262,7 +251,7 @@ def brentq(
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + ROOT_C_REL_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -288,7 +277,7 @@ def brentq(
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ from chemowave.chemo_fields import _n_system, solve_tridiagonal
 from chemowave.wave_speed import ROOT_C_REL_TOL, brentq
 
 
-def _both(f, lo, hi, **kwargs):
-    """(root, evaluated points) of scipy's brentq and of the port."""
+def _both(f, lo, hi, xtol):
+    """(root, evaluated points) of scipy's brentq and of the port, at the port's rtol."""
     results = []
-    for solver in (scipy_brentq, brentq):
+    for solver, kwargs in ((scipy_brentq, {"rtol": ROOT_C_REL_TOL}), (brentq, {})):
         seen = []
-        root = solver(lambda x: (seen.append(x), f(x))[1], lo, hi, **kwargs)
+        root = solver(lambda x: (seen.append(x), f(x))[1], lo, hi, xtol=xtol, **kwargs)
         results.append((root, seen))
     return results
 
@@ -43,9 +43,8 @@ def test_brent_matches_scipy_on_random_brackets():
         lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2)).tolist()
         if (f(lo) < 0.0) == (f(hi) < 0.0):
             continue
-        rtol = float(rng.choice([4 * np.finfo(float).eps, 1e-12, 1e-6]))
         xtol = float(rng.choice([1e-12 * max(abs(lo), abs(hi)), 2e-12, 1e-4]))
-        (root_ref, seen_ref), (root, seen) = _both(f, lo, hi, xtol=xtol, rtol=rtol)
+        (root_ref, seen_ref), (root, seen) = _both(f, lo, hi, xtol)
         assert root == root_ref and seen == seen_ref
         compared += 1
 
@@ -58,30 +57,37 @@ def test_brent_matches_scipy_on_the_scan_brackets(case, request):
     reference_roots = []
     for _interval_id, lo, hi, _y_lo, _y_hi in curve.brackets:
         f = lambda c: wave_speed_mod.upsilon(model, cfg.chem, c)  # noqa: E731
-        tol = {"xtol": ROOT_C_REL_TOL * max(abs(lo), abs(hi)), "rtol": ROOT_C_REL_TOL}
-        (root_ref, seen_ref), (root, seen) = _both(f, lo, hi, **tol)
+        (root_ref, seen_ref), (root, seen) = _both(f, lo, hi, ROOT_C_REL_TOL * max(abs(lo), abs(hi)))
         assert root == root_ref and seen == seen_ref
         reference_roots.append(root_ref)
     assert refine_roots(curve, model, cfg.chem) == reference_roots
 
 
 def test_brent_raises_as_scipy_does():
-    cube = lambda x: x**3 - 0.3  # noqa: E731
-    for f, lo, hi, kwargs, error in (
-        (cube, 0.0, 1.0, {"maxiter": 2}, RuntimeError),  # not converged
-        (lambda x: x - 3.0, 0.0, 1.0, {}, ValueError),  # no sign change
-        (lambda x: float("nan"), 0.0, 1.0, {}, ValueError),  # NaN value
+    for f, error in (
+        (lambda x: x - 3.0, ValueError),  # no sign change
+        (lambda x: float("nan"), ValueError),  # NaN value
     ):
         with pytest.raises(error) as reference:
-            scipy_brentq(f, lo, hi, xtol=2e-12, rtol=1e-12, **kwargs)
+            scipy_brentq(f, 0.0, 1.0, xtol=2e-12, rtol=ROOT_C_REL_TOL)
         with pytest.raises(error) as ported:
-            brentq(f, lo, hi, xtol=2e-12, rtol=1e-12, **kwargs)
+            brentq(f, 0.0, 1.0, xtol=2e-12)
         assert str(ported.value) == str(reference.value)
 
 
+def test_brent_raises_when_it_does_not_converge(monkeypatch):
+    cube = lambda x: x**3 - 0.3  # noqa: E731
+    monkeypatch.setattr(wave_speed_mod, "_BRENT_MAXITER", 2)
+    with pytest.raises(RuntimeError) as reference:
+        scipy_brentq(cube, 0.0, 1.0, xtol=2e-12, rtol=ROOT_C_REL_TOL, maxiter=2)
+    with pytest.raises(RuntimeError) as ported:
+        brentq(cube, 0.0, 1.0, xtol=2e-12)
+    assert str(ported.value) == str(reference.value)
+
+
 def test_brent_returns_a_bracket_end_with_a_zero_value():
-    assert brentq(lambda x: x, 0.0, 1.0, xtol=1e-12, rtol=1e-12) == 0.0
-    assert brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12, rtol=1e-12) == 1.0
+    assert brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+    assert brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == 1.0
 
 
 @pytest.mark.parametrize("nodes", [4097, 8193, 16385, 32769])

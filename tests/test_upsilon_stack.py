@@ -179,7 +179,7 @@ def test_gauss_legendre_128_scan_finds_two_verified_roots(case_one, caplog):
     _model, cfg = case_one
     model = _gauss_legendre_128(cfg)
     with caplog.at_level(logging.DEBUG, logger="chemowave.wave_speed"):
-        curve = scan(model, cfg.chem, 16)
+        curve = scan(model, cfg.chem)
     assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == []
     roots = refine_roots(curve, model, cfg.chem)
     assert roots == pytest.approx([0.0585224, 0.0615894], rel=1e-6)
