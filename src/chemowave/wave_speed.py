@@ -221,8 +221,8 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> fl
     same points and returns the same bits as scipy with that ``rtol``.  As
     scipy's wrapper does, it raises ValueError when ``f`` returns NaN or
     ``f(xa)`` and ``f(xb)`` share a sign, and RuntimeError after
-    ``_BRENT_MAXITER`` (scipy's default 100) iterations without convergence.  Kept in the package
-    so that the construction runs on numpy alone.
+    ``_BRENT_MAXITER`` (scipy's default 100) iterations without convergence.
+    Kept in the package so that the construction runs on numpy alone.
     """
 
     def value(x: float) -> float:
