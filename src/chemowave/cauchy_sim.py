@@ -337,11 +337,55 @@ def _next_snapshot_time(next_snap: float, snap_dt: float, t: float) -> float:
     return max(min(next_snap + k * snap_dt, past + snap_dt), math.nextafter(past, math.inf))
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of ``x``, as scipy.signal's ``_local_maxima_1d`` finds them.
+
+    The first and last samples are never maxima.  A run of equal samples
+    entered from a lower one is a maximum if the sample after the run is
+    lower too; its index is the run's middle, rounded down.  NaN compares
+    false, so it neither rises nor falls.
+    """
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    rises = np.flatnonzero(x[:-2] < x[1:-1]) + 1  # i in [1, n - 2] with x[i - 1] < x[i]
+    # a run that starts at i ends before the first k > i with x[k] != x[k - 1], or at the last sample
+    breaks = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.size - 1)
+    ahead = breaks[np.searchsorted(breaks, rises + 1)]
+    falls = x[ahead] < x[rises]
+    return (rises[falls] + ahead[falls] - 1) // 2
+
+
+def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """The indices that ``scipy.signal.find_peaks(x, prominence=prominence)`` returns.
+
+    A local maximum's prominence is its height over the higher of its two
+    bases, the lowest sample on each side before the first one above it or
+    the end of ``x`` (no window).  The walks test ``~(x <= height)``, so NaN
+    stops them as it stops scipy's.  A maximum is kept if its prominence is
+    at least ``prominence``.
+    """
+    peaks = _local_maxima(x)
+    keep = np.zeros(peaks.size, dtype=bool)
+    for j, peak in enumerate(peaks):
+        height = x[peak]
+        above = np.flatnonzero(~(x[:peak] <= height))
+        left = above[-1] + 1 if above.size else 0
+        above = np.flatnonzero(~(x[peak + 1 :] <= height))
+        right = peak + 1 + above[0] if above.size else x.size
+        base = max(x[left : peak + 1].min(), x[peak:right].min())
+        keep[j] = prominence <= height - base
+    return peaks[keep]
+
+
 def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
     """Integrate to t_end, recording snapshots and the density-peak track.
 
     If the exchange ever produces a negative density the step size is halved
     once and the run continues; a second occurrence propagates the error.
+    The diagnostics' ``n_components`` counts the peaks of the final density
+    whose prominence is at least ``PEAK_PROMINENCE_FRACTION`` of its range
+    (``prominent_peaks``, which loads no scipy module), so the only scipy
+    module a run loads is ``scipy.linalg``, for its diffusion solves.
     """
     x = cell_centers(config)
     state = initial_state(config)
@@ -378,11 +422,9 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
             snapshots.append(snap(state))
             next_snap = _next_snapshot_time(next_snap, snap_dt, state.t)
 
-    from scipy.signal import find_peaks  # imported here: it loads scipy.stats, which nothing else needs
-
     rho_final = snapshots[-1].rho
     prominence = PEAK_PROMINENCE_FRACTION * (float(np.max(rho_final)) - float(np.min(rho_final)))
-    peaks, _props = find_peaks(rho_final, prominence=max(prominence, np.finfo(float).tiny))
+    peaks = prominent_peaks(rho_final, max(prominence, np.finfo(float).tiny))
     peak_track = np.array([(s.t, float(x[int(np.argmax(s.rho))])) for s in snapshots])
     try:
         speed, residual = measure_front_speed(peak_track)

@@ -303,12 +303,6 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
     return roots if np.ndim(c) else roots.speed(0)
 
 
-def residual_scale(model: VelocityModel, c: float, lam: float, side: str) -> float:
-    """Largest term magnitude of the dispersion sum, the natural residual scale."""
-    poles = singular_values(model, c, side)
-    return float(np.max(np.abs(model.weights / (poles - lam))))
-
-
 def _verify_side(
     model: VelocityModel, speeds: np.ndarray, side: str, poles: np.ndarray, lams: np.ndarray
 ) -> None:

@@ -17,7 +17,6 @@ from chemowave.dispersion import (
     _bisect_brackets,
     _polish,
     _verify_side,
-    residual_scale,
 )
 from chemowave.errors import (
     BracketFailure,
@@ -27,6 +26,12 @@ from chemowave.errors import (
 )
 
 SPEEDS = {"one": (0.05, 0.1, 0.2), "two": (0.05, 0.15, 0.3, 0.5), "three": (0.02, 0.1, 0.4)}
+
+
+def residual_scale(model, c: float, lam: float, side: str) -> float:
+    """Largest term magnitude of the dispersion sum, the natural residual scale."""
+    poles = singular_values(model, c, side)
+    return float(np.max(np.abs(model.weights / (poles - lam))))
 
 
 def _cases(case_one, case_two, case_three):

@@ -1,11 +1,12 @@
 """Which scipy modules importing chemowave and running its modes load.
 
 The construction runs on numpy alone: Brent's method and the nutrient's
-tridiagonal solve are in-package ports.  Only the simulation loads scipy:
-``scipy.linalg`` (LAPACK dgttrf/dgttrs) when it first factors its diffusion
-matrix, and ``scipy.signal`` (with ``scipy.stats`` behind it) after its last
-step.  Each check runs in a subprocess: this test process has long since
-loaded scipy.
+tridiagonal solve are in-package ports.  Only the simulation loads scipy,
+and only ``scipy.linalg`` (LAPACK dgttrf/dgttrs), when it first factors its
+diffusion matrix: a whole run, its component count included
+(``cauchy_sim.prominent_peaks``, a port of ``find_peaks``), loads neither
+``scipy.signal`` nor ``scipy.stats``.  Each check runs in a subprocess: this
+test process has long since loaded scipy.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ with redirect_stdout(io.StringIO()):
         assert cli_io.main(argv) == 0, argv
 loaded["modes"] = scipy_modules()
 sim = cli_io.load_config(Path(sys.argv[3]))[0].build_sim_config()
-state = cauchy_sim.initial_state(sim)
+sim = replace(sim, cells=128, t_end=2.0)  # 64 cells: NegativeDensity at the second step
+cauchy_sim.initial_state(sim)
 loaded["sim_setup"] = scipy_modules()
-cauchy_sim.step(state, sim)
-loaded["sim_step"] = [m for m in ("scipy.linalg", "scipy.signal", "scipy.stats") if m in sys.modules]
+_state, diagnostics, _snapshots = cauchy_sim.run(sim)
+loaded["sim_run"] = [m for m in ("scipy.linalg", "scipy.signal", "scipy.stats") if m in sys.modules]
+loaded["sim_components"] = diagnostics.n_components
 print(json.dumps(loaded))
 """
 
@@ -59,4 +62,7 @@ def test_construction_loads_no_deferred_scipy_module(tmp_path, configs_dir):
     assert loaded["import"] == []
     assert loaded["modes"] == []  # validate, upsilon-scan and profile
     assert loaded["sim_setup"] == []  # a simulation's config and initial state
-    assert loaded["sim_step"] == ["scipy.linalg"]  # its first step factors the diffusion matrix
+    # a whole short run: its first step factors the diffusion matrix, and its
+    # component count after the last step loads nothing more
+    assert loaded["sim_run"] == ["scipy.linalg"]
+    assert loaded["sim_components"] == 1

@@ -12,6 +12,8 @@ exception may be untyped.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from chemowave.errors import ChemowaveError
 
 MAX_LOCATION_TOL = 1e-6   # |argmax S| at a verified root, as in the case-study acceptance test
 MASS_REL_TOL = 1e-10      # unit mass of rho, recomputed from its modes
+RELATION_SAMPLES = 16     # scan samples per interval for the metamorphic relations
 
 
 def _params(alpha: float) -> ChemParams:
@@ -112,3 +115,46 @@ def test_gauss_legendre_models_give_checked_waves(drawn):
 @given(symmetric_models())
 def test_symmetric_models_give_checked_waves(drawn):
     _check_chain(drawn)
+
+
+def _scan_bytes(curve, factor: float = 1.0) -> list[tuple[bytes, bytes]]:
+    return [(seg.c.tobytes(), (factor * seg.upsilon).tobytes()) for seg in curve.intervals]
+
+
+def _check_relations(drawn) -> None:
+    """ROADMAP item 17, relations 1 and 2, on one drawn model.
+
+    1. Upsilon is linear in ``beta``: ``beta`` x 2 doubles every scan sample
+       bit for bit (a power of 2 scales without rounding).
+    2. The nutrient does not set the speed: ``d_n`` x 2 with ``gamma`` x 3
+       leaves every scan sample and every refined root bit-identical.
+    """
+    (v, w, chi_s, chi_n), params = drawn
+    try:
+        model = build_model(v, w, chi_s, chi_n)
+        curve = scan(model, params, RELATION_SAMPLES)
+        roots = refine_roots(curve, model, params)
+    except ChemowaveError as exc:
+        event(f"typed failure: {type(exc).__name__}")
+        return
+    event(f"roots: {len(roots)}")
+
+    doubled = scan(model, replace(params, beta=2.0 * params.beta), RELATION_SAMPLES)
+    assert _scan_bytes(doubled) == _scan_bytes(curve, 2.0)
+
+    nutrient = replace(params, d_n=2.0 * params.d_n, gamma=3.0 * params.gamma)
+    moved = scan(model, nutrient, RELATION_SAMPLES)
+    assert _scan_bytes(moved) == _scan_bytes(curve)
+    assert np.array(refine_roots(moved, model, nutrient)).tobytes() == np.array(roots).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauss_legendre_models())
+def test_gauss_legendre_models_keep_the_beta_and_nutrient_relations(drawn):
+    _check_relations(drawn)
+
+
+@settings(max_examples=20, deadline=None)
+@given(symmetric_models())
+def test_symmetric_models_keep_the_beta_and_nutrient_relations(drawn):
+    _check_relations(drawn)

@@ -1,22 +1,30 @@
-"""The in-package ports of scipy's brentq and LAPACK dgtsv, bit for bit against scipy.
+"""The in-package ports of scipy's brentq, LAPACK dgtsv and find_peaks, checked against scipy.
 
 The construction modes run on numpy alone: ``wave_speed.brentq`` refines the
 wave speeds and ``chemo_fields.solve_tridiagonal`` solves the nutrient
 profile.  Each must give the bits that ``scipy.optimize.brentq`` and
-``scipy.linalg.solve_banded((1, 1), ...)`` give.
+``scipy.linalg.solve_banded((1, 1), ...)`` give.  The simulation counts the
+components of its final density with ``cauchy_sim.prominent_peaks``, which
+must return the indices of ``scipy.signal.find_peaks(x, prominence=p)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq as scipy_brentq
+from scipy.signal import find_peaks
 
 import chemowave.wave_speed as wave_speed_mod
 from chemowave import refine_roots, scan, solve_modes
+from chemowave.cauchy_sim import prominent_peaks
 from chemowave.chemo_fields import _n_system, solve_tridiagonal
 from chemowave.wave_speed import ROOT_C_REL_TOL, brentq
+
+TINY = np.finfo(float).tiny
 
 
 def _both(f, lo, hi, xtol):
@@ -120,3 +128,45 @@ def test_tridiagonal_refuses_what_solve_banded_refuses():
         solve_tridiagonal(singular, rhs)
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_tridiagonal(np.ones((3, 3)), np.array([1.0, np.nan, 1.0]))
+
+
+def _same_peaks(x, prominence) -> None:
+    x = np.asarray(x, dtype=float)
+    reference, _properties = find_peaks(x, prominence=prominence)
+    assert prominent_peaks(x, prominence).tolist() == reference.tolist()
+
+
+# few levels, so that plateaus, equal peaks and ties with a peak's bases are common
+LEVELS = [0.0, 1.0, 1.0 + 2**-52, 2.0, 3.0, -np.inf, np.inf, np.nan]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=st.lists(st.sampled_from(LEVELS), max_size=30),
+    prominence=st.sampled_from([TINY, 2**-52, 0.5, 1.0, 2.0, 3.0, np.inf]),
+)
+@example(x=[], prominence=TINY)
+@example(x=[1.0], prominence=TINY)
+@example(x=[0.0, 1.0], prominence=TINY)
+@example(x=[0.0, 1.0, 0.0], prominence=TINY)
+@example(x=[0.0, 1.0, 1.0], prominence=TINY)  # a plateau that runs into the last sample
+@example(x=[0.0, 2.0, 2.0, 2.0, 2.0, 0.0], prominence=TINY)  # an even plateau: its left middle
+@example(x=[0.0, 2.0, 1.0, 2.0, 0.0], prominence=1.0)  # equal peaks, each with a base on the other side
+@example(x=[0.0, np.nan, 2.0, 3.0, 0.0], prominence=2.0)  # NaN stops the left walk
+@example(x=[0.0, 3.0, 2.0, np.nan, 0.0], prominence=2.0)  # and the right one
+@example(x=[0.0, 2.0, np.nan, 2.0, 0.0], prominence=TINY)  # a sample before NaN is no peak
+@example(x=[1.0, 2.0, 1.0, 3.0, 0.0], prominence=1.0)  # the higher base decides
+def test_prominent_peaks_match_find_peaks(x, prominence):
+    _same_peaks(x, prominence)
+
+
+def test_prominent_peaks_match_find_peaks_on_wiggly_densities():
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 2048)
+    for _ in range(200):
+        modes = rng.uniform(1.0, 60.0, 4)
+        x = np.exp(-((grid - rng.uniform()) ** 2) / rng.uniform(1e-4, 0.1)) + rng.uniform(0.0, 0.3) * np.sin(
+            np.outer(modes, grid)
+        ).sum(axis=0)
+        x = np.round(x, int(rng.integers(2, 17)))  # coarse rounding makes plateaus
+        _same_peaks(x, max(0.05 * (x.max() - x.min()), TINY))
