@@ -93,9 +93,12 @@ class SimConfig:
         return self.domain_length / self.cells
 
     def default_dt(self) -> float:
-        """cfl * dx / max|v|, additionally capped for the tumbling exchange."""
+        """cfl * dx / max|v|, capped for the tumbling exchange and for S's explicit decay.
+
+        ``s + dt (beta rho - alpha s)`` stays nonnegative only while dt alpha <= 1.
+        """
         v_max = float(np.max(np.abs(self.model.velocities)))
-        return min(self.cfl * self.dx / v_max, 0.5 / self.model.rates.max_rate)
+        return min(self.cfl * self.dx / v_max, 0.5 / self.model.rates.max_rate, 1.0 / self.params.alpha)
 
 
 @dataclass(frozen=True)
@@ -383,9 +386,11 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
     If the exchange ever produces a negative density the step size is halved
     once and the run continues; a second occurrence propagates the error.
     The diagnostics' ``n_components`` counts the peaks of the final density
-    whose prominence is at least ``PEAK_PROMINENCE_FRACTION`` of its range
-    (``prominent_peaks``, which loads no scipy module), so the only scipy
-    module a run loads is ``scipy.linalg``, for its diffusion solves.
+    whose prominence is at least ``PEAK_PROMINENCE_FRACTION`` of its range,
+    with the walls as low ground, so that a maximum in the first or last
+    cell counts (``prominent_peaks``, which loads no scipy module, on rho
+    padded with -inf); the only scipy module a run loads is ``scipy.linalg``,
+    for its diffusion solves.
     """
     x = cell_centers(config)
     state = initial_state(config)
@@ -424,7 +429,8 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
 
     rho_final = snapshots[-1].rho
     prominence = PEAK_PROMINENCE_FRACTION * (float(np.max(rho_final)) - float(np.min(rho_final)))
-    peaks = prominent_peaks(rho_final, max(prominence, np.finfo(float).tiny))
+    padded = np.concatenate(([-np.inf], rho_final, [-np.inf]))
+    peaks = prominent_peaks(padded, max(prominence, np.finfo(float).tiny))
     peak_track = np.array([(s.t, float(x[int(np.argmax(s.rho))])) for s in snapshots])
     try:
         speed, residual = measure_front_speed(peak_track)

@@ -3,7 +3,8 @@
 The chemoattractant S solves -c S' - D_S S'' + alpha S = beta rho.  Because
 rho is a finite exponential sum, S is assembled in closed form: one explicit
 particular term per rho mode plus the two decaying homogeneous exponentials,
-fixed by C^1 matching at z = 0.  The nutrient N solves the linear equation
+fixed by C^1 matching at z = 0; its slope at the origin has a closed form of
+its own.  The nutrient N solves the linear equation
 -c N' - D_N N'' + gamma rho N = 0 on a truncated domain with N'(-L) = 0 and
 N(+L) = 1, discretized with second-order finite differences.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode, raise_first
+from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode, at_speed
 from .velocity_model import bisect_decreasing
 from .wave_profile import GRID_POINTS_PER_SIDE, PiecewiseExponential, two_sided_grid
 
@@ -60,13 +61,11 @@ class SField(PiecewiseExponential):
     z > 0: sum_j A_j exp(mu_j z) (mu_j < 0)  +  coef_plus  * exp(theta_minus z)
 
     The homogeneous term is the last entry of each side's coefficients and
-    rates, so ``theta_plus`` is ``left_rates[..., -1]`` and ``theta_minus`` is
-    ``-right_rates[..., -1]``.  Built by ``solve_S`` for a stack of speeds,
-    every field carries a leading axis of speeds, and only ``slope_at_zero``
-    is read from it.
+    rates, so ``theta_plus`` is ``left_rates[-1]`` and ``theta_minus`` is
+    ``-right_rates[-1]``.
     """
 
-    slope_at_zero: float | np.ndarray
+    slope_at_zero: float
 
 
 @dataclass(frozen=True)
@@ -85,64 +84,78 @@ class NField:
 
 
 def _particular_coefficients(
-    params: ChemParams, c: np.ndarray, mu: np.ndarray, source_coef: np.ndarray
+    params: ChemParams, c: float, mu: np.ndarray, source_coef: np.ndarray
 ) -> np.ndarray:
-    """Coefficients A of the particular terms A exp(mu z) for sources coef exp(mu z).
-
-    ``c`` is one speed (0-d) with ``mu`` of shape (modes,), or a stack of
-    speeds with one row of ``mu`` per speed.
-    """
-    c_mu = c[..., None] * mu
+    """Coefficients A of the particular terms A exp(mu z) for sources coef exp(mu z)."""
+    c_mu = c * mu
     denom = params.alpha - c_mu - params.d_s * mu * mu
     scale = np.maximum(np.maximum(params.alpha, np.abs(c_mu)), params.d_s * mu * mu)
     resonant = np.abs(denom) < RESONANCE_GUARD_REL * scale
     if resonant.any():
-        rows, mus, denoms = np.atleast_2d(resonant, mu, denom)
-
-        def resonance(i: int) -> ResonantMode:
-            k = int(np.argmax(rows[i]))
-            return ResonantMode(
-                f"source exponent {mus[i, k]!r} resonates with the homogeneous operator "
-                f"(alpha - c*mu - d_s*mu^2 = {denoms[i, k]!r})"
-            )
-
-        raise_first(rows.any(axis=1), np.atleast_1d(c), resonance)
+        k = int(np.argmax(resonant))
+        raise at_speed(
+            ResonantMode(
+                f"source exponent {mu[k]!r} resonates with the homogeneous operator "
+                f"(alpha - c*mu - d_s*mu^2 = {denom[k]!r})"
+            ),
+            c,
+        )
     return params.beta * source_coef / denom
 
 
-def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float | np.ndarray) -> SField:
-    """Closed-form solution of -c S' - D_S S'' + alpha S = beta rho.
+def _homogeneous_exponents(params: ChemParams, c: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decaying exponents theta_+ > 0 > theta_- = (-c +/- sqrt(c^2 + 4 alpha D_S)) / (2 D_S)."""
+    disc = np.sqrt(c * c + 4.0 * params.alpha * params.d_s)
+    return (-c + disc) / (2.0 * params.d_s), (-c - disc) / (2.0 * params.d_s)
 
-    Decaying homogeneous exponents are theta = (-c +/- sqrt(c^2 + 4 alpha D_S))
-    / (2 D_S); their two coefficients come from matching S and S' at z = 0.
 
-    ``c`` may also be an array of speeds, with ``rho`` the stacked density of
-    ``solve_modes`` at those speeds (a leading axis of speeds on every
-    array).  The field then carries that axis too, and each value is
-    bit-identical to its one-speed value.
+def s_slope_at_zero(
+    rho: PiecewiseExponential, params: ChemParams, c: float | np.ndarray
+) -> float | np.ndarray:
+    """S'(0) of the solution of -c S' - D_S S'' + alpha S = beta rho, by its Green's function.
+
+    With rho = sum_j s_j exp(mu_j z) for z < 0 and sum_j s_j exp(-r_j z) for z > 0,
+    S'(0) = beta (theta_+ R - theta_- L) / (D_S (theta_- - theta_+)), where
+    R = sum_j s_j / (-r_j - theta_+) and L = sum_j s_j / (mu_j - theta_-).
+    No denominator can vanish, so unlike ``solve_S`` this has no resonant
+    speed.  ``beta`` is the last factor, so that doubling it doubles the
+    slope bit for bit.  A stack of speeds gives the one-speed values' bits.
     """
     c = np.asarray(c, dtype=float)
-    disc = np.sqrt(c * c + 4.0 * params.alpha * params.d_s)
-    theta_plus = (-c + disc) / (2.0 * params.d_s)
-    theta_minus = (-c - disc) / (2.0 * params.d_s)
+    theta_plus, theta_minus = _homogeneous_exponents(params, c)
+    right = (rho.right_coefficients / (-rho.right_rates - theta_plus[..., None])).sum(axis=-1)
+    left = (rho.left_coefficients / (rho.left_rates - theta_minus[..., None])).sum(axis=-1)
+    slope = (theta_plus * right - theta_minus * left) / (params.d_s * (theta_minus - theta_plus))
+    slope = slope * params.beta
+    return float(slope) if c.ndim == 0 else slope
+
+
+def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
+    """Closed-form solution of -c S' - D_S S'' + alpha S = beta rho at one speed.
+
+    The coefficients of the two homogeneous exponentials come from matching
+    S and S' at z = 0.  A source exponent on a homogeneous one raises
+    ``ResonantMode``; ``slope_at_zero`` is ``s_slope_at_zero``, which cannot.
+    """
+    c = float(c)
+    theta_plus, theta_minus = _homogeneous_exponents(params, c)
 
     mu_left = rho.left_rates          # exp(mu z), mu > 0, z < 0
     mu_right = -rho.right_rates       # exp(mu z), mu < 0, z > 0
     A_left = _particular_coefficients(params, c, mu_left, rho.left_coefficients)
     A_right = _particular_coefficients(params, c, mu_right, rho.right_coefficients)
 
-    d0 = A_left.sum(axis=-1) - A_right.sum(axis=-1)                     # C_+ - C_-
+    d0 = A_left.sum() - A_right.sum()                                   # C_+ - C_-
     d1 = np.vecdot(A_left, mu_left) - np.vecdot(A_right, mu_right)      # theta_- C_+ - theta_+ C_-
     coef_minus = (d1 - theta_minus * d0) / (theta_minus - theta_plus)
     coef_plus = coef_minus + d0
-    slope = np.vecdot(A_right, mu_right) + coef_plus * theta_minus
 
     return SField(
-        left_coefficients=np.concatenate([A_left, coef_minus[..., None]], axis=-1),
-        left_rates=np.concatenate([mu_left, theta_plus[..., None]], axis=-1),
-        right_coefficients=np.concatenate([A_right, coef_plus[..., None]], axis=-1),
-        right_rates=np.concatenate([rho.right_rates, -theta_minus[..., None]], axis=-1),
-        slope_at_zero=float(slope) if c.ndim == 0 else slope,
+        left_coefficients=np.append(A_left, coef_minus),
+        left_rates=np.append(mu_left, theta_plus),
+        right_coefficients=np.append(A_right, coef_plus),
+        right_rates=np.append(rho.right_rates, -theta_minus),
+        slope_at_zero=s_slope_at_zero(rho, params, c),
     )
 
 

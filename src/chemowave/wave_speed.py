@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chemo_fields import ChemParams, locate_maximum, slope_sign_changes, solve_S
-from .errors import ChemowaveError, LostBracket, ResonantMode, at_speed
+from .chemo_fields import ChemParams, locate_maximum, s_slope_at_zero, slope_sign_changes, solve_S
+from .errors import ChemowaveError, LostBracket, at_speed
 from .velocity_model import VelocityModel, admissible_speed_interval
 from .wave_profile import solve_modes
 
@@ -68,37 +68,21 @@ class UpsilonCurve:
 def upsilon(model: VelocityModel, params: ChemParams, c: float | np.ndarray) -> float | np.ndarray:
     """Slope of the chemoattractant at the origin for the profile at speed c.
 
-    Composes the dispersion solve, the matching solve and the closed-form S.
-    A resonant source mode (a measure-zero parameter coincidence) is retried
-    once with c perturbed by 1e-9 relative.
+    Composes the dispersion solve, the matching solve and the closed-form
+    slope ``s_slope_at_zero``, which has no resonant speed.
 
     ``c`` may also be a 1-d array of speeds inside one continuity interval.
     Each stage then runs once over the whole stack, every check runs on every
-    speed, and the values are bit-identical to one call per speed.  A stack
-    is not retried: a failed check raises for the first speed that fails it
-    at the earliest failing stage, with the message the one-speed call gives
-    there (``scan`` then evaluates the stack one speed at a time).
+    speed, and the values are bit-identical to one call per speed.  A failed
+    check raises for the first speed that fails it at the earliest failing
+    stage, with the message the one-speed call gives there.
     """
-    if np.ndim(c):
-        return _upsilon_once(model, params, c)
-    try:
-        return _upsilon_once(model, params, c)
-    except ResonantMode:
-        c_perturbed = c * (1.0 + 1e-9) if c != 0.0 else 1e-9 * model.v_max
-        logger.warning(
-            "resonant source mode at c=%r; retrying with perturbed c=%r", c, c_perturbed
-        )
-        return _upsilon_once(model, params, c_perturbed)
-
-
-def _upsilon_once(model: VelocityModel, params: ChemParams, c: float | np.ndarray) -> float | np.ndarray:
     try:
         profile = solve_modes(model, c)
-        sfield = solve_S(profile.rho_modes(), params, c)
-    except ChemowaveError as exc:  # type(exc) keeps ResonantMode catchable by the retry
+    except ChemowaveError as exc:
         speed = exc.c if np.ndim(c) else float(c)  # a stack's error names its failing speed
         raise at_speed(type(exc)(f"at c={speed!r}: {exc}"), speed) from exc
-    return sfield.slope_at_zero
+    return s_slope_at_zero(profile.rho_modes(), params, c)
 
 
 def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
@@ -114,9 +98,7 @@ def scan(
     Samples are Chebyshev-spaced inside each component of the admissible
     range (endpoints inset by the node guard).  Each interval's samples are
     evaluated by one stacked ``upsilon`` call, bit-identical to one call per
-    sample.  If the stack raises, the interval is logged at DEBUG and
-    evaluated again one speed at a time in ascending c, so the error raised
-    and the resonance retry are those of the one-speed calls.
+    sample; an error it raises is one that a sample raises by itself.
     """
     if samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
         raise ValueError(f"samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}")
@@ -131,15 +113,7 @@ def scan(
             cs = np.array([0.5 * (lo + hi)])
         else:
             cs = _chebyshev_points(lo + guard, hi - guard, samples_per_interval)
-        try:
-            ys = upsilon(model, params, cs)
-        except ChemowaveError as exc:
-            logger.debug(
-                "interval %d (c from %r to %r): stacked Upsilon raised %s; "
-                "evaluating its %d speeds one at a time",
-                i, float(cs[0]), float(cs[-1]), type(exc).__name__, cs.size,
-            )
-            ys = np.array([upsilon(model, params, float(c)) for c in cs])
+        ys = upsilon(model, params, cs)
         intervals.append(IntervalSamples(interval_id=i, lo=lo, hi=hi, c=cs, upsilon=ys))
 
     brackets: list[tuple[int, float, float, float, float]] = []

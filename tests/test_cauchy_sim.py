@@ -19,7 +19,13 @@ from chemowave import (
     total_mass,
 )
 import chemowave.cauchy_sim as cauchy_sim_mod
-from chemowave.cauchy_sim import FIT_WINDOW_FRACTION, SIGN_DEADZONE, SimState, cell_centers
+from chemowave.cauchy_sim import (
+    FIT_WINDOW_FRACTION,
+    PEAK_PROMINENCE_FRACTION,
+    SIGN_DEADZONE,
+    SimState,
+    cell_centers,
+)
 from chemowave.errors import CFLViolation, InsufficientSamples, NegativeDensity
 
 
@@ -509,3 +515,29 @@ def test_factored_diffusion_solve_matches_solve_banded(r):
     expected = solve_banded((1, 1), _reference_diffusion_matrix(rhs.size, r), rhs)
     for _ in range(2):  # the second solve reuses the cached factors
         assert np.array_equal(cauchy_sim_mod._solve_diffusion(r, rhs.copy()), expected)
+
+
+def test_explicit_attractant_decay_caps_dt(case_two, caplog):
+    # at 64 cells the transport bound alone gives dt = 0.213, and with alpha = 10
+    # s + dt (beta rho - alpha s) went negative even after one halving
+    _model, cfg = case_two
+    config = dataclasses.replace(cfg.build_sim_config(), cells=64, t_end=2.0)
+    assert config.default_dt() == 1.0 / config.params.alpha
+    with caplog.at_level(logging.WARNING, logger="chemowave.cauchy_sim"):
+        state, _diagnostics, _snaps = run(config)
+    assert not [r for r in caplog.records if "halving dt" in r.getMessage()]
+    assert state.t == pytest.approx(2.0, rel=1e-12)
+    assert abs(total_mass(config, state) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["case_two", "case_three"])
+def test_a_density_against_a_wall_is_one_component(case, request):
+    # early on the block still rests on the left wall: its maximum, a bump at
+    # its right edge, stands above the plateau by less than 5% of the range,
+    # and only the wall side makes it prominent
+    _model, cfg = request.getfixturevalue(case)
+    config = dataclasses.replace(cfg.build_sim_config(), t_end=0.5)
+    _state, diagnostics, snapshots = run(config)
+    rho = snapshots[-1].rho
+    assert rho.max() - rho[0] < PEAK_PROMINENCE_FRACTION * (rho.max() - rho.min())
+    assert diagnostics.n_components == 1

@@ -42,7 +42,7 @@ with redirect_stdout(io.StringIO()):
         assert cli_io.main(argv) == 0, argv
 loaded["modes"] = scipy_modules()
 sim = cli_io.load_config(Path(sys.argv[3]))[0].build_sim_config()
-sim = replace(sim, cells=128, t_end=2.0)  # 64 cells: NegativeDensity at the second step
+sim = replace(sim, cells=128, t_end=2.0)
 cauchy_sim.initial_state(sim)
 loaded["sim_setup"] = scipy_modules()
 _state, diagnostics, _snapshots = cauchy_sim.run(sim)

@@ -33,10 +33,16 @@ from chemowave import (
 )
 from chemowave.chemo_fields import N_MONOTONE_TOL
 from chemowave.errors import ChemowaveError
+from chemowave.wave_speed import ROOT_C_REL_TOL
 
 MAX_LOCATION_TOL = 1e-6   # |argmax S| at a verified root, as in the case-study acceptance test
 MASS_REL_TOL = 1e-10      # unit mass of rho, recomputed from its modes
 RELATION_SAMPLES = 16     # scan samples per interval for the metamorphic relations
+SCALES = (0.5, 2.0)       # space-time scaling factors, powers of 2 so that the scaled inputs are exact
+SCALED_UPSILON_TOL = 1e-12  # |s^2 Upsilon(s c) - Upsilon(c)| / max |Upsilon| of the interval
+# Brent stops on a bracket narrower than 2 ROOT_C_REL_TOL relative, so two
+# refinements of one root may differ by twice that
+SCALED_ROOT_TOL = 4.0 * ROOT_C_REL_TOL
 
 
 def _params(alpha: float) -> ChemParams:
@@ -158,3 +164,49 @@ def test_gauss_legendre_models_keep_the_beta_and_nutrient_relations(drawn):
 @given(symmetric_models())
 def test_symmetric_models_keep_the_beta_and_nutrient_relations(drawn):
     _check_relations(drawn)
+
+
+def _check_scaling(drawn) -> None:
+    """ROADMAP item 17, relation 3, the space-time scaling, on one drawn model.
+
+    Velocities x s with ``d_s`` and ``d_n`` x s^2, and ``alpha``, ``beta``
+    and the sensitivities kept, map the profile at c onto the profile at
+    s c stretched by s, so that s^2 Upsilon(s c) = Upsilon(c).  The scan
+    samples scale bit for bit; Upsilon and the refined roots scale within
+    ``SCALED_UPSILON_TOL`` and ``SCALED_ROOT_TOL``.
+    """
+    (v, w, chi_s, chi_n), params = drawn
+    try:
+        model = build_model(v, w, chi_s, chi_n)
+        curve = scan(model, params, RELATION_SAMPLES)
+        roots = np.array(refine_roots(curve, model, params))
+    except ChemowaveError as exc:
+        event(f"typed failure: {type(exc).__name__}")
+        return
+    event(f"roots: {roots.size}")
+
+    for s in SCALES:
+        scaled_model = build_model(s * np.asarray(v), w, chi_s, chi_n)
+        scaled_params = replace(params, d_s=s * s * params.d_s, d_n=s * s * params.d_n)
+        scaled = scan(scaled_model, scaled_params, RELATION_SAMPLES)
+        assert [(seg.interval_id, seg.c.tobytes()) for seg in scaled.intervals] == [
+            (seg.interval_id, (s * seg.c).tobytes()) for seg in curve.intervals
+        ]
+        for seg, scaled_seg in zip(curve.intervals, scaled.intervals):
+            gap = np.max(np.abs(s * s * scaled_seg.upsilon - seg.upsilon))
+            assert gap <= SCALED_UPSILON_TOL * np.max(np.abs(seg.upsilon))
+        scaled_roots = np.array(refine_roots(scaled, scaled_model, scaled_params))
+        assert scaled_roots.size == roots.size
+        assert np.all(np.abs(scaled_roots - s * roots) <= SCALED_ROOT_TOL * s * roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauss_legendre_models())
+def test_gauss_legendre_models_keep_the_space_time_scaling(drawn):
+    _check_scaling(drawn)
+
+
+@settings(max_examples=20, deadline=None)
+@given(symmetric_models())
+def test_symmetric_models_keep_the_space_time_scaling(drawn):
+    _check_scaling(drawn)

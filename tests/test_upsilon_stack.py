@@ -1,8 +1,7 @@
 """The stacked Upsilon: one pass over the speeds of a continuity interval.
 
-Every value must be bit-identical to one call per speed, every failure must
-be one the one-speed path raises, and ``scan`` must fall back to one speed
-at a time, logged, whenever a stack raises.
+Every value must be bit-identical to one call per speed, and every failure
+must be one the one-speed path raises.
 """
 
 from __future__ import annotations
@@ -10,6 +9,7 @@ from __future__ import annotations
 import gc
 import logging
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from chemowave import (
     refine_roots,
     scan,
     solve_modes,
+    solve_S,
     upsilon,
     verify_root,
 )
@@ -90,11 +91,11 @@ def test_stacked_upsilon_error_carries_its_first_failing_speed(case_one, monkeyp
     model, cfg = case_one
     speeds = np.array([0.02, 0.03, 0.04])
 
-    def resonant_from_second(rho, params, c):
-        raise_first(np.asarray(c) >= 0.03, np.asarray(c), lambda i: ResonantMode("coincident exponents"))
+    def negative_from_second(model, c):
+        raise_first(np.asarray(c) >= 0.03, np.asarray(c), lambda i: NonPositiveProfile("negative density"))
 
-    monkeypatch.setattr(wave_speed_mod, "solve_S", resonant_from_second)
-    with pytest.raises(ResonantMode, match=r"^at c=0\.03: coincident exponents$") as info:
+    monkeypatch.setattr(wave_speed_mod, "solve_modes", negative_from_second)
+    with pytest.raises(NonPositiveProfile, match=r"^at c=0\.03: negative density$") as info:
         upsilon(model, cfg.chem, speeds)
     assert info.value.c == 0.03
 
@@ -174,8 +175,8 @@ def _gauss_legendre_128(cfg):
 def test_gauss_legendre_128_scan_finds_two_verified_roots(case_one, caplog):
     # The residual gate's rounding term admits the near-pole roots of the
     # first sample, c = 2.2e-4, that a gate on the largest term alone
-    # refused: every stack now runs without the one-speed fallback, and both
-    # roots pass the S-shape check.
+    # refused: every stack now passes every check, and both roots pass the
+    # S-shape check.
     _model, cfg = case_one
     model = _gauss_legendre_128(cfg)
     with caplog.at_level(logging.DEBUG, logger="chemowave.wave_speed"):
@@ -214,46 +215,20 @@ def test_a_failed_check_leaves_no_reference_cycle(case_one, monkeypatch):
         gc.enable()
 
 
-def test_resonance_in_a_stack_is_retried_one_speed_at_a_time(case_one, monkeypatch, caplog):
+def test_a_stack_with_an_exactly_resonant_sample_logs_nothing(case_one, caplog):
     model, cfg = case_one
-    reference = scan(model, cfg.chem, 16)
-    target = float(reference.intervals[1].c[5])
-    real_solve_S = wave_speed_mod.solve_S
-    retried = []
-
-    def resonant_at_target(rho, params, c):
-        speeds = np.atleast_1d(c)
-        if np.ndim(c):  # the stack holding the target resonates there
-            raise_first(speeds == target, speeds, lambda i: ResonantMode("coincident exponents"))
-        elif c == target and not retried:  # and so does the target's first one-speed attempt
-            retried.append(c)
-            raise ResonantMode("coincident exponents")
-        return real_solve_S(rho, params, c)
-
-    monkeypatch.setattr(wave_speed_mod, "solve_S", resonant_at_target)
-    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_speed"):
-        curve = scan(model, cfg.chem, 16)
-    perturbed = target * (1.0 + 1e-9)
-    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (
-            logging.DEBUG,
-            f"interval 1 (c from {float(curve.intervals[1].c[0])!r} to {float(curve.intervals[1].c[-1])!r}): "
-            "stacked Upsilon raised ResonantMode; evaluating its 16 speeds one at a time",
-        ),
-        (logging.WARNING, f"resonant source mode at c={target!r}; retrying with perturbed c={perturbed!r}"),
-    ]
-    # the one-speed retry, as a direct call makes it
-    retried.clear()
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="chemowave.wave_speed"):
-        direct = upsilon(model, cfg.chem, target)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"resonant source mode at c={target!r}; retrying with perturbed c={perturbed!r}"
-    ]
-    expected = reference.intervals[1].upsilon.copy()
-    expected[5] = direct
-    assert curve.intervals[1].upsilon.tobytes() == expected.tobytes()
-    assert curve.intervals[0].upsilon.tobytes() == reference.intervals[0].upsilon.tobytes()
+    target = float(scan(model, cfg.chem, 16).intervals[1].c[5])
+    rho = solve_modes(model, target).rho_modes()
+    mu = float(rho.left_rates[2])
+    params = replace(cfg.chem, alpha=target * mu + cfg.chem.d_s * mu * mu)
+    with pytest.raises(ResonantMode):  # left mode 2 sits exactly on theta_+ at the target
+        solve_S(rho, params, target)
+    with caplog.at_level(logging.DEBUG, logger="chemowave"):
+        curve = scan(model, params, 16)
+    assert caplog.records == []
+    assert float(curve.intervals[1].c[5]) == target
+    for seg in curve.intervals:
+        assert seg.upsilon.tobytes() == _one_at_a_time(model, params, seg.c).tobytes()
 
 
 def test_refused_row_of_a_stacked_speed_goes_to_the_grid_for_that_speed_only(case_two, monkeypatch, caplog):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import logging
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +13,8 @@ from chemowave import (
     build_model,
     refine_roots,
     scan,
+    solve_modes,
+    solve_S,
     upsilon,
     verify_root,
 )
@@ -166,25 +172,52 @@ def test_refine_brent_on_curved_synthetic_curve(case_one, chem_default, monkeypa
     assert curve.root_residuals == [curved(model, chem_default, roots[0])]
 
 
-def test_resonance_is_retried_once_with_context(case_one, chem_default, monkeypatch):
+def _slope_50_digits(rho, params, c) -> mpmath.mpf:
+    """S'(0) through the particular coefficients A_j, the route of ``solve_S``, in 50 digits.
+
+    At an exact resonance in double precision the 50-digit denominator
+    alpha - c mu - d_s mu^2 is still nonzero, and about 30 digits survive.
+    """
+    with mpmath.workdps(50):
+        c, d_s, alpha, beta = (mpmath.mpf(x) for x in (c, params.d_s, params.alpha, params.beta))
+        disc = mpmath.sqrt(c * c + 4 * alpha * d_s)
+        theta_plus, theta_minus = (-c + disc) / (2 * d_s), (-c - disc) / (2 * d_s)
+        sides = []
+        for coefficients, exponents in (
+            (rho.left_coefficients, rho.left_rates),
+            (rho.right_coefficients, -rho.right_rates),
+        ):
+            mu = [mpmath.mpf(x) for x in exponents]
+            a = [beta * mpmath.mpf(s) / (alpha - c * m - d_s * m * m) for s, m in zip(coefficients, mu)]
+            sides.append((sum(a), sum(x * m for x, m in zip(a, mu))))
+        (sum_left, slope_left), (sum_right, slope_right) = sides
+        d0, d1 = sum_left - sum_right, slope_left - slope_right
+        coef_plus = (d1 - theta_minus * d0) / (theta_minus - theta_plus) + d0
+        return slope_right + coef_plus * theta_minus
+
+
+def test_exact_resonance_is_not_a_singular_speed(case_one, caplog):
+    # alpha = c mu + d_s mu^2 puts left mode 2 exactly on theta_+ at c = 0.1:
+    # solve_S refuses its particular coefficients, while Upsilon, whose
+    # resonant factors cancel, is as accurate there as anywhere
+    model, cfg = case_one
+    c = 0.1
+    rho = solve_modes(model, c).rho_modes()
+    mu = float(rho.left_rates[2])
+    params = replace(cfg.chem, alpha=c * mu + cfg.chem.d_s * mu * mu)
+    with pytest.raises(ResonantMode):
+        solve_S(rho, params, c)
+    with caplog.at_level(logging.DEBUG, logger="chemowave"):
+        value = upsilon(model, params, c)
+    assert caplog.records == []
+    reference = _slope_50_digits(rho, params, c)
+    assert abs((value - reference) / reference) < 1e-13
+
+
+@pytest.mark.parametrize("c", [0.02, 0.05, 0.1, 0.2])
+def test_sfield_slope_is_upsilon(case_one, chem_default, c):
     model, _cfg = case_one
-    real_solve_S = wave_speed_mod.solve_S
-    calls = []
-
-    def resonant_once(rho, params, c):
-        calls.append(c)
-        if len(calls) == 1:
-            raise ResonantMode("coincident exponents")
-        return real_solve_S(rho, params, c)
-
-    monkeypatch.setattr(wave_speed_mod, "solve_S", resonant_once)
-    value = upsilon(model, chem_default, 0.1)
-    assert calls == [0.1, 0.1 * (1.0 + 1e-9)]
-    assert np.isfinite(value)
-
-    def always_resonant(rho, params, c):
-        raise ResonantMode("coincident exponents")
-
-    monkeypatch.setattr(wave_speed_mod, "solve_S", always_resonant)
-    with pytest.raises(ResonantMode, match=r"at c=.*coincident exponents"):
-        upsilon(model, chem_default, 0.1)
+    value = upsilon(model, chem_default, c)
+    assert solve_S(solve_modes(model, c).rho_modes(), chem_default, c).slope_at_zero == value
+    assert verify_root(model, chem_default, c).upsilon_value == value
+    assert abs((value - _slope_50_digits(solve_modes(model, c).rho_modes(), chem_default, c)) / value) < 1e-13
