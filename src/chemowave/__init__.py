@@ -24,8 +24,8 @@ from .cauchy_sim import (
 from .chemo_fields import (
     ChemParams,
     NField,
-    SField,
     locate_maximum,
+    s_slope_at_zero,
     slope_sign_changes,
     solve_N,
     solve_S,
@@ -73,7 +73,6 @@ __all__ = [
     "InitialDensity",
     "NField",
     "PiecewiseExponential",
-    "SField",
     "SimConfig",
     "SimState",
     "Snapshot",
@@ -100,6 +99,7 @@ __all__ = [
     "per_mode_mass",
     "refine_roots",
     "run",
+    "s_slope_at_zero",
     "scan",
     "singular_values",
     "slope_sign_changes",

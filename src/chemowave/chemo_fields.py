@@ -54,21 +54,6 @@ class ChemParams:
 
 
 @dataclass(frozen=True)
-class SField(PiecewiseExponential):
-    """Closed-form chemoattractant profile, an exponential sum on each half-line.
-
-    z < 0: sum_j A_j exp(mu_j z) (mu_j > 0)  +  coef_minus * exp(theta_plus  z)
-    z > 0: sum_j A_j exp(mu_j z) (mu_j < 0)  +  coef_plus  * exp(theta_minus z)
-
-    The homogeneous term is the last entry of each side's coefficients and
-    rates, so ``theta_plus`` is ``left_rates[-1]`` and ``theta_minus`` is
-    ``-right_rates[-1]``.
-    """
-
-    slope_at_zero: float
-
-
-@dataclass(frozen=True)
 class NField:
     """Nutrient profile on a uniform grid, normalized to the far-field limit N_+ = 1.
 
@@ -130,12 +115,17 @@ def s_slope_at_zero(
     return float(slope) if c.ndim == 0 else slope
 
 
-def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
+def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> PiecewiseExponential:
     """Closed-form solution of -c S' - D_S S'' + alpha S = beta rho at one speed.
 
-    The coefficients of the two homogeneous exponentials come from matching
-    S and S' at z = 0.  A source exponent on a homogeneous one raises
-    ``ResonantMode``; ``slope_at_zero`` is ``s_slope_at_zero``, which cannot.
+    z < 0: sum_j A_j exp(mu_j z) (mu_j > 0)  +  coef_minus * exp(theta_plus  z)
+    z > 0: sum_j A_j exp(mu_j z) (mu_j < 0)  +  coef_plus  * exp(theta_minus z)
+
+    The homogeneous term is the last entry of each side's coefficients and
+    rates, so ``theta_plus`` is ``left_rates[-1]`` and ``theta_minus`` is
+    ``-right_rates[-1]``; its coefficients come from matching S and S' at
+    z = 0.  A source exponent on a homogeneous one raises ``ResonantMode``;
+    the slope S'(0) is ``s_slope_at_zero``, which cannot.
     """
     c = float(c)
     theta_plus, theta_minus = _homogeneous_exponents(params, c)
@@ -150,23 +140,22 @@ def solve_S(rho: PiecewiseExponential, params: ChemParams, c: float) -> SField:
     coef_minus = (d1 - theta_minus * d0) / (theta_minus - theta_plus)
     coef_plus = coef_minus + d0
 
-    return SField(
+    return PiecewiseExponential(
         left_coefficients=np.append(A_left, coef_minus),
         left_rates=np.append(mu_left, theta_plus),
         right_coefficients=np.append(A_right, coef_plus),
         right_rates=np.append(rho.right_rates, -theta_minus),
-        slope_at_zero=s_slope_at_zero(rho, params, c),
     )
 
 
-def slope_sign_changes(sfield: SField, halfwidth: float) -> int:
+def slope_sign_changes(sfield: PiecewiseExponential, halfwidth: float) -> int:
     """Count sign changes of S' on a two-sided logarithmic grid."""
     s = np.sign(sfield.derivative(two_sided_grid(1e-8, halfwidth, halfwidth, GRID_POINTS_PER_SIDE)))
     s = s[s != 0.0]
     return int(np.sum(s[1:] != s[:-1]))
 
 
-def locate_maximum(sfield: SField, halfwidth: float) -> float:
+def locate_maximum(sfield: PiecewiseExponential, halfwidth: float) -> float:
     """Position of the (unique) maximum of S, by bisection on S'."""
     z = np.insert(two_sided_grid(1e-12, halfwidth, halfwidth, 512), 512, 0.0)
     d = sfield.derivative(z)
@@ -178,8 +167,8 @@ def locate_maximum(sfield: SField, halfwidth: float) -> float:
 
 def _n_system(
     rho_vals: np.ndarray, params: ChemParams, c: float, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Banded matrix (ab form) and rhs for the nutrient two-point problem."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nutrient two-point problem as ``solve_tridiagonal``'s arguments (dl, d, du, b)."""
     n = rho_vals.size
     d = params.d_n
     main = np.zeros(n)
@@ -212,32 +201,23 @@ def _n_system(
     main[-1] = -2.0 * d * inv_h2 - 2.0 * c / h - c * c / d - params.gamma * rho_vals[-1]
     rhs[-1] = -(2.0 * c / h + c * c / d)  # N_+ = 1
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = main
-    ab[2, :-1] = sub[1:]
-    return ab, rhs
+    return sub[1:], main, sup[:-1], rhs
 
 
-def solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system ``ab`` (banded form) x = ``rhs``, as LAPACK dgtsv.
+def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = ``b`` for the tridiagonal A with sub-, main and superdiagonal ``dl``, ``d``, ``du``.
 
-    ``ab`` has the superdiagonal in row 0 (from column 1), the diagonal in
-    row 1 and the subdiagonal in row 2 (up to the last column), the layout
-    of ``scipy.linalg.solve_banded((1, 1), ab, rhs)``.  This is a line-for-line
-    port of reference LAPACK ``dgtsv`` for one right-hand side, the routine
-    ``solve_banded`` runs for that layout: Gaussian elimination with partial
-    pivoting, the same operations in the same order, so x has the same bits.
-    A Python loop costs about 3 ms at 4097 nodes, which one nutrient solve
-    per profile can pay; the simulation, which solves twice per step for
-    thousands of steps, keeps LAPACK (``cauchy_sim._diffusion_solver``).
+    The arguments of LAPACK ``dgtsv`` for one right-hand side, and a
+    line-for-line port of reference ``dgtsv``: Gaussian elimination with
+    partial pivoting, the same operations in the same order, so x has the
+    bits of ``scipy.linalg.lapack.dgtsv``.  A Python loop costs about 3 ms
+    at 4097 nodes, which one nutrient solve per profile can pay; the
+    simulation, which solves twice per step for thousands of steps, keeps
+    LAPACK (``cauchy_sim._diffusion_solver``).
     """
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    if not all(np.isfinite(x).all() for x in (dl, d, du, b)):
         raise ValueError("array must not contain infs or NaNs")
-    du = ab[0, 1:].tolist()
-    d = ab[1].tolist()
-    dl = ab[2, :-1].tolist()
-    b = rhs.tolist()
+    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
     n = len(d)
     for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):  # no row interchange
@@ -287,15 +267,14 @@ def solve_N(
     not nondecreasing, the mesh is refined up to three times before giving up.
     """
     if not c > 0.0:
-        raise NonPositiveSpeed(f"nutrient solve requires c > 0, got {c!r}")
+        raise at_speed(NonPositiveSpeed("nutrient solve requires c > 0"), c)
 
     for attempt in range(_MAX_N_REFINEMENTS + 1):
         n_cells = cells * 2**attempt
         grid = np.linspace(-domain_halfwidth, domain_halfwidth, n_cells + 1)
         h = grid[1] - grid[0]
         rho_vals = np.asarray(rho(grid), dtype=float)
-        ab, rhs = _n_system(rho_vals, params, c, h)
-        values = solve_tridiagonal(ab, rhs)
+        values = solve_tridiagonal(*_n_system(rho_vals, params, c, h))
         increments = np.diff(values)
         if np.all(increments >= -N_MONOTONE_TOL * np.max(np.abs(values))):
             n_minus = float(values[0])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cauchy_sim import InitialDensity, SimConfig, run
-from .chemo_fields import ChemParams, solve_N, solve_S
+from .chemo_fields import ChemParams, s_slope_at_zero, solve_N, solve_S
 from .errors import (
     ChemowaveError,
     ConfigError,
@@ -446,7 +446,7 @@ def _mode_profile(cfg: RunConfig, out: Path, config_hash: str) -> None:
         f"{_g17(profile.right_mass)}, slowest rates "
         f"{_g17(profile.roots.slowest_negative)}/{_g17(profile.roots.slowest_positive)}"
     )
-    print(f"S slope at origin: {_g17(sfield.slope_at_zero)}; N far-field {_g17(nfield.n_minus)}")
+    print(f"S slope at origin: {_g17(s_slope_at_zero(rho, cfg.chem, c))}; N far-field {_g17(nfield.n_minus)}")
 
 
 def _mode_simulate(cfg: RunConfig, out: Path, config_hash: str) -> None:

@@ -59,7 +59,6 @@ class DispersionRoots:
     """
 
     c: float | np.ndarray
-    cutting_index: int
     negative_roots: np.ndarray
     positive_roots: np.ndarray
 
@@ -77,7 +76,6 @@ class DispersionRoots:
         """The roots at speed ``c[i]`` of a stack."""
         return DispersionRoots(
             c=float(self.c[i]),
-            cutting_index=self.cutting_index,
             negative_roots=self.negative_roots[i],
             positive_roots=self.positive_roots[i],
         )
@@ -248,16 +246,12 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
     raise_first(
         mean_run_length(model, speeds, "left") <= 0.0,
         speeds,
-        lambda i: SpeedNotAdmissible(
-            f"c={float(speeds[i])!r}: no confinement on the left side (c >= c_upper)"
-        ),
+        lambda i: SpeedNotAdmissible("no confinement on the left side (c >= c_upper)"),
     )
     raise_first(
         mean_run_length(model, speeds, "right") >= 0.0,
         speeds,
-        lambda i: SpeedNotAdmissible(
-            f"c={float(speeds[i])!r}: no confinement on the right side (c <= c_lower)"
-        ),
+        lambda i: SpeedNotAdmissible("no confinement on the right side (c <= c_lower)"),
     )
 
     w = model.weights
@@ -266,7 +260,7 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
         raise_first(
             np.ones(speeds.shape, dtype=bool),
             speeds,
-            lambda i: SpeedNotAdmissible(f"c={float(speeds[i])!r}: all relative velocities share one sign"),
+            lambda i: SpeedNotAdmissible("all relative velocities share one sign"),
         )
 
     # Left side: poles from v<c are negative, ordered like the velocities;
@@ -296,7 +290,6 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
         _verify_side(model, speeds, "right", poles_right, positive_roots)
     roots = DispersionRoots(
         c=speeds,
-        cutting_index=j_cut,
         negative_roots=negative_roots,
         positive_roots=positive_roots,
     )

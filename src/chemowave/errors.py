@@ -1,8 +1,7 @@
 """Exception hierarchy for the chemowave solvers.
 
-All errors carry a single human-readable message so that callers can
-re-raise them with extra context (e.g. the offending wave speed) without
-losing the class.
+All errors carry a single human-readable message.  A check that runs per
+wave speed names the failing speed through :func:`at_speed`.
 """
 
 from __future__ import annotations
@@ -21,13 +20,14 @@ class ChemowaveError(Exception):
 
 
 def at_speed(exc: ChemowaveError, c: float) -> ChemowaveError:
-    """``exc`` with the wave speed it belongs to recorded as ``exc.c``.
+    """``exc``, a fresh error, with its speed as ``exc.c`` and its message prefixed ``at c=...: ``.
 
     Raise the returned error directly: a local name bound to an error in the
     raising frame makes a reference cycle through its traceback, and the
     frame's arrays then live until the cyclic garbage collector runs.
     """
     exc.c = float(c)
+    exc.args = (f"at c={exc.c!r}: {exc}",)
     return exc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -106,7 +106,7 @@ class SpeedInterval:
 
     c_lower: float
     c_upper: float
-    admissible_intervals: tuple[tuple[float, float], ...] = field(default=())
+    admissible_intervals: tuple[tuple[float, float], ...]
 
 
 def expand_half_set(
@@ -301,7 +301,7 @@ def cutting_index(model: VelocityModel, c: float | np.ndarray) -> int | np.ndarr
     raise_first(
         np.abs(v - speeds[:, None]).min(axis=1) <= model.node_guard,
         speeds,
-        lambda i: SpeedOnVelocityNode(f"speed c={float(speeds[i])!r} collides with a velocity node"),
+        lambda i: SpeedOnVelocityNode("speed collides with a velocity node"),
     )
     j = np.searchsorted(v, speeds) - 1
     return int(j[0]) if np.ndim(c) == 0 else j

@@ -231,7 +231,7 @@ def solve_modes(model: VelocityModel, c: float | np.ndarray) -> WaveProfile:
         raise_first(
             singular if singular.any() else stack == 0,
             speeds,
-            lambda i: NullSpaceDimensionError(f"matching system singular at c={float(speeds[i])!r}: {exc}"),
+            lambda i: NullSpaceDimensionError(f"matching system singular: {exc}"),
         )
 
     a = x[:, :m]
@@ -250,18 +250,13 @@ def solve_modes(model: VelocityModel, c: float | np.ndarray) -> WaveProfile:
     raise_first(
         np.abs(dropped) > MATCHING_REL_TOL * np.maximum(dropped_scale, _TINY),
         speeds,
-        lambda i: NullSpaceDimensionError(
-            f"replaced matching equation violated at c={float(speeds[i])!r}: residual {float(dropped[i])!r}"
-        ),
+        lambda i: NullSpaceDimensionError(f"replaced matching equation violated: residual {float(dropped[i])!r}"),
     )
     mismatch = np.abs((matching @ x[:, :, None])[:, :, 0]).max(axis=1)
     raise_first(
         mismatch > MATCHING_REL_TOL * np.abs(f0).max(axis=1),
         speeds,
-        lambda i: NullSpaceDimensionError(
-            f"left/right expansions disagree at z=0 for c={float(speeds[i])!r}: "
-            f"max mismatch {mismatch[i]!r}"
-        ),
+        lambda i: NullSpaceDimensionError(f"left/right expansions disagree at z=0: max mismatch {mismatch[i]!r}"),
     )
 
     left_mass = np.vecdot(a, mass_row[:, :m])
@@ -366,10 +361,7 @@ def check_positivity(profile: WaveProfile) -> None:
         )
         values = evaluate_f_matrix(one, verification_grid(one))[:, refused]
         if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
-            raise at_speed(
-                NonPositiveProfile(f"profile not strictly positive on the verification grid at c={one.c!r}"),
-                one.c,
-            )
+            raise at_speed(NonPositiveProfile("profile not strictly positive on the verification grid"), one.c)
 
 
 def two_sided_grid(inner: float, left: float, right: float, points_per_side: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chemo_fields import ChemParams, locate_maximum, s_slope_at_zero, slope_sign_changes, solve_S
-from .errors import ChemowaveError, LostBracket, at_speed
+from .errors import ChemowaveError, LostBracket
 from .velocity_model import VelocityModel, admissible_speed_interval
 from .wave_profile import solve_modes
 
@@ -77,12 +77,7 @@ def upsilon(model: VelocityModel, params: ChemParams, c: float | np.ndarray) -> 
     check raises for the first speed that fails it at the earliest failing
     stage, with the message the one-speed call gives there.
     """
-    try:
-        profile = solve_modes(model, c)
-    except ChemowaveError as exc:
-        speed = exc.c if np.ndim(c) else float(c)  # a stack's error names its failing speed
-        raise at_speed(type(exc)(f"at c={speed!r}: {exc}"), speed) from exc
-    return s_slope_at_zero(profile.rho_modes(), params, c)
+    return s_slope_at_zero(solve_modes(model, c).rho_modes(), params, c)
 
 
 def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
@@ -258,7 +253,6 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> fl
 class RootVerification:
     """Consistency data for a refined wave speed."""
 
-    c: float
     upsilon_value: float
     maximum_location: float
     slope_sign_changes: int
@@ -271,12 +265,12 @@ def verify_root(model: VelocityModel, params: ChemParams, c: float) -> RootVerif
     with the maximum at the origin.
     """
     profile = solve_modes(model, c)
-    sfield = solve_S(profile.rho_modes(), params, c)
+    rho = profile.rho_modes()
+    sfield = solve_S(rho, params, c)
     changes = slope_sign_changes(sfield, profile.halfwidth)
     z_max = locate_maximum(sfield, profile.halfwidth)
     return RootVerification(
-        c=float(c),
-        upsilon_value=float(sfield.slope_at_zero),
+        upsilon_value=s_slope_at_zero(rho, params, c),
         maximum_location=float(z_max),
         slope_sign_changes=changes,
     )

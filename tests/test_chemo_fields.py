@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from chemowave import (
     ChemParams,
     PiecewiseExponential,
     locate_maximum,
+    s_slope_at_zero,
     solve_modes,
     solve_N,
     solve_S,
@@ -73,7 +76,7 @@ def test_chem_params_validation():
 def test_even_source_has_flat_slope_at_origin():
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
     sfield = solve_S(_symmetric_mode(1.3), params, 0.0)
-    assert sfield.slope_at_zero == pytest.approx(0.0, abs=1e-15)
+    assert s_slope_at_zero(_symmetric_mode(1.3), params, 0.0) == pytest.approx(0.0, abs=1e-15)
     z = np.linspace(-10, 10, 1001)
     assert np.allclose(sfield(z), sfield(-z), rtol=1e-13, atol=1e-300)
 
@@ -115,10 +118,11 @@ def test_sfield_is_an_exponential_sum_with_homogeneous_terms_last():
         assert abs(params.alpha - c * theta - params.d_s * theta * theta) < 1e-14 * params.alpha
     assert np.array_equal(sfield.left_rates, [0.9, 3.0, theta_plus])
     assert np.array_equal(sfield.right_rates, [1.4, -theta_minus])
-    # C^1 matching at the origin, and the slope there is the stored one
+    # C^1 matching at the origin, and the slope there is the closed-form one
+    slope = s_slope_at_zero(rho, params, c)
     assert sfield(-1e-300) == pytest.approx(sfield(0.0), rel=1e-14)
-    assert sfield.derivative(-1e-300) == pytest.approx(sfield.slope_at_zero, rel=1e-12)
-    assert sfield.derivative(0.0) == pytest.approx(sfield.slope_at_zero, rel=1e-12)
+    assert sfield.derivative(-1e-300) == pytest.approx(slope, rel=1e-12)
+    assert sfield.derivative(0.0) == pytest.approx(slope, rel=1e-12)
 
 
 def test_literal_resonant_constants_raise():
@@ -177,7 +181,7 @@ def test_linearity_and_scaling():
     doubled = ChemParams(d_s=0.5, d_n=1.0, alpha=2.0, beta=2.0, gamma=1.0)
     s1 = solve_S(r1, params, c)
     s2 = solve_S(r1, doubled, c)
-    assert s2.slope_at_zero == 2.0 * s1.slope_at_zero
+    assert s_slope_at_zero(r1, doubled, c) == 2.0 * s_slope_at_zero(r1, params, c)
     assert np.array_equal(np.asarray(s2(z)), 2.0 * np.asarray(s1(z)))
 
 
@@ -240,7 +244,33 @@ def test_truncation_robustness(case_one, chem_default):
     wide = solve_N(rho, chem_default, 0.1, 2.0 * halfwidth, cells=8192)
     assert abs(wide.n_minus - base.n_minus) < 1e-8
     s1 = solve_S(rho, chem_default, 0.1)
-    assert s1.slope_at_zero == solve_S(rho, chem_default, 0.1).slope_at_zero
+    assert s1.derivative(0.0) == pytest.approx(s_slope_at_zero(rho, chem_default, 0.1), rel=1e-12)
+
+
+def test_nutrient_upwind_rows_converge_at_first_order(case_one):
+    # At d_n = 1e-4 the cell Peclet number c h / d_n is 26.7, 13.4 and 6.7 on
+    # 4096, 8192 and 16384 cells, so every interior row is upwind.  The
+    # 65536-cell solve (Peclet 1.7) is central and lies within 5e-8 of a
+    # 262144-cell one.  Upwinding is first order: the error halves with h.
+    model, cfg = case_one
+    c = 0.05246996633768716  # the refined admissible root of this configuration
+    profile = solve_modes(model, c)
+    rho = profile.rho_modes()
+    params = replace(cfg.chem, d_n=1e-4)
+    reference = solve_N(rho, params, c, profile.halfwidth, cells=65536)
+    errors = []
+    for cells in (4096, 8192, 16384):
+        nfield = solve_N(rho, params, c, profile.halfwidth, cells=cells)
+        assert nfield.grid.size == cells + 1  # no mesh refinement
+        assert c * (nfield.grid[1] - nfield.grid[0]) / params.d_n > 2.0
+        assert 0.0 < nfield.n_minus <= 1.0
+        errors.append(np.max(np.abs(nfield.values - reference.values[:: 65536 // cells])))
+    assert errors[0] < 2.5e-3  # 2.24e-3 measured
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.6 <= coarse / fine <= 2.4
+    grid = np.linspace(-profile.halfwidth, profile.halfwidth, 4097)
+    system = chemo_fields_mod._n_system(np.asarray(rho(grid)), params, c, grid[1] - grid[0])
+    assert SOLVE_TRIDIAGONAL(*system).tobytes() == dgtsv(*system)[3].tobytes()
 
 
 def test_nutrient_requires_positive_speed(chem_default):
@@ -265,8 +295,8 @@ def test_nutrient_mesh_refinement_is_logged(monkeypatch, caplog):
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
     calls = []
 
-    def solve_with_dip(ab, rhs):
-        values = SOLVE_TRIDIAGONAL(ab, rhs)
+    def solve_with_dip(*system):
+        values = SOLVE_TRIDIAGONAL(*system)
         calls.append(values.size)
         if len(calls) == 1:
             values[values.size // 2] -= 0.5
@@ -289,8 +319,8 @@ def test_nutrient_dip_on_every_mesh_raises(case_one, chem_default, monkeypatch, 
     profile = solve_modes(model, 0.05)
     calls = []
 
-    def solve_with_dip(ab, rhs):
-        values = SOLVE_TRIDIAGONAL(ab, rhs)
+    def solve_with_dip(*system):
+        values = SOLVE_TRIDIAGONAL(*system)
         calls.append(values.size)
         values[values.size // 2] -= 0.5
         return values
@@ -308,6 +338,6 @@ def test_nutrient_far_field_level_below_zero_raises(case_one, chem_default, monk
     # a shifted solve stays monotone, but its far-field level N(-L) is negative
     model, _cfg = case_one
     profile = solve_modes(model, 0.05)
-    monkeypatch.setattr(chemo_fields_mod, "solve_tridiagonal", lambda ab, rhs: SOLVE_TRIDIAGONAL(ab, rhs) - 2.0)
+    monkeypatch.setattr(chemo_fields_mod, "solve_tridiagonal", lambda *system: SOLVE_TRIDIAGONAL(*system) - 2.0)
     with pytest.raises(NonMonotoneN, match="far-field level"):
         solve_N(profile.rho_modes(), chem_default, 0.05, profile.halfwidth, cells=256)

@@ -7,6 +7,7 @@ import pytest
 
 from chemowave import (
     build_model,
+    cutting_index,
     dispersion_residual,
     mean_run_length,
     singular_values,
@@ -72,7 +73,7 @@ def test_counts_match_relative_velocity_split(case_one, case_two, case_three):
             below = int(np.sum(model.velocities < c))
             assert roots.negative_roots.size == below
             assert roots.positive_roots.size == model.n_active - below
-            assert roots.cutting_index == below - 1
+            assert cutting_index(model, c) == below - 1
 
 
 def test_root_residuals_below_tolerance(case_one, case_two, case_three):

@@ -6,7 +6,8 @@ and only ``scipy.linalg`` (LAPACK dgttrf/dgttrs), when it first factors its
 diffusion matrix: a whole run, its component count included
 (``cauchy_sim.prominent_peaks``, a port of ``find_peaks``), loads neither
 ``scipy.signal`` nor ``scipy.stats``.  Each check runs in a subprocess: this
-test process has long since loaded scipy.
+test process has long since loaded scipy.  The package's ``__all__`` must
+list exactly its public names.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import chemowave
@@ -66,3 +68,15 @@ def test_construction_loads_no_deferred_scipy_module(tmp_path, configs_dir):
     # component count after the last step loads nothing more
     assert loaded["sim_run"] == ["scipy.linalg"]
     assert loaded["sim_components"] == 1
+
+
+def test_all_lists_every_public_name_and_nothing_else():
+    namespace: dict = {}
+    exec("from chemowave import *", namespace)  # raises on a listed name that does not resolve
+    assert set(namespace) - {"__builtins__"} == set(chemowave.__all__)
+    public = {
+        name
+        for name, value in vars(chemowave).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(chemowave.__all__) - {"__version__"}

@@ -3,7 +3,8 @@
 The construction modes run on numpy alone: ``wave_speed.brentq`` refines the
 wave speeds and ``chemo_fields.solve_tridiagonal`` solves the nutrient
 profile.  Each must give the bits that ``scipy.optimize.brentq`` and
-``scipy.linalg.solve_banded((1, 1), ...)`` give.  The simulation counts the
+``scipy.linalg.lapack.dgtsv`` give; the tridiagonal solve also matches
+``scipy.linalg.solve_banded((1, 1), ...)``, which runs ``dgtsv``.  The simulation counts the
 components of its final density with ``cauchy_sim.prominent_peaks``, which
 must return the indices of ``scipy.signal.find_peaks(x, prominence=p)``.
 """
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq as scipy_brentq
 from scipy.signal import find_peaks
 
@@ -98,36 +100,49 @@ def test_brent_returns_a_bracket_end_with_a_zero_value():
     assert brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == 1.0
 
 
+def _three_solves(dl, d, du, b) -> tuple[bytes, bytes, bytes]:
+    """The bytes of the port's, LAPACK dgtsv's and solve_banded's solution of one system."""
+    *_factors, x, info = dgtsv(dl, d, du, b)
+    assert info == 0
+    ab = np.zeros((3, d.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return solve_tridiagonal(dl, d, du, b).tobytes(), x.tobytes(), solve_banded((1, 1), ab, b).tobytes()
+
+
 @pytest.mark.parametrize("nodes", [4097, 8193, 16385, 32769])
 def test_tridiagonal_matches_solve_banded_on_the_nutrient_systems(case_one, case_two, nodes):
     for (model, cfg), c in ((case_one, 0.0525), (case_two, 0.1415)):
         profile = solve_modes(model, c)
         grid = np.linspace(-profile.halfwidth, profile.halfwidth, nodes)
-        ab, rhs = _n_system(np.asarray(profile.rho_modes()(grid)), cfg.chem, c, grid[1] - grid[0])
-        assert solve_tridiagonal(ab, rhs).tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+        port, lapack, banded = _three_solves(
+            *_n_system(np.asarray(profile.rho_modes()(grid)), cfg.chem, c, grid[1] - grid[0])
+        )
+        assert port == lapack == banded
 
 
 def test_tridiagonal_matches_solve_banded_with_row_interchanges():
     rng = np.random.default_rng(5)
     interchanges = 0
     for n in list(range(2, 12)) * 20 + [257, 1000]:
-        ab = rng.normal(size=(3, n))
-        ab[1] *= rng.choice([0.05, 1.0, 20.0])  # weak, even and dominant diagonals
+        dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
+        d = rng.normal(size=n) * rng.choice([0.05, 1.0, 20.0])  # weak, even and dominant diagonals
         rhs = rng.normal(size=n)
-        interchanges += int(np.sum(np.abs(ab[1, :-1]) < np.abs(ab[2, :-1])))
-        assert solve_tridiagonal(ab, rhs).tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+        interchanges += int(np.sum(np.abs(d[:-1]) < np.abs(dl)))
+        port, lapack, banded = _three_solves(dl, d, du, rhs)
+        assert port == lapack == banded
     assert interchanges > 100  # the pivoting branch ran (counted on the input diagonal)
 
 
 def test_tridiagonal_refuses_what_solve_banded_refuses():
-    singular = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])  # its rows 0 and 1 are equal
-    rhs = np.ones(3)
+    # rows 0 and 1 of this matrix are equal
+    dl, d, du, rhs = np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0]), np.ones(3)
+    assert dgtsv(dl, d, du, rhs)[-1] > 0  # LAPACK reports a zero pivot
     with pytest.raises(np.linalg.LinAlgError):
-        solve_banded((1, 1), singular, rhs)
+        solve_banded((1, 1), np.array([[0.0, *du], d, [*dl, 0.0]]), rhs)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solve_tridiagonal(singular, rhs)
+        solve_tridiagonal(dl, d, du, rhs)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_tridiagonal(np.ones((3, 3)), np.array([1.0, np.nan, 1.0]))
+        solve_tridiagonal(dl, d, du, np.array([1.0, np.nan, 1.0]))
 
 
 def _same_peaks(x, prominence) -> None:

@@ -36,6 +36,7 @@ from chemowave.errors import (
     ChemowaveError,
     NonPositiveProfile,
     ResonantMode,
+    SpeedNotAdmissible,
     SpeedOnVelocityNode,
     raise_first,
 )
@@ -77,14 +78,50 @@ def test_numpy_scalar_speed_is_named_as_a_float(case_one):
     model, cfg = case_one
     with pytest.raises(SpeedOnVelocityNode) as info:
         upsilon(model, cfg.chem, np.float64(0.0848))
-    assert str(info.value) == "at c=0.0848: speed c=0.0848 collides with a velocity node"
+    assert str(info.value) == "at c=0.0848: speed collides with a velocity node"
 
 
 def test_upsilon_error_carries_the_failing_speed(case_one):
     model, cfg = case_one
     with pytest.raises(SpeedOnVelocityNode) as info:
         upsilon(model, cfg.chem, 0.0848)
-    assert info.value.c == 0.0848 and info.value.__cause__.c == 0.0848
+    assert info.value.c == 0.0848 and str(info.value).count("c=") == 1
+
+
+SPEED_RULE_CASES = {  # failing speed, a stack of one interval that holds it, error
+    "node": (0.0848, [0.05, 0.0848], SpeedOnVelocityNode),
+    "above_c_upper": (0.24, [0.2, 0.24], SpeedNotAdmissible),
+    "below_c_lower": (-0.08, [-0.05, -0.08], SpeedNotAdmissible),
+    "nan": (float("nan"), [float("nan")], SpeedNotAdmissible),
+    "refused_positivity_row": (0.15, [0.1, 0.15], NonPositiveProfile),
+}
+SPEED_RULE_ROUTES = {
+    "upsilon": lambda model, params, c, stack: upsilon(model, params, c),
+    "stacked_upsilon": lambda model, params, c, stack: upsilon(model, params, np.array(stack)),
+    "solve_modes": lambda model, params, c, stack: solve_modes(model, c),
+}
+
+
+@pytest.mark.parametrize("route", SPEED_RULE_ROUTES)
+@pytest.mark.parametrize("case", SPEED_RULE_CASES)
+def test_a_failed_check_names_its_speed_once(case_one, monkeypatch, case, route):
+    model, cfg = case_one
+    c, stack, error = SPEED_RULE_CASES[case]
+    if error is NonPositiveProfile:  # the certificate refuses every row at c, and the grid rejects them
+        real_certified_rows = wave_profile_mod.certified_rows
+        monkeypatch.setattr(
+            wave_profile_mod,
+            "certified_rows",
+            lambda profile: real_certified_rows(profile) & (np.asarray(profile.c) != c)[..., None],
+        )
+        monkeypatch.setattr(
+            wave_profile_mod, "evaluate_f_matrix", lambda profile, z: -np.ones((z.size, model.n_active))
+        )
+    with pytest.raises(error) as info:
+        SPEED_RULE_ROUTES[route](model, cfg.chem, c, stack)
+    message = str(info.value)
+    assert repr(info.value.c) == repr(c)
+    assert message.startswith(f"at c={info.value.c!r}: ") and message.count("c=") == 1
 
 
 def test_stacked_upsilon_error_carries_its_first_failing_speed(case_one, monkeypatch):
@@ -172,16 +209,24 @@ def _gauss_legendre_128(cfg):
     return build_model(nodes, weights / weights.sum(), cfg.chi_s, cfg.chi_n)
 
 
-def test_gauss_legendre_128_scan_finds_two_verified_roots(case_one, caplog):
+def test_gauss_legendre_128_scan_finds_two_verified_roots(case_one, monkeypatch):
     # The residual gate's rounding term admits the near-pole roots of the
     # first sample, c = 2.2e-4, that a gate on the largest term alone
-    # refused: every stack now passes every check, and both roots pass the
-    # S-shape check.
+    # refused: every stack now passes every check, so the scan solves each
+    # interval's whole stack once, and both roots pass the S-shape check.
     _model, cfg = case_one
     model = _gauss_legendre_128(cfg)
-    with caplog.at_level(logging.DEBUG, logger="chemowave.wave_speed"):
-        curve = scan(model, cfg.chem)
-    assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == []
+    stacks = []
+
+    def recorded(model, c, solve=wave_speed_mod.solve_modes):
+        stacks.append(np.array(c, copy=True))
+        return solve(model, c)
+
+    monkeypatch.setattr(wave_speed_mod, "solve_modes", recorded)
+    curve = scan(model, cfg.chem)
+    assert len(stacks) == len(curve.intervals)
+    for stack, seg in zip(stacks, curve.intervals):
+        assert stack.shape == seg.c.shape and stack.tobytes() == seg.c.tobytes()
     roots = refine_roots(curve, model, cfg.chem)
     assert roots == pytest.approx([0.0585224, 0.0615894], rel=1e-6)
     for c in roots:
@@ -267,4 +312,4 @@ def test_refused_row_of_a_stacked_speed_goes_to_the_grid_for_that_speed_only(cas
     with pytest.raises(NonPositiveProfile) as info:
         upsilon(model, cfg.chem, speeds)
     c = float(speeds[i])
-    assert str(info.value) == f"at c={c!r}: profile not strictly positive on the verification grid at c={c!r}"
+    assert str(info.value) == f"at c={c!r}: profile not strictly positive on the verification grid"

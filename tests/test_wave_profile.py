@@ -197,7 +197,7 @@ def test_uniform_bound_for_incoming_velocities(profile_one):
     model = profile_one.model
     max_t = model.rates.max_rate
     grid = np.geomspace(1e-6, 30.0, 200)
-    for k in range(profile_one.roots.cutting_index + 1):
+    for k in range(profile_one.roots.negative_roots.size - 1 + 1):
         bound = max_t / (profile_one.c - model.velocities[k])
         assert np.max(evaluate_f_matrix(profile_one, grid)[:, k]) <= bound
 
@@ -237,7 +237,7 @@ def test_velocity_ordering_on_half_lines(profile_one):
     # and stays below I/t_pm; mirrored statement on the left side.
     model = profile_one.model
     r = model.rates
-    j = profile_one.roots.cutting_index
+    j = profile_one.roots.negative_roots.size - 1
     for z in (0.2, 1.0, 6.0):
         f = evaluate_f_matrix(profile_one, z)[0]
         inc = f[: j + 1]
@@ -255,7 +255,7 @@ def test_outgoing_alternative(profile_one):
     # outgoing velocities.
     model = profile_one.model
     t_pp = model.rates.t_pp
-    j = profile_one.roots.cutting_index
+    j = profile_one.roots.negative_roots.size - 1
     for z in (0.5, 2.0, 10.0):
         I_val = evaluate_I(profile_one, z)
         f = evaluate_f_matrix(profile_one, z)[0]
