@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -380,8 +381,14 @@ def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     return peaks[keep]
 
 
-def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
-    """Integrate to t_end, recording snapshots and the density-peak track.
+def run(config: SimConfig, on_snapshot: Callable[[Snapshot], object]) -> tuple[SimState, FrontDiagnostics]:
+    """Integrate to t_end, handing each snapshot to ``on_snapshot`` as it is taken.
+
+    A snapshot is taken at t = 0, then every ``snapshot_interval`` (default
+    ``t_end / 100``) and at t_end; each owns its arrays, so a caller may keep
+    it (``run(config, snaps.append)``).  ``run`` itself keeps only the
+    density-peak track, so its memory does not grow with the number of
+    snapshots.  An exception from ``on_snapshot`` stops the run.
 
     If the exchange ever produces a negative density the step size is halved
     once and the run continues; a second occurrence propagates the error.
@@ -397,19 +404,21 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
     dt = config.default_dt()
     snap_dt = config.snapshot_interval or config.t_end / 100.0
     halved = False
+    peak_track = []
 
-    def snap(st: SimState) -> Snapshot:
+    def snap(st: SimState) -> None:
         rho = config.model.weights @ st.f
-        return Snapshot(
+        peak_track.append((st.t, float(x[int(np.argmax(rho))])))
+        on_snapshot(Snapshot(
             t=st.t,
             x=x,
             rho=rho,
             s=st.s.copy(),
             n=st.n.copy(),
             f=st.f.copy() if config.keep_velocity_snapshots else None,
-        )
+        ))
 
-    snapshots = [snap(state)]
+    snap(state)
     next_snap = snap_dt
 
     while state.t < config.t_end * (1.0 - 1e-12):
@@ -424,14 +433,14 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
             dt *= 0.5
             continue
         if state.t >= next_snap * (1.0 - 1e-12) or state.t >= config.t_end * (1.0 - 1e-12):
-            snapshots.append(snap(state))
+            snap(state)
             next_snap = _next_snapshot_time(next_snap, snap_dt, state.t)
 
-    rho_final = snapshots[-1].rho
+    rho_final = config.model.weights @ state.f  # the last snapshot's rho: t_end always takes one
     prominence = PEAK_PROMINENCE_FRACTION * (float(np.max(rho_final)) - float(np.min(rho_final)))
     padded = np.concatenate(([-np.inf], rho_final, [-np.inf]))
     peaks = prominent_peaks(padded, max(prominence, np.finfo(float).tiny))
-    peak_track = np.array([(s.t, float(x[int(np.argmax(s.rho))])) for s in snapshots])
+    peak_track = np.array(peak_track)
     try:
         speed, residual = measure_front_speed(peak_track)
     except InsufficientSamples:
@@ -443,7 +452,7 @@ def run(config: SimConfig) -> tuple[SimState, FrontDiagnostics, list[Snapshot]]:
         fit_residual=residual,
         n_components=int(peaks.size),
     )
-    return state, diagnostics, snapshots
+    return state, diagnostics
 
 
 def measure_front_speed(peak_track: np.ndarray) -> tuple[float, float]:

@@ -15,8 +15,10 @@ import functools
 import hashlib
 import logging
 import os
+import pickle
 import re
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -450,12 +452,28 @@ def _mode_profile(cfg: RunConfig, out: Path, config_hash: str) -> None:
 
 
 def _mode_simulate(cfg: RunConfig, out: Path, config_hash: str) -> None:
-    sim_config = cfg.build_sim_config()
-    state, diagnostics, snapshots = run(sim_config)
-    for i, snapshot in enumerate(snapshots):
-        emit_snapshot_csv(snapshot, out / f"snapshot_{i:04d}.csv", config_hash)
+    # Each snapshot is pickled to an unnamed spool file in ``out`` as run()
+    # hands it over, and becomes its CSV once run() returns or fails: memory
+    # holds one snapshot at a time, and a disk that cannot take the spool
+    # stops the run at once.  The CSVs are written after run() because
+    # perfbench's tracer reads every traced call made inside run() as one of
+    # its steps (ROADMAP, loose ends).
+    taken = 0
+    with tempfile.TemporaryFile(dir=out) as spool:
+
+        def keep(snapshot) -> None:
+            nonlocal taken
+            pickle.dump(snapshot, spool, protocol=pickle.HIGHEST_PROTOCOL)
+            taken += 1
+
+        try:
+            state, diagnostics = run(cfg.build_sim_config(), keep)
+        finally:
+            spool.seek(0)
+            for i in range(taken):
+                emit_snapshot_csv(pickle.load(spool), out / f"snapshot_{i:04d}.csv", config_hash)
     emit_diagnostics_csv(diagnostics, out / "diagnostics.csv", config_hash)
-    print(f"integrated to t={_g17(state.t)} with {len(snapshots)} snapshots")
+    print(f"integrated to t={_g17(state.t)} with {len(diagnostics.peak_track)} snapshots")
     print(
         f"front speed {_g17(diagnostics.fitted_speed)} "
         f"(rms residual {diagnostics.fit_residual:.3e}), "

@@ -309,7 +309,8 @@ def test_criterion_8_cauchy_runs(case_two, case_three):
         cfl=0.45,
         t_end=100.0,
     )
-    state, diagnostics, snapshots = run(config_two)
+    snapshots = []
+    state, diagnostics = run(config_two, snapshots.append)
     assert abs(total_mass(config_two, state) - 1.0) < 1e-8
     assert all(np.min(s.rho) >= 0.0 and np.min(s.n) >= 0.0 for s in snapshots)
     assert diagnostics.n_components == 1
@@ -324,7 +325,8 @@ def test_criterion_8_cauchy_runs(case_two, case_three):
         cfl=0.45,
         t_end=100.0,
     )
-    state3, diagnostics3, snapshots3 = run(config_three)
+    snapshots3 = []
+    state3, diagnostics3 = run(config_three, snapshots3.append)
     assert abs(total_mass(config_three, state3) - 1.0) < 1e-8
     assert all(np.min(s.rho) >= 0.0 and np.min(s.n) >= 0.0 for s in snapshots3)
     assert diagnostics3.n_components > 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,16 +327,38 @@ def test_run_produces_snapshots_and_diagnostics(case_two):
         snapshot_interval=2.0,
         keep_velocity_snapshots=True,
     )
-    state, diagnostics, snapshots = run(config)
+    snapshots = []
+    state, diagnostics = run(config, snapshots.append)
     assert state.t == pytest.approx(40.0, rel=1e-12)
     assert len(snapshots) == 21
     assert snapshots[0].t == 0.0 and snapshots[-1].t == pytest.approx(40.0, rel=1e-12)
     assert snapshots[-1].f is not None and snapshots[-1].f.shape == (model.n_active, 128)
     assert diagnostics.peak_track.shape[0] == len(snapshots)
     assert np.array_equal(diagnostics.peak_track[:, 0], [snap.t for snap in snapshots])
+    assert np.array_equal(diagnostics.peak_track[:, 1], [snap.x[np.argmax(snap.rho)] for snap in snapshots])
     assert diagnostics.peak_track[-1, 1] > 2.0  # the peak detached and moved right
     assert diagnostics.n_components >= 1
     assert abs(total_mass(config, state) - 1.0) < 1e-8
+
+
+def test_run_memory_does_not_grow_with_the_snapshot_count(case_two):
+    # a caller that drops each snapshot leaves run() holding only the peak
+    # track; with the velocity rows each snapshot has 3 + 18 rows of cells
+    _model, cfg = case_two
+    config = dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, keep_velocity_snapshots=True)
+    snapshot_bytes = (3 + config.model.n_active) * config.cells * 8
+    run(config, lambda snapshot: None)  # caches the diffusion factors of each dt, the cut last step's too
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for count in (20, 200):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(dataclasses.replace(config, snapshot_interval=config.t_end / count), lambda snapshot: None)
+            peaks[count] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks[200] - peaks[20] < 2 * snapshot_bytes
 
 
 def test_front_speed_grid_self_consistency(case_two):
@@ -353,7 +376,7 @@ def test_front_speed_grid_self_consistency(case_two):
             cfl=0.45,
             t_end=80.0,
         )
-        _state, diagnostics, _snaps = run(config)
+        _state, diagnostics = run(config, lambda snapshot: None)
         speeds[cells] = diagnostics.fitted_speed
     assert abs(speeds[512] - speeds[256]) < 0.02
 
@@ -379,7 +402,7 @@ def test_dt_halving_is_logged(monkeypatch, caplog):
 
     monkeypatch.setattr(cauchy_sim_mod, "step", step_failing_once)
     with caplog.at_level(logging.WARNING, logger="chemowave.cauchy_sim"):
-        state, _diagnostics, _snaps = run(config)
+        state, _diagnostics = run(config, lambda snapshot: None)
     assert dts[1] == pytest.approx(0.5 * dts[0], rel=1e-15)
     assert state.t == pytest.approx(1.0, rel=1e-12)
     halvings = [r for r in caplog.records if "halving dt" in r.getMessage()]
@@ -524,7 +547,7 @@ def test_explicit_attractant_decay_caps_dt(case_two, caplog):
     config = dataclasses.replace(cfg.build_sim_config(), cells=64, t_end=2.0)
     assert config.default_dt() == 1.0 / config.params.alpha
     with caplog.at_level(logging.WARNING, logger="chemowave.cauchy_sim"):
-        state, _diagnostics, _snaps = run(config)
+        state, _diagnostics = run(config, lambda snapshot: None)
     assert not [r for r in caplog.records if "halving dt" in r.getMessage()]
     assert state.t == pytest.approx(2.0, rel=1e-12)
     assert abs(total_mass(config, state) - 1.0) < 1e-12
@@ -537,7 +560,8 @@ def test_a_density_against_a_wall_is_one_component(case, request):
     # and only the wall side makes it prominent
     _model, cfg = request.getfixturevalue(case)
     config = dataclasses.replace(cfg.build_sim_config(), t_end=0.5)
-    _state, diagnostics, snapshots = run(config)
+    snapshots = []
+    _state, diagnostics = run(config, snapshots.append)
     rho = snapshots[-1].rho
     assert rho.max() - rho[0] < PEAK_PROMINENCE_FRACTION * (rho.max() - rho.min())
     assert diagnostics.n_components == 1

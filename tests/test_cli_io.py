@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import pickle
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import chemowave.cauchy_sim as cauchy_sim_mod
 import chemowave.cli_io as cli_io_mod
 from chemowave.cli_io import (
     emit_speeds_summary,
@@ -21,6 +23,7 @@ from chemowave.cauchy_sim import SimConfig
 from chemowave.errors import (
     ConfigError,
     MissingKey,
+    NegativeDensity,
     ParseError,
     SensitivityOutOfRange,
     UnknownKey,
@@ -183,6 +186,82 @@ def test_cli_simulate_mode(tmp_path):
     assert (tmp_path / "sim" / "diagnostics.csv").exists()
     assert (tmp_path / "sim" / "snapshot_0000.csv").exists()
     assert (tmp_path / "sim" / "snapshot_0002.csv").exists()
+
+
+def _step_per_snapshot_config(tmp_path):
+    """A short two-velocity simulation that takes one snapshot after every step."""
+    text = TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = simulate") + (
+        "\n[sim]\ndomain_length = 10\ncells = 64\ncfl = 0.5\nt_end = 2\nsnapshot_interval = 1e-9\n"
+    )
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(text)
+    return cfg_path
+
+
+def _step_spy(monkeypatch, fail_from=None):
+    """Count the calls of cauchy_sim.step; from call ``fail_from`` on, raise NegativeDensity."""
+    real_step = cauchy_sim_mod.step
+    calls = []
+
+    def spy(state, config, dt=None):
+        calls.append(dt)
+        if fail_from is not None and len(calls) >= fail_from:
+            raise NegativeDensity(f"negative cell density after the exchange at t={state.t!r}")
+        return real_step(state, config, dt)
+
+    monkeypatch.setattr(cauchy_sim_mod, "step", spy)
+    return calls
+
+
+def test_simulate_stops_at_the_snapshot_it_cannot_spool(tmp_path, monkeypatch, capsys):
+    # each snapshot goes to disk as it is taken, so a failed write ends the run
+    # there (the third snapshot follows the second step), and the snapshots
+    # taken before it still become CSVs
+    cfg_path = _step_per_snapshot_config(tmp_path)
+    real_dump = pickle.dump
+    spooled = []
+
+    def dump_failing_third(obj, file, protocol=None):
+        if len(spooled) == 2:
+            raise OSError(28, "No space left on device")
+        spooled.append(obj.t)
+        real_dump(obj, file, protocol=protocol)
+
+    steps = _step_spy(monkeypatch)
+    monkeypatch.setattr(pickle, "dump", dump_failing_third)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 4
+    assert "i/o error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert len(steps) == 2
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == ["snapshot_0000.csv", "snapshot_0001.csv"]
+
+
+def test_simulate_snapshot_write_failure_is_an_io_error(tmp_path, monkeypatch, capsys):
+    # the CSVs are written once run() returns: a failed one is exit 4, after
+    # the snapshots before it, and no diagnostics.csv follows
+    cfg_path = _step_per_snapshot_config(tmp_path)
+    real_emit = cli_io_mod.emit_snapshot_csv
+    written = []
+
+    def emit_failing_third(snapshot, path, config_hash=None):
+        if len(written) == 2:
+            raise OSError(28, "No space left on device", str(path))
+        written.append(path.name)
+        real_emit(snapshot, path, config_hash)
+
+    monkeypatch.setattr(cli_io_mod, "emit_snapshot_csv", emit_failing_third)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 4
+    assert "i/o error: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == written == ["snapshot_0000.csv", "snapshot_0001.csv"]
+
+
+def test_simulate_keeps_the_snapshots_written_before_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # steps 1-5 succeed; the sixth fails, run() halves dt once, and the retry fails too
+    cfg_path = _step_per_snapshot_config(tmp_path)
+    steps = _step_spy(monkeypatch, fail_from=6)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 3
+    assert "numerical failure: negative cell density" in capsys.readouterr().err
+    assert len(steps) == 7 and steps[6] == 0.5 * steps[5]
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == [f"snapshot_{i:04d}.csv" for i in range(6)]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -47,7 +47,7 @@ sim = cli_io.load_config(Path(sys.argv[3]))[0].build_sim_config()
 sim = replace(sim, cells=128, t_end=2.0)
 cauchy_sim.initial_state(sim)
 loaded["sim_setup"] = scipy_modules()
-_state, diagnostics, _snapshots = cauchy_sim.run(sim)
+_state, diagnostics = cauchy_sim.run(sim, lambda snapshot: None)
 loaded["sim_run"] = [m for m in ("scipy.linalg", "scipy.signal", "scipy.stats") if m in sys.modules]
 loaded["sim_components"] = diagnostics.n_components
 print(json.dumps(loaded))
