@@ -11,7 +11,6 @@ N(+L) = 1, discretized with second-order finite differences.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +19,8 @@ from .errors import NonMonotoneN, NonPositiveSpeed, ResonantMode, at_speed
 from .velocity_model import bisect_decreasing
 from .wave_profile import GRID_POINTS_PER_SIDE, PiecewiseExponential, two_sided_grid
 
-logger = logging.getLogger(__name__)
-
 RESONANCE_GUARD_REL = 1e-10
 N_MONOTONE_TOL = 1e-12      # relative slack for roundoff-flat tails
-_MAX_N_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -258,34 +254,31 @@ def solve_N(
     domain_halfwidth: float,
     cells: int = 4096,
 ) -> NField:
-    """Finite-difference solve of -c N' - D_N N'' + gamma rho N = 0.
+    """Finite-difference solve of -c N' - D_N N'' + gamma rho N = 0 on ``cells + 1`` nodes.
 
     Boundary conditions: N'(-L) = 0 (flat left tail) and the far-field limit
     N(+inf) = N_+ = 1 through the integrated relation D N' + c N = c N_+ at
     +L.  The equation is linear in N, so N_+ = 1 is a pure normalization.
-    The profile must come out nondecreasing with N(-L) in (0, 1]; if it is
-    not nondecreasing, the mesh is refined up to three times before giving up.
+    The profile must come out nondecreasing with N(-L) in (0, 1]; either
+    failure raises ``NonMonotoneN``.
+
+    For rho >= 0 one solve suffices: the profile is nondecreasing on every
+    mesh.  An interior row of ``_n_system`` gives sup_i (N_{i+1} - N_i) =
+    sub_i (N_i - N_{i-1}) + gamma rho_i N_i, and the ghost row at -L gives
+    (2 D / h^2) (N_1 - N_0) = gamma rho_0 N_0.  The Peclet switch keeps
+    sub_i >= 0, so -A is an M-matrix with a right-hand side <= 0: N >= 0,
+    and by induction every increment is >= 0 in exact arithmetic.
     """
     if not c > 0.0:
         raise at_speed(NonPositiveSpeed("nutrient solve requires c > 0"), c)
 
-    for attempt in range(_MAX_N_REFINEMENTS + 1):
-        n_cells = cells * 2**attempt
-        grid = np.linspace(-domain_halfwidth, domain_halfwidth, n_cells + 1)
-        h = grid[1] - grid[0]
-        rho_vals = np.asarray(rho(grid), dtype=float)
-        values = solve_tridiagonal(*_n_system(rho_vals, params, c, h))
-        increments = np.diff(values)
-        if np.all(increments >= -N_MONOTONE_TOL * np.max(np.abs(values))):
-            n_minus = float(values[0])
-            # n_minus == 1 only in the consumption-free limit
-            if not (0.0 < n_minus <= 1.0 + N_MONOTONE_TOL):
-                raise NonMonotoneN(f"far-field level {n_minus!r} outside (0, 1.0]")
-            return NField(grid=grid, values=values, n_minus=n_minus)
-        if attempt < _MAX_N_REFINEMENTS:
-            logger.warning(
-                "nutrient profile not monotone on %d cells; refining the mesh to %d cells",
-                n_cells,
-                2 * n_cells,
-            )
-    raise NonMonotoneN("nutrient profile not monotone after mesh refinement")
+    grid = np.linspace(-domain_halfwidth, domain_halfwidth, cells + 1)
+    rho_vals = np.asarray(rho(grid), dtype=float)
+    values = solve_tridiagonal(*_n_system(rho_vals, params, c, grid[1] - grid[0]))
+    if not np.all(np.diff(values) >= -N_MONOTONE_TOL * np.max(np.abs(values))):
+        raise NonMonotoneN(f"nutrient profile not monotone on {cells} cells")
+    n_minus = float(values[0])
+    # n_minus == 1 only in the consumption-free limit
+    if not (0.0 < n_minus <= 1.0 + N_MONOTONE_TOL):
+        raise NonMonotoneN(f"far-field level {n_minus!r} outside (0, 1.0]")
+    return NField(grid=grid, values=values, n_minus=n_minus)

@@ -425,10 +425,10 @@ def _mode_scan(cfg: RunConfig, out: Path, config_hash: str) -> None:
     emit_speeds_summary(roots, out / "speeds.csv", curve.root_residuals, config_hash)
     print(f"sampled {len(curve.samples)} speeds in {len(curve.intervals)} intervals")
     print(f"admissible wave speeds: {len(roots)}")
-    for c in roots:
+    for c, residual in zip(roots, curve.root_residuals):
         check = verify_root(model, cfg.chem, c)
         print(
-            f"  c={_g17(c)}  |Upsilon|={abs(check.upsilon_value):.3e}  "
+            f"  c={_g17(c)}  |Upsilon|={abs(residual):.3e}  "
             f"S-max at z={check.maximum_location:.3e}  unimodal={check.slope_sign_changes == 1}"
         )
     if not roots:

@@ -109,7 +109,7 @@ class ResonantMode(NumericalError):
 
 
 class NonMonotoneN(NumericalError):
-    """Nutrient profile failed monotonicity after mesh refinement."""
+    """Nutrient profile is not nondecreasing, or its far-field level lies outside (0, 1]."""
 
 
 class NonPositiveSpeed(NumericalError):

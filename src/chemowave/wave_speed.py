@@ -253,7 +253,6 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> fl
 class RootVerification:
     """Consistency data for a refined wave speed."""
 
-    upsilon_value: float
     maximum_location: float
     slope_sign_changes: int
 
@@ -265,12 +264,10 @@ def verify_root(model: VelocityModel, params: ChemParams, c: float) -> RootVerif
     with the maximum at the origin.
     """
     profile = solve_modes(model, c)
-    rho = profile.rho_modes()
-    sfield = solve_S(rho, params, c)
+    sfield = solve_S(profile.rho_modes(), params, c)
     changes = slope_sign_changes(sfield, profile.halfwidth)
     z_max = locate_maximum(sfield, profile.halfwidth)
     return RootVerification(
-        upsilon_value=s_slope_at_zero(rho, params, c),
         maximum_location=float(z_max),
         slope_sign_changes=changes,
     )

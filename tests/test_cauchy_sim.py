@@ -13,6 +13,7 @@ from chemowave import (
     InitialDensity,
     SimConfig,
     build_model,
+    expand_half_set,
     initial_state,
     measure_front_speed,
     run,
@@ -565,3 +566,99 @@ def test_a_density_against_a_wall_is_one_component(case, request):
     rho = snapshots[-1].rho
     assert rho.max() - rho[0] < PEAK_PROMINENCE_FRACTION * (rho.max() - rho.min())
     assert diagnostics.n_components == 1
+
+
+# Metamorphic relations between two runs.  Space scaling: with the velocities
+# and the length times s, d_s and d_n times s^2 and gamma times s, dt, the
+# Courant numbers |v| dt / dx and the diffusion numbers dt D / dx^2 keep their
+# bits, and for s a power of 2 every other product picks up an exact power of
+# 2, so f and S scale by 1/s and N is unchanged bit for bit.  Mirror: a start
+# at L - center gives the mirror image, up to rounding in the sum over
+# velocities and the diffusion solves; the bounds below are 3 to 5 times the
+# largest relative deviation over sec4_2's snapshots (5.8e-16 for f, rho and
+# S, 1.9e-14 for N).
+MIRROR_TOL = 2e-15
+MIRROR_N_TOL = 1e-13
+
+
+def _short_sec4_2(case_two):
+    # 21 snapshots with velocities, in about 0.05 s
+    _model, cfg = case_two
+    return dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, keep_velocity_snapshots=True)
+
+
+def _space_scaled(config, s):
+    m, p = config.model, config.params
+    return dataclasses.replace(
+        config,
+        model=build_model(m.velocities * s, m.weights, m.chi_s, m.chi_n),
+        params=dataclasses.replace(p, d_s=p.d_s * s * s, d_n=p.d_n * s * s, gamma=p.gamma * s),
+        domain_length=config.domain_length * s,
+    )
+
+
+def _snapshots(config):
+    snapshots = []
+    _state, diagnostics = run(config, snapshots.append)
+    return snapshots, diagnostics
+
+
+def _assert_space_scaling(config, s):
+    base, base_diagnostics = _snapshots(config)
+    scaled, diagnostics = _snapshots(_space_scaled(config, s))
+    assert len(scaled) == len(base)
+    for snap, ref in zip(scaled, base):
+        assert snap.t == ref.t
+        assert np.array_equal(snap.x, s * ref.x)
+        assert np.array_equal(s * snap.f, ref.f) and np.array_equal(s * snap.rho, ref.rho)
+        assert np.array_equal(s * snap.s, ref.s) and np.array_equal(snap.n, ref.n)
+    assert np.array_equal(diagnostics.peak_track, base_diagnostics.peak_track * [1.0, s])
+    assert diagnostics.fitted_speed == s * base_diagnostics.fitted_speed
+    assert diagnostics.n_components == base_diagnostics.n_components
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5])
+def test_space_scaling_is_bit_for_bit(case_two, s):
+    _assert_space_scaling(_short_sec4_2(case_two), s)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_space_scaling_holds_for_random_symmetric_models(seed):
+    # drawn as test_pipeline_property draws symmetric sets, with fewer velocities
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 8))
+    half_w = rng.uniform(0.01, 1.0, k)
+    v, w = expand_half_set(np.sort(rng.uniform(0.01, 1.0, k)), half_w / (2.0 * half_w.sum()))
+    chi_s = rng.uniform(0.05, 0.45)
+    config = SimConfig(
+        model=build_model(v, w, chi_s, rng.uniform(0.0, chi_s)),
+        params=ChemParams(d_s=0.5, d_n=1.0, alpha=float(rng.choice([0.5, 10.0])), beta=1.0, gamma=1.0),
+        domain_length=30.0,
+        cells=128,
+        cfl=0.45,
+        t_end=20.0,
+        snapshot_interval=1.0,
+        keep_velocity_snapshots=True,
+    )
+    for s in (2.0, 0.5):
+        _assert_space_scaling(config, s)
+
+
+def test_mirror_start_gives_the_mirror_image(case_two):
+    config = _short_sec4_2(case_two)
+    length = config.domain_length
+    assert config.initial_rho.center is None  # the default center, 0.05 * length
+    mirrored = dataclasses.replace(config, initial_rho=InitialDensity(center=length - 0.05 * length))
+    base, base_diagnostics = _snapshots(config)
+    image, diagnostics = _snapshots(mirrored)
+    assert len(image) == len(base)
+    for snap, ref in zip(image, base):
+        assert snap.t == ref.t
+        for got, want, tol in (
+            (snap.f[::-1, ::-1], ref.f, MIRROR_TOL),
+            (snap.rho[::-1], ref.rho, MIRROR_TOL),
+            (snap.s[::-1], ref.s, MIRROR_TOL),
+            (snap.n[::-1], ref.n, MIRROR_N_TOL),
+        ):
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    assert diagnostics.n_components == base_diagnostics.n_components

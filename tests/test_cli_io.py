@@ -470,7 +470,10 @@ def test_cli_scan_on_shipped_config(tmp_path, configs_dir, capsys):
         if line and not line.startswith("#") and not line.startswith("c,")
     ]
     assert len(speeds_rows) == 1
-    assert 0.0 < float(speeds_rows[0].split(",")[0]) < 0.23714
+    c, residual = (float(x) for x in speeds_rows[0].split(","))
+    assert 0.0 < c < 0.23714
+    # the printed |Upsilon| is the residual written to speeds.csv
+    assert f"|Upsilon|={abs(residual):.3e}  " in stdout
 
 
 def test_format_config_includes_all_blocks(configs_dir):

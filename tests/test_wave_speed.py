@@ -218,5 +218,4 @@ def test_exact_resonance_is_not_a_singular_speed(case_one, caplog):
 def test_sfield_slope_is_upsilon(case_one, chem_default, c):
     model, _cfg = case_one
     value = upsilon(model, chem_default, c)
-    assert verify_root(model, chem_default, c).upsilon_value == value
     assert abs((value - _slope_50_digits(solve_modes(model, c).rho_modes(), chem_default, c)) / value) < 1e-13
