@@ -166,9 +166,9 @@ def build_model(
     w = w[order]
     if np.any(np.diff(v) <= 0):
         raise AsymmetricSet("velocities must be distinct")
-    if not np.allclose(v, -v[::-1], rtol=0.0, atol=SYMMETRY_TOL):
+    if not (np.abs(v + v[::-1]) <= SYMMETRY_TOL).all():
         raise AsymmetricSet("velocity set is not symmetric about the origin")
-    if not np.allclose(w, w[::-1], rtol=0.0, atol=SYMMETRY_TOL):
+    if not (np.abs(w - w[::-1]) <= SYMMETRY_TOL).all():
         raise AsymmetricSet("weights are not symmetric about the origin")
 
     total = float(np.sum(w))
@@ -248,13 +248,63 @@ def bisect_decreasing(f, lo: float, hi: float, rtol: float = 1e-14) -> float:
     return 0.5 * (lo + hi)
 
 
+def _run_length_sign(model: VelocityModel, side: str, lo: float, hi: float):
+    """A stand-in for ``mean_run_length(model, ., side)`` inside ``bisect_decreasing(f, lo, hi)``.
+
+    The stand-in has the sign of the run length at every speed in (lo, hi),
+    so the bisection takes the same midpoints and returns the same bits, but
+    it evaluates the run length only within ``slack`` of its root.
+
+    Between two nodes every rate T_k is constant, so the run length f is
+    affine there with root ``sum(w v / T) / sum(w / T)``.  The piece is the
+    one after the last node in (lo, hi) where the computed f is > 0 (after lo
+    if there is none).  With u = eps / 2, |c| <= v_max and T_min, T_max the
+    smallest and largest of the four rates:
+
+    - each computed f(c) is within E = (n + 4) eps 2 v_max / T_min of the
+      exact one: every term has 3 roundings and the n-term sum n - 1, and
+      the terms' magnitudes sum to at most 2 v_max / T_min;
+    - f falls with slope at least sum(w) / T_max, so |c - r| > E T_max puts
+      the computed f(c) on the side of the exact root r, and nonzero;
+    - the piece's ends a < b have computed f(a) > 0 >= f(b) (lo and hi have
+      f(lo) > 0 > f(hi)), so the exact f(a) > -E and f(b) < E.  If r is
+      not in [a, b], it lies within E T_max of the nearer end, and so does
+      the root of the piece's affine extension: the two roots differ by less
+      than E T_max;
+    - the closed form rounds its two n-term sums and one quotient, which
+      moves it by less than E T_max / 2.
+
+    So a midpoint farther than 2.5 E T_max from the closed form has the sign
+    of ``root - c``; ``slack`` is 4 E T_max, and mean_run_length decides the
+    midpoints within it.
+    """
+    v = model.velocities
+    nodes = v[(v > lo) & (v < hi)]
+    ahead = nodes[mean_run_length(model, nodes, side) > 0.0]
+    a = float(ahead[-1]) if ahead.size else lo
+    # the rates just above a are the piece's: v_k < c exactly for the nodes v_k <= a
+    s = model.weights / side_rates(model, np.nextafter(a, hi), side)
+    root = float(np.sum(s * v) / np.sum(s))
+    r = model.rates
+    t_min = min(r.t_mm, r.t_mp, r.t_pm, r.t_pp)
+    slack = 4.0 * (model.n_active + 4) * np.finfo(float).eps * 2.0 * model.v_max * r.max_rate / t_min
+
+    def sign(c: float) -> float:
+        if abs(c - root) > slack:
+            return root - c
+        return mean_run_length(model, c, side)
+
+    return sign
+
+
 def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
     """Confinement window (c_lower, c_upper) of the model.
 
     c_upper is the unique root of the left-side mean run length in
     (0, v_max); c_lower the root of the right-side analogue in (-v_max, 0].
     Both run lengths are strictly decreasing in c, so plain bisection is
-    unconditionally safe.
+    unconditionally safe.  Its midpoints' signs come from ``_run_length_sign``,
+    which gives the bits of bisecting ``mean_run_length`` itself.
     """
     v_max = model.v_max
     guard = model.node_guard
@@ -266,7 +316,7 @@ def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
         )
     if mean_run_length(model, v_max - guard, "left") >= 0.0:
         raise NoConfinementWindow("no sign change of the left-side run length in (0, v_max)")
-    c_upper = bisect_decreasing(lambda c: mean_run_length(model, c, "left"), 0.0, v_max - guard)
+    c_upper = bisect_decreasing(_run_length_sign(model, "left", 0.0, v_max - guard), 0.0, v_max - guard)
 
     # chi_n <= chi_s makes the right-side run length nonpositive at c=0, and
     # chi_n == chi_s makes it 0; that 0 is only exact up to the rounding of the
@@ -276,9 +326,7 @@ def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
     if abs(g_right_0) <= model.n_active * np.finfo(float).eps * float(np.sum(terms)):
         c_lower = 0.0
     elif g_right_0 < 0.0:
-        c_lower = bisect_decreasing(
-            lambda c: mean_run_length(model, c, "right"), -v_max + guard, 0.0
-        )
+        c_lower = bisect_decreasing(_run_length_sign(model, "right", -v_max + guard, 0.0), -v_max + guard, 0.0)
     else:
         raise NoConfinementWindow("right-side mean run length positive at c=0")
 

@@ -254,6 +254,20 @@ def test_nutrient_solve_is_monotone_on_every_mesh(monkeypatch):
                     assert np.all(np.diff(values) >= -N_MONOTONE_TOL * np.max(np.abs(values)))
 
 
+@pytest.mark.xfail(strict=True, raises=NonMonotoneN, reason="rounding puts N(-L) of N = 1 above 1")
+def test_consumption_free_nutrient_is_accepted():
+    # With gamma = 0 the exact profile is N = 1, but the solve returns
+    # N(-L) = 1 + 1.0e-12, and the check N(-L) in (0, 1] refuses it; the
+    # speed next to it (the previous test's) gives 1 + 9.994e-13 and passes
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    model = build_model(nodes, weights / weights.sum(), 0.3, 0.1)
+    c = 0.10425348572615269
+    profile = solve_modes(model, c)
+    params = ChemParams(d_s=0.5, d_n=100.0, alpha=0.5, beta=1.0, gamma=0.0)
+    nfield = solve_N(profile.rho_modes(), params, c, profile.halfwidth, cells=4096)
+    assert nfield.n_minus == pytest.approx(1.0, abs=1e-10)
+
+
 def test_nutrient_mesh_convergence(case_one, chem_default):
     # Second-order scheme: halving h divides the far-field error by ~4, and
     # from the 8192-cell mesh a further halving moves N(-L) by under 1e-6.

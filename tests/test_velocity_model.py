@@ -23,7 +23,18 @@ from chemowave.errors import (
     SpeedOnVelocityNode,
     WeightSumNotOne,
 )
-from chemowave.velocity_model import SensitivityBoundaryWarning, TumblingRates, VelocityModel, side_rates
+from chemowave import velocity_model
+from chemowave.velocity_model import (
+    SensitivityBoundaryWarning,
+    SpeedInterval,
+    TumblingRates,
+    VelocityModel,
+    bisect_decreasing,
+    side_rates,
+)
+
+GAUSS_LEGENDRE_SIZES = (2, 4, 8, 18, 32, 64, 128)
+WINDOW_DRAWS = {"gauss-legendre": 8, "symmetric": 40, "two-velocity": 120}  # seeded draws per family
 
 
 def test_published_quadrature_set_builds(case_one):
@@ -213,6 +224,74 @@ def test_equal_sensitivities_put_the_lower_window_edge_at_zero(case_one, chem_de
     assert len(roots) == 1
     if root is not None:
         assert roots == [root]
+
+
+def _plain_window(model) -> SpeedInterval:
+    """The window from bisecting mean_run_length itself, on admissible_speed_interval's brackets."""
+    v_max, guard = model.v_max, model.node_guard
+    c_upper = bisect_decreasing(lambda c: mean_run_length(model, c, "left"), 0.0, v_max - guard)
+    c_lower = 0.0
+    if model.chi_n < model.chi_s:
+        c_lower = bisect_decreasing(lambda c: mean_run_length(model, c, "right"), -v_max + guard, 0.0)
+    lo = max(0.0, c_lower)
+    bounds = [lo, *(float(x) for x in model.velocities if lo < x < c_upper), c_upper]
+    return SpeedInterval(c_lower, c_upper, tuple(zip(bounds[:-1], bounds[1:])))
+
+
+def _sensitivities(rng, i: int) -> tuple[float, float]:
+    """One draw in four each: chi_s == chi_n; chi_s + chi_n close to 1 (T_max / T_min up to 2e4);
+    weak sensitivities, whose window edges lie where the run length's rounding matters most."""
+    if i % 4 == 0:
+        chi = rng.uniform(0.05, 0.45)
+        return chi, chi
+    if i % 4 == 1:
+        chi_s = rng.uniform(0.49, 0.49995)
+        return chi_s, rng.uniform(0.49, chi_s)
+    chi_s = 10.0 ** rng.uniform(-4.0, -1.0) if i % 4 == 2 else rng.uniform(0.05, 0.45)
+    return chi_s, rng.uniform(0.0, chi_s)
+
+
+def _window_models(family: str):
+    rng = np.random.default_rng(27)
+    for i in range(WINDOW_DRAWS[family]):
+        if family == "gauss-legendre":
+            for n in GAUSS_LEGENDRE_SIZES:
+                nodes, weights = np.polynomial.legendre.leggauss(n)
+                yield build_model(nodes, weights / weights.sum(), *_sensitivities(rng, i))
+        elif family == "symmetric":
+            # drawn as test_dispersion_property draws symmetric sets
+            k = int(rng.integers(2, 41))
+            half_w = rng.uniform(0.01, 1.0, k)
+            v, w = expand_half_set(np.sort(rng.uniform(0.01, 1.0, k)), half_w / (2.0 * half_w.sum()))
+            yield build_model(v, w, *_sensitivities(rng, i))
+        else:
+            speed = rng.uniform(0.1, 2.0)
+            yield build_model([-speed, speed], [0.5, 0.5], *_sensitivities(rng, i))
+
+
+@pytest.mark.parametrize("family", WINDOW_DRAWS)
+def test_window_is_the_plain_bisection_bit_for_bit(family, two_velocity_model):
+    models = [two_velocity_model, *_window_models(family)]
+    differ = [
+        (model.velocities.size, model.chi_s, model.chi_n)
+        for model in models
+        if admissible_speed_interval(model) != _plain_window(model)
+    ]
+    assert differ == []
+
+
+def test_window_evaluates_the_run_length_only_near_its_edges(monkeypatch):
+    # the plain bisection evaluates it about 102 times for this window
+    calls = []
+
+    def spy(model, c, side):
+        calls.append(c)
+        return mean_run_length(model, c, side)
+
+    monkeypatch.setattr(velocity_model, "mean_run_length", spy)
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    admissible_speed_interval(build_model(nodes, weights / weights.sum(), 0.3, 0.1))
+    assert len(calls) <= 40
 
 
 def test_right_run_length_positive_at_zero_has_no_window():
