@@ -32,6 +32,7 @@ import numpy as np
 from .errors import BracketFailure, SingularLambda, SpeedNotAdmissible, at_speed, raise_first
 from .velocity_model import (
     VelocityModel,
+    bisect_decreasing,
     cutting_index,
     mean_run_length,
     side_rates,
@@ -103,45 +104,6 @@ def dispersion_residual(model: VelocityModel, c: float, lam: float, side: str) -
     return float(np.sum(model.weights / gap))
 
 
-def _residual_vector(w: np.ndarray, poles: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The dispersion sum at each entry of ``lam``; ``poles`` is one row, or one row per entry."""
-    with np.errstate(divide="ignore"):
-        return np.sum(w / (poles - lam[:, None]), axis=1)
-
-
-def _bisect_brackets(
-    w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.ndarray, speeds: np.ndarray
-) -> np.ndarray:
-    """Bisect every bracket simultaneously down to machine width.
-
-    The residual is -inf just above the lower endpoint and +inf just below
-    the upper one (endpoints are poles, or 0 with the known confinement
-    sign), so no endpoint evaluation is needed and every step halves the
-    bracket.  Stops when no representable midpoint remains, 200 iterations
-    at most.  Used for the roots the Newton polish cannot place.  ``poles``
-    is one row for every bracket or one row per bracket; ``speeds``, one per
-    bracket, names the speed of a failure.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        active = (mid > lo) & (mid < hi)
-        if not np.any(active):
-            break
-        res = _residual_vector(w, poles, mid)
-        nan = active & np.isnan(res)
-        if nan.any():
-            raise at_speed(
-                BracketFailure("dispersion residual evaluated to NaN inside a bracket"), speeds[nan.argmax()]
-            )
-        go_up = active & (res < 0.0)
-        go_dn = active & ~go_up
-        lo[go_up] = mid[go_up]
-        hi[go_dn] = mid[go_dn]
-    return 0.5 * (lo + hi)
-
-
 @lru_cache(maxsize=8)
 def _complement_basis(weights: bytes) -> np.ndarray:
     """Orthonormal basis, shape (n, n - 1), of the complement of sqrt(w).
@@ -165,6 +127,24 @@ def _secular_eigenvalues(basis: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(basis.T @ (poles[..., :, None] * basis))
 
 
+def _falling(w: np.ndarray, poles: np.ndarray, c: float):
+    """Minus the dispersion sum at one row of ``poles``, for ``bisect_decreasing`` in a root's bracket.
+
+    The sum rises from -inf just above the bracket's lower end to +inf just
+    below its upper one (the ends are poles, or 0 with the known confinement
+    sign), so the bisection needs no end evaluated.  A NaN sum raises
+    :class:`BracketFailure` at speed ``c``.
+    """
+
+    def falling(lam: float) -> float:
+        res = np.sum(w / (poles - lam))
+        if np.isnan(res):
+            raise at_speed(BracketFailure("dispersion residual evaluated to NaN inside a bracket"), c)
+        return -res
+
+    return falling
+
+
 def _polish(
     w: np.ndarray,
     poles: np.ndarray,
@@ -178,7 +158,8 @@ def _polish(
     A Newton step is kept only if it lands strictly inside the root's
     bracket (lo, hi); the residual is strictly increasing there, so that
     bracket holds exactly one root.  Entries still outside their bracket
-    after the polish are bisected inside it.  ``lam``, ``lo`` and ``hi`` are
+    after the polish are bisected inside it by ``bisect_decreasing``, one at
+    a time in row-major order.  ``lam``, ``lo`` and ``hi`` are
     (speeds, roots), with ``poles`` (speeds, n) at the stack's ``speeds``.
     """
     lam = lam.copy()
@@ -196,16 +177,13 @@ def _polish(
             int(np.count_nonzero(outside)),
             lam.size,
         )
-        rows = np.broadcast_to(poles[:, None, :], outside.shape + poles.shape[-1:])[outside]
-        per_root = np.broadcast_to(speeds[:, None], outside.shape)[outside]
-        lam[outside] = _bisect_brackets(w, rows, lo[outside], hi[outside], per_root)
+        for i, j in zip(*np.nonzero(outside)):
+            lam[i, j] = bisect_decreasing(_falling(w, poles[i], speeds[i]), lo[i, j], hi[i, j], rtol=0.0)
     return lam
 
 
 def _check_pole_separation(poles_sorted: np.ndarray, speeds: np.ndarray) -> None:
     """Refuse numerically coincident poles; ``poles_sorted`` has one sorted row per speed."""
-    if poles_sorted.shape[1] < 2:
-        return
     gaps = poles_sorted[:, 1:] - poles_sorted[:, :-1]
     scale = np.maximum(np.abs(poles_sorted[:, :-1]), np.abs(poles_sorted[:, 1:]))
     bad = gaps <= _COINCIDENT_POLE_FACTOR * _EPS * scale

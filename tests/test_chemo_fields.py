@@ -268,6 +268,20 @@ def test_consumption_free_nutrient_is_accepted():
     assert nfield.n_minus == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.xfail(strict=True, raises=NonMonotoneN, reason="an underflowed N(-L) of -0.0 is refused")
+def test_underflowed_far_field_nutrient_is_accepted():
+    # N(-L) ~ exp(-gamma mass / c) underflows: on 256 cells the solve returns
+    # N(-L) = 9.5e-65 (1.3e-64 at d_n = 1e-3), on 4096 cells -0.0, and the
+    # check N(-L) in (0, 1] refuses the monotone profile
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    model = build_model(nodes, weights / weights.sum(), 0.3, 0.1)
+    c = 0.104
+    profile = solve_modes(model, c)
+    params = ChemParams(d_s=0.5, d_n=1e-5, alpha=0.5, beta=1.0, gamma=1e3)
+    nfield = solve_N(profile.rho_modes(), params, c, profile.halfwidth, cells=4096)
+    assert 0.0 <= nfield.n_minus < 1e-60
+
+
 def test_nutrient_mesh_convergence(case_one, chem_default):
     # Second-order scheme: halving h divides the far-field error by ~4, and
     # from the 8192-cell mesh a further halving moves N(-L) by under 1e-6.

@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from chemowave import (
+    admissible_speed_interval,
     build_model,
     cutting_index,
     dispersion_residual,
+    expand_half_set,
     mean_run_length,
     singular_values,
     solve_roots,
 )
+from chemowave import dispersion
 from chemowave.dispersion import (
     RESIDUAL_REL_TOL,
-    _bisect_brackets,
     _polish,
     _verify_side,
 )
@@ -24,9 +27,45 @@ from chemowave.errors import (
     SingularLambda,
     SpeedNotAdmissible,
     SpeedOnVelocityNode,
+    at_speed,
 )
 
 SPEEDS = {"one": (0.05, 0.1, 0.2), "two": (0.05, 0.15, 0.3, 0.5), "three": (0.02, 0.1, 0.4)}
+FALLBACK_GAUSS_LEGENDRE = (2, 3, 4, 6, 8, 12, 18, 32, 64, 128)
+FALLBACK_SYMMETRIC_DRAWS = 8
+
+
+def vectorised_bisection(
+    w: np.ndarray, poles: np.ndarray, lo: np.ndarray, hi: np.ndarray, speeds: np.ndarray
+) -> np.ndarray:
+    """Bisect every bracket simultaneously down to machine width: the reference for the polish's fallback.
+
+    Every step halves each bracket that still has a representable midpoint
+    (200 steps at most), moving ``lo`` up where the dispersion sum is
+    negative: the midpoints and stopping test of ``bisect_decreasing`` with
+    ``rtol=0``, run on all brackets at once.  ``poles`` is one row for every
+    bracket or one row per bracket; ``speeds``, one per bracket, names the
+    speed of a NaN sum.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        active = (mid > lo) & (mid < hi)
+        if not np.any(active):
+            break
+        with np.errstate(divide="ignore"):
+            res = np.sum(w / (poles - mid[:, None]), axis=1)
+        nan = active & np.isnan(res)
+        if nan.any():
+            raise at_speed(
+                BracketFailure("dispersion residual evaluated to NaN inside a bracket"), speeds[nan.argmax()]
+            )
+        go_up = active & (res < 0.0)
+        go_dn = active & ~go_up
+        lo[go_up] = mid[go_up]
+        hi[go_dn] = mid[go_dn]
+    return 0.5 * (lo + hi)
 
 
 def residual_scale(model, c: float, lam: float, side: str) -> float:
@@ -241,6 +280,76 @@ def test_polish_bisects_entries_outside_their_brackets(case_one, caplog):
     with caplog.at_level(logging.DEBUG, logger="chemowave.dispersion"):
         polished = _polish(model.weights, poles, guess[None, :], lo[None, :], hi[None, :], speeds)[0]
     assert "1 of %d dispersion roots" % guess.size in caplog.text
-    assert polished[1] == _bisect_brackets(model.weights, poles, lo[1:2], hi[1:2], speeds)[0]
+    assert polished[1] == vectorised_bisection(model.weights, poles, lo[1:2], hi[1:2], speeds)[0]
     keep = np.arange(guess.size) != 1
     np.testing.assert_allclose(polished[keep], roots.positive_roots[keep], rtol=1e-14)
+
+
+def test_polish_names_the_speed_of_a_nan_residual(case_one):
+    model, _cfg = case_one
+    c = 0.1
+    speeds = np.array([c])
+    w = model.weights.copy()
+    w[0] = np.nan  # every Newton step is NaN and is refused, so only the misplaced root is bisected
+    poles = singular_values(model, speeds, "right")
+    lo, hi = _brackets(model, c, "right")
+    guess = solve_roots(model, c).positive_roots.copy()
+    guess[1] = hi[1]
+    message = f"at c={c!r}: dispersion residual evaluated to NaN inside a bracket"
+    with pytest.raises(BracketFailure, match=re.escape(message)) as caught:
+        _polish(w, poles, guess[None, :], lo[None, :], hi[None, :], speeds)
+    assert caught.value.c == c
+
+
+def _fallback_models():
+    """Seeded models: Gauss-Legendre sets, then symmetric sets, every other one with a zero velocity.
+
+    One model in five has chi_s == chi_n.
+    """
+    rng = np.random.default_rng(28)
+    for i in range(len(FALLBACK_GAUSS_LEGENDRE) + FALLBACK_SYMMETRIC_DRAWS):
+        chi_s = rng.uniform(0.05, 0.45)
+        chi_n = chi_s if i % 5 == 0 else rng.uniform(0.0, chi_s)
+        if i < len(FALLBACK_GAUSS_LEGENDRE):
+            nodes, weights = np.polynomial.legendre.leggauss(FALLBACK_GAUSS_LEGENDRE[i])
+            yield build_model(nodes, weights / weights.sum(), chi_s, chi_n)
+            continue
+        k = int(rng.integers(2, 41))
+        half_v = np.sort(rng.uniform(0.01, 1.0, k))
+        if i % 2:
+            half_v[0] = 0.0
+        v, w = expand_half_set(half_v, rng.uniform(0.01, 1.0, k))
+        yield build_model(v, np.array(w) / np.sum(w), chi_s, chi_n)
+
+
+def test_fallback_is_the_vectorised_bisection_bit_for_bit(monkeypatch):
+    # Without Newton steps every guess on or past a bracket end goes to the
+    # fallback, which must return the reference loop's doubles exactly.
+    monkeypatch.setattr(dispersion, "_NEWTON_STEPS", 0)
+    rng = np.random.default_rng(28)
+    forced = 0
+    for model in _fallback_models():
+        intervals = admissible_speed_interval(model).admissible_intervals
+        a, b = intervals[rng.integers(len(intervals))]
+        speeds = a + (b - a) * rng.uniform(0.05, 0.95, int(rng.integers(1, 5)))
+        m = int(cutting_index(model, speeds)[0]) + 1
+        zeros = np.zeros((speeds.size, 1))
+        neg = np.sort(singular_values(model, speeds, "left")[:, :m], axis=1)
+        pos = np.sort(singular_values(model, speeds, "right")[:, m:], axis=1)
+        brackets = {
+            "left": (neg, np.concatenate([neg[:, 1:], zeros], axis=1)),
+            "right": (np.concatenate([zeros, pos[:, :-1]], axis=1), pos),
+        }
+        for side, (lo, hi) in brackets.items():
+            poles = singular_values(model, speeds, side)
+            past = hi + rng.uniform(0.0, 1.0, lo.shape) * (hi - lo)
+            guess = np.choose(rng.integers(0, 4, lo.shape), [lo, hi, 0.5 * (lo + hi), past])
+            outside = ~((guess > lo) & (guess < hi))
+            expected = guess.copy()
+            rows = np.broadcast_to(poles[:, None, :], outside.shape + poles.shape[-1:])[outside]
+            per_root = np.broadcast_to(speeds[:, None], outside.shape)[outside]
+            expected[outside] = vectorised_bisection(model.weights, rows, lo[outside], hi[outside], per_root)
+            polished = _polish(model.weights, poles, guess, lo, hi, speeds)
+            assert np.array_equal(polished.view(np.int64), expected.view(np.int64)), (model.n_active, side)
+            forced += int(np.count_nonzero(outside))
+    assert forced >= 1000

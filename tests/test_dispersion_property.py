@@ -20,8 +20,8 @@ from chemowave import (
     solve_modes,
     solve_roots,
 )
-from chemowave.dispersion import _bisect_brackets
 from chemowave.errors import ChemowaveError
+from test_dispersion import vectorised_bisection
 
 EDGE_OFFSET = 1e-6       # probe distance from an interval edge, relative to its width
 AGREEMENT_REL = 1e-12    # root agreement with bisection, relative
@@ -76,7 +76,7 @@ def _check_roots(model, c: float) -> None:
         poles = singular_values(model, c, side)
         lo, hi = _brackets(poles, m, side)
         assert np.all((lo < lams) & (lams < hi))
-        reference = _bisect_brackets(w, poles, lo, hi, np.full(lo.size, c))
+        reference = vectorised_bisection(w, poles, lo, hi, np.full(lo.size, c))
         tol = AGREEMENT_REL * np.abs(reference) + ROUNDING_FACTOR * _rounding_bound(w, poles, reference)
         assert np.all(np.abs(lams - reference) <= tol)
 
