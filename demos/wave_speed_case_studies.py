@@ -21,8 +21,9 @@ for label, config_name in (("one", "sec4_1.ini"), ("two", "sec4_2.ini"), ("three
 
     print(f"case {label} ({config_name}): {len(curve.samples)} samples over "
           f"{len(curve.intervals)} continuity intervals")
-    for d in curve.discontinuities:
-        print(f"  jump at node v={d.node}: {d.left_limit:+.4e} -> {d.right_limit:+.4e}")
+    for left, right in zip(curve.intervals, curve.intervals[1:]):
+        if left.hi == right.lo:  # a velocity node between two sampled intervals
+            print(f"  jump at node v={left.hi}: {left.upsilon[-1]:+.4e} -> {right.upsilon[0]:+.4e}")
     if roots:
         for c in roots:
             check = verify_root(model, cfg.chem, c)

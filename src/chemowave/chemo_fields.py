@@ -61,7 +61,7 @@ class NField:
     n_minus: float
 
     def __call__(self, z: float | np.ndarray) -> float | np.ndarray:
-        return np.interp(z, self.grid, self.values, left=self.values[0], right=self.values[-1])
+        return np.interp(z, self.grid, self.values)
 
 
 def _particular_coefficients(

@@ -108,7 +108,6 @@ class RunConfig:
     chi_n: float
     chem: ChemParams | None = None
     sim: SimBlock | None = None
-    out_dir: str | None = None
     samples_per_interval: int = SAMPLES_PER_INTERVAL
     profile_speed: float | None = None
 
@@ -498,10 +497,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("mode", choices=_MODES)
     parser.add_argument("--config", required=True, help="path to the configuration file")
-    parser.add_argument("--out", default=None, help="output directory (default: [run] out_dir or '.')")
+    parser.add_argument("--out", default=".", help="output directory (default: '.')")
     args = parser.parse_args(argv)
 
-    logging.basicConfig(level=os.environ.get("CHEMOWAVE_LOG", "WARNING").upper())
+    level = os.environ.get("CHEMOWAVE_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # text for a name that is no level
+        print(f"invalid environment: CHEMOWAVE_LOG={level!r} is not a logging level name", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
 
     try:
         cfg, config_hash = load_config(args.config, mode=args.mode)
@@ -512,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(args.out or cfg.out_dir or ".")
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         runner, _needs = _MODES[cfg.mode]

@@ -237,10 +237,6 @@ def solve_modes(model: VelocityModel, c: float | np.ndarray) -> WaveProfile:
     a = x[:, :m]
     b = x[:, m:]
     f0 = (inv_right @ b[:, :, None])[:, :, 0]
-    flip = f0[:, -1] < 0.0
-    if flip.any():  # orient every speed so that f(0, v_max) > 0; negation is exact
-        sign = np.where(flip, -1.0, 1.0)[:, None]
-        a, b, f0 = a * sign, b * sign, f0 * sign
 
     # Replaced-equation residual: the solution must still satisfy the row we
     # dropped, otherwise the null space was not one-dimensional.
@@ -344,9 +340,9 @@ def check_positivity(profile: WaveProfile) -> None:
 
     Rows that ``certified_rows`` proves positive hold for every z, including
     z = 0 and the far tails, which is stricter than any sample.  The other
-    rows are evaluated on the verification grid and must be finite and
-    positive there.  On a stack the grid runs only for the speeds with a
-    refused row, one speed at a time.
+    rows must be finite and positive at z = 0 (``f_at_zero``) and on the
+    verification grid, which starts at |z| = GRID_INNER.  On a stack the
+    grid runs only for the speeds with a refused row, one speed at a time.
     """
     certified = certified_rows(profile)
     if certified.all():
@@ -359,7 +355,7 @@ def check_positivity(profile: WaveProfile) -> None:
             "positivity grid checks %d of %d rows at c=%r",
             np.count_nonzero(refused), refused.size, one.c,
         )
-        values = evaluate_f_matrix(one, verification_grid(one))[:, refused]
+        values = np.vstack([one.f_at_zero, evaluate_f_matrix(one, verification_grid(one))])[:, refused]
         if not np.all(np.isfinite(values)) or np.min(values) <= 0.0:
             raise at_speed(NonPositiveProfile("profile not strictly positive on the verification grid"), one.c)
 

@@ -4,7 +4,7 @@ A speed c is an admissible wave speed when the chemoattractant built from
 the confined density at that speed has its maximum exactly at the origin,
 i.e. Upsilon(c) = 0 with a continuous downward crossing.  Upsilon jumps at
 the velocity nodes, so the scan works per continuity interval; sign changes
-across a node are jump discontinuities, never roots.
+across a node are jumps, never roots.
 """
 
 from __future__ import annotations
@@ -41,22 +41,12 @@ class IntervalSamples:
     upsilon: np.ndarray
 
 
-@dataclass(frozen=True)
-class Discontinuity:
-    """Estimated one-sided limits of Upsilon at a velocity node."""
-
-    node: float
-    left_limit: float
-    right_limit: float
-
-
 @dataclass
 class UpsilonCurve:
     """Sampled Upsilon over the admissible speed range."""
 
     intervals: list[IntervalSamples]
     brackets: list[tuple[int, float, float, float, float]]  # (interval_id, c_lo, c_hi, y_lo, y_hi)
-    discontinuities: list[Discontinuity]
     upward_crossings: list[tuple[int, float, float]]
     root_residuals: list[float] = field(default_factory=list)
 
@@ -129,23 +119,7 @@ def scan(
                 )
                 upward.append((seg.interval_id, float(seg.c[j]), float(seg.c[j + 1])))
 
-    discontinuities: list[Discontinuity] = []
-    for left_seg, right_seg in zip(intervals[:-1], intervals[1:]):
-        if left_seg.hi == right_seg.lo:
-            discontinuities.append(
-                Discontinuity(
-                    node=left_seg.hi,
-                    left_limit=float(left_seg.upsilon[-1]),
-                    right_limit=float(right_seg.upsilon[0]),
-                )
-            )
-
-    return UpsilonCurve(
-        intervals=intervals,
-        brackets=brackets,
-        discontinuities=discontinuities,
-        upward_crossings=upward,
-    )
+    return UpsilonCurve(intervals=intervals, brackets=brackets, upward_crossings=upward)
 
 
 def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) -> list[float]:

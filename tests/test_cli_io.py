@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import pickle
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +431,7 @@ def test_byte_order_mark_is_dropped(tmp_path, configs_dir, capsys):
 REMOVED_KEYS = [
     ("run", "seed"),
     ("run", "threads"),
+    ("run", "out_dir"),  # --out is the one way to name the output directory
     ("sim", "sign_deadzone"),
     ("sim", "fit_window_fraction"),
     ("sim", "peak_prominence"),
@@ -454,6 +459,25 @@ def test_removed_run_key_is_unknown(section, key, tmp_path, capsys):
             main(["upsilon-scan", "--config", str(cfg_path), f"--{key}", "2"])
         assert exc.value.code == 2  # argparse's usage error
         assert f"--{key}" in capsys.readouterr().err
+
+
+def test_unknown_log_level_is_a_validation_error(configs_dir):
+    src = Path(cli_io_mod.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "CHEMOWAVE_LOG": "verbose",
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemowave.cli_io", "validate", "--config", str(configs_dir / "sec4_1.ini")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "invalid environment: CHEMOWAVE_LOG='verbose' is not a logging level name\n"
 
 
 def test_cli_scan_on_shipped_config(tmp_path, configs_dir, capsys):

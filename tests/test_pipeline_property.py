@@ -23,7 +23,6 @@ from chemowave import (
     build_model,
     cutting_index,
     evaluate_f_matrix,
-    expand_half_set,
     refine_roots,
     scan,
     solve_modes,
@@ -34,6 +33,7 @@ from chemowave import (
 from chemowave.chemo_fields import N_MONOTONE_TOL
 from chemowave.errors import ChemowaveError
 from chemowave.wave_speed import ROOT_C_REL_TOL
+from test_dispersion_property import symmetric_models as symmetric_velocity_sets
 
 MAX_LOCATION_TOL = 1e-6   # |argmax S| at a verified root, as in the case-study acceptance test
 MASS_REL_TOL = 1e-10      # unit mass of rho, recomputed from its modes
@@ -62,15 +62,9 @@ def gauss_legendre_models(draw):
 
 @st.composite
 def symmetric_models(draw):
-    """A symmetric velocity set drawn as ``test_dispersion_property`` draws them, and parameters."""
-    k = draw(st.integers(min_value=2, max_value=40))
-    half_v = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k, unique=True))
-    half_w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
-    chi_s = draw(st.floats(0.05, 0.45, exclude_min=True, exclude_max=True))
-    chi_n = draw(st.floats(0.0, chi_s))
-    alpha = draw(st.sampled_from([0.5, 10.0]))
-    v, w = expand_half_set(sorted(half_v), list(half_w / (2.0 * half_w.sum())))
-    return (v, w, chi_s, chi_n), _params(alpha)
+    """A symmetric velocity set drawn by ``test_dispersion_property``, and parameters."""
+    model = draw(symmetric_velocity_sets())
+    return model, _params(draw(st.sampled_from([0.5, 10.0])))
 
 
 def _check_root(model, params, c: float) -> None:

@@ -389,6 +389,16 @@ def test_refused_row_that_the_grid_rejects_raises(profile_one, caplog):
     assert "positivity grid checks 1 of" in caplog.text
 
 
+def test_refused_row_must_be_positive_at_the_origin(profile_one, monkeypatch):
+    # The grid starts at |z| = GRID_INNER, so z = 0 is checked through the
+    # stored f_at_zero: negated, it fails although every grid value is positive.
+    monkeypatch.setattr(wave_profile_mod, "certified_rows", lambda p: np.zeros(p.f_at_zero.size, dtype=bool))
+    check_positivity(profile_one)
+    negated = dataclasses.replace(profile_one, f_at_zero=-profile_one.f_at_zero)
+    with pytest.raises(NonPositiveProfile):
+        check_positivity(negated)
+
+
 def _singular(x):
     raise np.linalg.LinAlgError("Singular matrix")
 

@@ -113,13 +113,19 @@ def test_node_jump_is_recorded_not_rooted(case_one, chem_default):
     model, _cfg = case_one
     curve = scan(model, chem_default, 16)
     roots = refine_roots(curve, model, chem_default)
-    assert len(curve.discontinuities) == 1
-    d = curve.discontinuities[0]
-    assert d.node == pytest.approx(0.0848)
-    assert np.isfinite(d.left_limit) and np.isfinite(d.right_limit)
+    # the end samples of two intervals that meet at a node straddle its jump
+    jumps = [
+        (left.hi, left.upsilon[-1], right.upsilon[0])
+        for left, right in zip(curve.intervals, curve.intervals[1:])
+        if left.hi == right.lo
+    ]
+    assert len(jumps) == 1
+    node, left_limit, right_limit = jumps[0]
+    assert node == pytest.approx(0.0848)
+    assert np.isfinite(left_limit) and np.isfinite(right_limit)
     # the jump at the node changes sign upward; it must not appear as a root
     for c in roots:
-        assert abs(c - d.node) > 100 * model.node_guard
+        assert abs(c - node) > 100 * model.node_guard
 
 
 def test_roots_satisfy_curve_invariants(case_two, chem_strong):
