@@ -332,13 +332,238 @@ def _header_lines(config_hash: str | None) -> list[str]:
     return lines
 
 
+# Tables are formatted as arrays with the bytes of Python's '%.17g'.  A value
+# |x| in [_FAST_MIN, _FAST_MAX] gets its 17-digit significand from
+# double-double arithmetic (_significands); zeros are written directly; inf,
+# NaN, other magnitudes and the values the rounding bound cannot certify go
+# through '%.17g' itself.
+_CSV_BLOCK = 2048  # values formatted together: bounds the temporaries to about 0.4 MB
+_DEKKER_SPLIT = 134217729.0  # 2**27 + 1
+_TIE_MARGIN = 2.0**-46
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_K_MIN, _K_MAX = -282, 282  # decimal exponents of the powers-of-ten table
+_X_MIN, _X_MAX = -324, 308  # decimal exponents of the nonzero finite doubles
+_E16, _E17 = 10**16, 10**17
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Rows P, P's high and low halves, and P_lo, with P + P_lo = 10**(16 - k) for k = _K_MIN .. _K_MAX.
+
+    P is 10**(16 - k) rounded to the nearest double and P_lo the remainder
+    rounded to the nearest double, both from exact integer arithmetic (an
+    int / int true division is correctly rounded).  The halves are Dekker's
+    split of P into two doubles of at most 26 significant bits each.
+    """
+    p, p_lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        q = 16 - k
+        if q >= 0:
+            exact = 10**q
+            p.append(float(exact))
+            p_lo.append(float(exact - int(p[-1])))
+        else:
+            den = 10**-q
+            p.append(1 / den)
+            num, den_p = p[-1].as_integer_ratio()
+            p_lo.append((den_p - num * den) / (den_p * den))
+    p = np.array(p)
+    c = _DEKKER_SPLIT * p
+    high = c - (c - p)
+    table = np.stack([p, high, p - high, np.array(p_lo)])
+    table.setflags(write=False)  # shared by every caller
+    return table
+
+
+def _significands(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17-digit significands D, decimal exponents k and certificates of positive doubles in the fast range.
+
+    ``k`` is an estimate of floor(log10(ax)) that may be off by one.  The
+    exact y = ax * 10**(16 - k) is found as h + t, D = rint(y) and
+    ax ~= D * 10**(k - 16) to 17 significant digits.  With u = 2**-53 and
+    P + P_lo + e = 10**(16 - k), |P_lo| <= u P and |e| <= u |P_lo| <= u^2 P
+    (both are nearest-double roundings):
+
+    - Dekker's product gives ax P = h + l exactly: no split or partial
+      product overflows or underflows for ax in [_FAST_MIN, _FAST_MAX];
+    - c = fl(ax P_lo) is within u ax |P_lo| <= u^2 ax P of ax P_lo;
+    - t = fl(l + c) is within u (|l| + |c|) <= 2.01 u^2 ax P of l + c;
+    - ax e, the part of 10**(16 - k) the table drops, is at most u^2 ax P.
+
+    So |y - (h + t)| <= 4.01 u^2 ax P <= 4.02 u^2 y, which is below 2**-47
+    for every kept y (below 1.01e17 < 2**56.5).  h is an integer once
+    y >= 2**53 (smaller y are redone below), and f = t - rint(t) is exact, so
+    y = h + rint(t) + f + err with |err| < 2**-47.  If |f| < 1/2 - 2**-46,
+    h + rint(t) is y rounded to the nearest integer and y is no tie; ``sure``
+    is False for every other value, which '%.17g' must then format.
+
+    A y below 10**16 (D < 10**16, or D = 10**16 with f < 0) means k was too
+    large, and a y of 10**17 + 1/2 or more (D > 10**17) that it was too
+    small: those values are redone with k - 1 or k + 1, which the table holds
+    for every k of the fast range.  A y within err of 10**16 gives D = 10**16
+    at k from either decade, and D = 10**17 is the carry of a y in
+    [10**17 - 1/2, 10**17 + 1/2], which gives D = 10**16 at k + 1 from either.
+    """
+    p, p_high, p_low, p_lo = _powers_of_ten().take(k - _K_MIN, axis=1)
+    h = ax * p
+    c = _DEKKER_SPLIT * ax
+    x_high = c - (c - ax)
+    x_low = ax - x_high
+    t = (((x_high * p_high - h) + x_high * p_low) + x_low * p_high) + x_low * p_low
+    t += ax * p_lo
+    r = np.rint(t)
+    f = t - r
+    d = h.astype(np.int64) + r.astype(np.int64)
+    sure = np.abs(f) < 0.5 - _TIE_MARGIN
+    edge = np.flatnonzero((d <= _E16) | (d >= _E17))
+    if edge.size:
+        de, fe, ke = d[edge], f[edge], k[edge]
+        low = (de < _E16) | ((de == _E16) & (fe < 0.0))
+        high = de > _E17
+        redo = low | high
+        if redo.any():
+            de[redo], ke[redo], sure[edge[redo]] = _significands(ax[edge[redo]], ke[redo] - low[redo] + high[redo])
+        carry = de == _E17
+        de[carry] = _E16
+        d[edge] = de
+        k = k.copy()
+        k[edge] = ke + carry
+    return d, k, sure
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text, "little")
+
+
+@functools.cache
+def _layout_tables() -> dict[str, np.ndarray]:
+    """Lookup tables of the '%.17g' layout, with text held as little-endian uint64 words of ASCII.
+
+    A value's text takes 32 bytes: word 0 holds its sign and "0.000" prefix,
+    right-aligned; words 1-3 hold its digits and decimal point, then its
+    exponent and separator (the tail), then NUL bytes.  The byte masks that
+    lay out words 1-3 are indexed by a code, point * 19 + length, where point
+    is the number of digits before the decimal point (18 when the prefix
+    holds it) and length is the number of bytes before the tail.  ``quad``
+    holds the ASCII of "%04d" % i and ``quad_zeros`` its trailing zeros.
+    """
+    pairs = [b"%02d" % i for i in range(100)]
+    pair = np.array([_word(text) for text in pairs], np.uint64)
+    pair_zeros = np.array([2 - len(text.rstrip(b"0")) for text in pairs], np.uint8)
+    layouts = []  # (point, integer digits kept, zeros after "0.", exponent text) by exponent
+    for e in range(_X_MIN, _X_MAX + 1):
+        if -4 <= e < 17:
+            layouts.append((e + 1, e + 1, 0, b"") if e >= 0 else (18, 1, -e, b""))
+        else:
+            layouts.append((1, 1, 0, b"e%+03d" % e))
+    masks = []  # by code
+    for point, length in (divmod(code, 19) for code in range(19 * 19)):
+        masks.append(b"\xff" * min(point, length))  # digit j at byte j, before the point
+        masks.append(b"\0" * (point + 1) + b"\xff" * (length - point - 1))  # digit j - 1 at byte j, after it
+        masks.append(b"\0" * point + b"." if point < length else b"")
+        masks.append(b"\0" * (length // 8 * 8) + b"\xff" * 8)  # the word that takes the tail's first byte
+    tables = {
+        "quad": (pair[:, None] | pair << np.uint64(16)).ravel(),  # i = 100 * high pair + low pair
+        "quad_zeros": (pair_zeros + (pair_zeros == 2) * pair_zeros[:, None]).ravel(),
+        "code": np.array(  # by exponent and significant digits
+            [point * 19 + max(s, kept) + (s > point) for point, kept, _, _ in layouts for s in range(18)], np.int64
+        ),
+        "head": np.array(  # by exponent and sign bit
+            [_word((sign + (b"0." + b"0" * (z - 1) if z else b"")).rjust(8, b"\0")) for _, _, z, _ in layouts for sign in (b"", b"-")],
+            np.uint64,
+        ),
+        "tail": np.array([_word(e + sep) for _, _, _, e in layouts for sep in (b",", b"\n")], np.uint64),
+        "masks": np.frombuffer(b"".join(m.ljust(24, b"\0") for m in masks), np.uint64).reshape(-1, 4, 3).transpose(1, 2, 0).copy(),
+        "shift": np.array([8 * (code % 19 % 8) for code in range(19 * 19)], np.uint64),
+    }
+    for table in tables.values():
+        table.setflags(write=False)  # shared by every caller
+    return tables
+
+
+def _digit_words(d: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """D's 17 digits as ASCII bytes 0-16 of three uint64 words, and D's number of significant digits."""
+    tab = _layout_tables()
+    upper = d // 100000000
+    lower = d - upper * 100000000
+    lead = upper // 100000000
+    upper -= lead * 100000000
+    groups = np.empty((4, d.size), np.int64)  # four groups of four digits after the lead digit
+    np.floor_divide(upper, 10000, out=groups[0])
+    np.subtract(upper, groups[0] * 10000, out=groups[1])
+    np.floor_divide(lower, 10000, out=groups[2])
+    np.subtract(lower, groups[2] * 10000, out=groups[3])
+    z1, z2, z3, z4 = tab["quad_zeros"].take(groups)
+    g1, g2, g3, g4 = tab["quad"].take(groups)
+    u8, u24, u40 = np.uint64(8), np.uint64(24), np.uint64(40)
+    words = [
+        (lead.view(np.uint64) + np.uint64(48)) | (g1 << u8) | (g2 << u40),
+        (g2 >> u24) | (g3 << u8) | (g4 << u40),
+        g4 >> u24,
+    ]
+    return words, 17 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
+
+
+def _text_words(values: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's '%.17g' text as the four words of ``_layout_tables``, and the values it leaves to '%.17g'."""
+    tab = _layout_tables()
+    ax = np.abs(values)
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    ax = np.where(fast, ax, 1.0)
+    d, x, sure = _significands(ax, np.floor(np.log10(ax)).astype(np.int64))
+    d[~fast] = 0  # a zero is written as its sign and "0"; the others go through '%.17g'
+    x[~fast] = 0
+    digits, significant = _digit_words(d)
+    del ax, d  # the block's peak memory is reached below
+
+    x -= _X_MIN
+    code = tab["code"].take(x * 18 + significant)
+    x *= 2
+    text = np.empty((values.size, 4), np.uint64)
+    text[:, 0] = tab["head"].take(x - (values.view(np.int64) >> 63))
+    tail = tab["tail"].take((x.reshape(-1, columns) + (np.arange(columns) == columns - 1)).ravel())
+    shift = tab["shift"].take(code)
+    tail_low = tail << shift
+    tail_high = (tail >> np.uint64(1)) >> (np.uint64(63) - shift)  # the tail bytes past the word
+    del tail, shift
+    u8, u56 = np.uint64(8), np.uint64(56)
+    for w in range(3):
+        before, after, dot, word = tab["masks"][:, w].take(code, axis=1)
+        shifted = digits[w] << u8  # digit j - 1 at byte j
+        t = (digits[w] & before) | dot | (tail_low & word)
+        if w:
+            shifted |= digits[w - 1] >> u56
+            t |= tail_high & previous
+        text[:, w + 1] = t | (shifted & after)
+        previous = word
+    return text, ~(fast & sure) & (values != 0)
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The '%.17g' text of a float64 block: ',' between the values of a row and '\\n' after each row."""
+    columns = block.shape[1]
+    values = block.ravel()
+    text, slow = _text_words(values, columns)
+    text_bytes = text.view(np.uint8)
+    for i in np.flatnonzero(slow).tolist():
+        value = b"%.17g" % values[i] + (b"\n" if i % columns == columns - 1 else b",")
+        text_bytes[i] = 0
+        text_bytes[i, : len(value)] = np.frombuffer(value, np.uint8)
+    out = text_bytes.ravel()
+    return out[out != 0].tobytes()
+
+
 def _write_csv(
     path: str | Path, head: list[str], columns: str, table: np.ndarray, foot: tuple[str, ...] = ()
 ) -> None:
     """Write comment lines, the column names, one 17-digit row per table row and trailing comments."""
-    template = ",".join(["%.17g"] * table.shape[1])
-    rows = [template % tuple(row.tolist()) for row in table]
-    Path(path).write_text("\n".join([*head, columns, *rows, *foot]) + "\n", encoding="utf-8")
+    table = np.asarray(table, dtype=np.float64)
+    per_block = max(1, _CSV_BLOCK // table.shape[1])
+    with open(path, "wb") as out:
+        out.write("\n".join([*head, columns, ""]).encode("utf-8"))
+        for start in range(0, table.shape[0], per_block):
+            out.write(_format_rows(table[start : start + per_block]))
+        out.write("".join(line + "\n" for line in foot).encode("utf-8"))
 
 
 def emit_upsilon_csv(curve: UpsilonCurve, path: str | Path, config_hash: str | None = None) -> None:
