@@ -11,16 +11,21 @@ to roundoff accumulation.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
 
 from .chemo_fields import ChemParams
-from .errors import CFLViolation, InsufficientSamples, NegativeDensity
+from .errors import CFLViolation, InsufficientSamples, NegativeDensity, NumericalError
 from .velocity_model import VelocityModel
 
 logger = logging.getLogger(__name__)
@@ -88,6 +93,19 @@ class SimConfig:
             raise ValueError("snapshot_interval must be positive")
         if not np.sum(_initial_shape(self)) * self.dx > 0.0:
             raise ValueError("initial density has no support inside [0, domain_length]")
+        # each step's diffusion solves divide by dx**2, which must be a normal double, and
+        # factor I - r * Laplacian at r = dt * d / dx**2, singular in doubles once 1 + 2r == 2r
+        if not 2.0**-511 <= self.dx < 2.0**511:
+            raise ValueError(
+                f"cell width domain_length / cells = {self.dx!r} lies outside [2**-511, 2**511), "
+                "where its square is a normal double"
+            )
+        r = self.default_dt() * max(self.params.d_s, self.params.d_n) / self.dx**2
+        if 1.0 + 2.0 * r == 2.0 * r:
+            raise ValueError(
+                f"diffusion number dt * d / dx**2 = {r!r} makes the implicit diffusion matrix "
+                "singular in double precision (1 + 2r rounds to 2r); use a coarser mesh"
+            )
 
     @property
     def dx(self) -> float:
@@ -182,8 +200,10 @@ def _sign_with_deadzone(x: np.ndarray) -> np.ndarray:
     return np.subtract((x > thr).view(np.int8), (x < -thr).view(np.int8))
 
 
-def _transport(f: np.ndarray, v: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """One upwind transport step of every velocity row; nu = |v| * dt / dx.
+def _transport(f: np.ndarray, v: np.ndarray, nu: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """One upwind transport step of every velocity row, in a new array; nu = |v| * dt / dx.
+
+    ``diff``, an array of f's shape, receives f minus its upwind values.
 
     Walls reflect specularly: the inflow value for +v at the left wall is the
     cell-0 value of the mirrored velocity -v (row ``f[::-1]``, since the set
@@ -194,7 +214,6 @@ def _transport(f: np.ndarray, v: np.ndarray, nu: np.ndarray) -> np.ndarray:
     neg = int(np.searchsorted(v, 0.0, side="left"))
     pos = int(np.searchsorted(v, 0.0, side="right"))
     cells = f.shape[1]
-    diff = np.empty_like(f)  # f - upwind
     # the interior differences of a block of rows as one flat pass (numpy's
     # loop over a 2-d slice is about 4x slower); each row's wall cell is
     # overwritten with its mirrored inflow right after
@@ -227,6 +246,39 @@ def _scale_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     return np.einsum("i,j->ij" if b.ndim == 1 else "i,ij->ij", a, b, out=out)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
+
+
+def _flapack():
+    """scipy's compiled LAPACK wrapper ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package.
+
+    Importing a submodule runs its package first, and ``scipy.linalg``'s
+    ``__init__`` loads some 330 modules (about 29 MB of resident memory) that
+    the simulation never calls.  So this imports ``scipy`` alone (on Windows
+    its start-up makes its DLLs findable), then loads the extension file from
+    scipy's ``linalg`` directory under its own name.  A module already in
+    ``sys.modules`` is reused, and a later ``import scipy.linalg`` finds and
+    reuses this one: its ``from scipy.linalg import _flapack`` reads
+    ``sys.modules``, though the package gets no ``_flapack`` attribute.
+    """
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            import scipy
+
+            linalg = Path(scipy.__file__).parent / "linalg"
+            paths = [linalg / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next((p for p in paths if p.is_file()), None)
+            if path is None:
+                raise ImportError(f"no {_FLAPACK} extension in {linalg}", name=_FLAPACK)
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+        return module
+
+
 @lru_cache(maxsize=8)
 def _diffusion_solver(n_cells: int, r: float) -> partial:
     """LAPACK dgttrs bound to the LU factors (dgttrf) of I - r * Laplacian with no-flux walls.
@@ -235,18 +287,19 @@ def _diffusion_solver(n_cells: int, r: float) -> partial:
     solve per run uses ``chemo_fields.solve_tridiagonal``, a Python port of
     dgtsv, so that the construction needs no scipy; the simulation solves
     twice per step for thousands of steps, where that loop would double the
-    step, so it keeps LAPACK and imports it on its first factorization.
+    step, so it keeps LAPACK and loads scipy's LAPACK extension (``_flapack``)
+    on its first factorization.  A factorization that fails raises
+    ``NumericalError``; ``SimConfig`` refuses the meshes known to cause one.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
+    lapack = _flapack()
     diag = np.full(n_cells, 1.0 + 2.0 * r)
     diag[0] = diag[-1] = 1.0 + r
-    dl, d, du, du2, ipiv, info = dgttrf(np.full(n_cells - 1, -r), diag, np.full(n_cells - 1, -r))
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(np.full(n_cells - 1, -r), diag, np.full(n_cells - 1, -r))
     if info != 0:
-        raise np.linalg.LinAlgError(f"dgttrf failed with info={info} for r={r!r}")
+        raise NumericalError(f"diffusion matrix factorization (dgttrf) failed with info={info} for r={r!r}")
     for factor in (dl, d, du, du2, ipiv):
         factor.flags.writeable = False  # shared by every step with this dt
-    return partial(dgttrs, dl, d, du, du2, ipiv)
+    return partial(lapack.dgttrs, dl, d, du, du2, ipiv)
 
 
 def _solve_diffusion(r: float, rhs: np.ndarray) -> np.ndarray:
@@ -259,14 +312,33 @@ def _solve_diffusion(r: float, rhs: np.ndarray) -> np.ndarray:
     return _diffusion_solver(rhs.size, r)(rhs, overwrite_b=True)[0]
 
 
+_work = threading.local()  # each thread's step work arrays, so that two threads' runs never share them
+
+
+def _work_arrays(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three float arrays of ``shape`` for one step's intermediates, reused by this thread's next steps.
+
+    With a fresh (18, 2048) array per intermediate and step, a step's memory
+    depends on the allocator: when glibc hands the freed pages back to the
+    system, the next step faults them in again.  Only the latest shape is
+    kept; no step returns these arrays.
+    """
+    arrays = getattr(_work, "arrays", None)
+    if arrays is None or arrays[0].shape != shape:
+        arrays = _work.arrays = (np.empty(shape), np.empty(shape), np.empty(shape))
+    return arrays
+
+
 def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimState:
     """Advance the coupled system by one split step.
 
     Order: (1) upwind transport, (2) explicit tumbling exchange with rates
     1 - chi_s sign(dS/dt + v dS/dx) - chi_n sign(dN/dt + v dN/dx) using the
     previous step's temporal differences, (3) semi-implicit chemical updates
-    driven by the new density.  Stages (1) and (2) run in place on four arrays
-    of the shape of f; the input state is never written.
+    driven by the new density.  Stages (1) and (2) run in place on the new f
+    and on three work arrays of its shape that this thread's steps reuse
+    (``_work_arrays``); the input state is never written, and no returned
+    array is a work array.
     """
     model = config.model
     dx = config.dx
@@ -279,16 +351,17 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     if dt * model.rates.max_rate > 1.0:
         raise CFLViolation(f"dt={dt!r} violates the tumbling bound dt*maxT <= 1")
 
-    f = _transport(state.f, v, np.abs(v) * dt / dx)
+    diff, arg, rates = _work_arrays(state.f.shape)
+    f = _transport(state.f, v, np.abs(v) * dt / dx, diff)
 
     # rates = 1 - chi_s * sign(dS/dt + v dS/dx) - chi_n * sign(dN/dt + v dN/dx)
-    arg = _scale_rows(v, _gradient(state.s, dx))
+    _scale_rows(v, _gradient(state.s, dx), out=arg)
     arg += state.ds_dt
     sign_s = _sign_with_deadzone(arg)
     _scale_rows(v, _gradient(state.n, dx), out=arg)
     arg += state.dn_dt
     sign_n = _sign_with_deadzone(arg)
-    rates = np.multiply(sign_s, model.chi_s)
+    np.multiply(sign_s, model.chi_s, out=rates)
     np.subtract(1.0, rates, out=rates)
     np.multiply(sign_n, model.chi_n, out=arg)
     rates -= arg
@@ -396,8 +469,9 @@ def run(config: SimConfig, on_snapshot: Callable[[Snapshot], object]) -> tuple[S
     whose prominence is at least ``PEAK_PROMINENCE_FRACTION`` of its range,
     with the walls as low ground, so that a maximum in the first or last
     cell counts (``prominent_peaks``, which loads no scipy module, on rho
-    padded with -inf); the only scipy module a run loads is ``scipy.linalg``,
-    for its diffusion solves.
+    padded with -inf).  The only scipy modules a run loads are ``scipy`` and
+    its compiled LAPACK wrapper ``scipy.linalg._flapack``, for the diffusion
+    solves (``_flapack``); the ``scipy.linalg`` package never runs.
     """
     x = cell_centers(config)
     state = initial_state(config)

@@ -155,6 +155,18 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     return roots
 
 
+def _c_divide(a: float, b: float) -> float:
+    """``a / b`` as C computes it in IEEE 754 doubles: a zero ``b`` gives +-inf, or NaN for 0 / 0 and NaN / 0.
+
+    Python raises ZeroDivisionError there instead.
+    """
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
 def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
     """A root of ``f`` in ``[xa, xb]`` by Brent's method, as ``scipy.optimize.brentq``.
 
@@ -165,6 +177,9 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> fl
     scipy's wrapper does, it raises ValueError when ``f`` returns NaN or
     ``f(xa)`` and ``f(xb)`` share a sign, and RuntimeError after
     ``_BRENT_MAXITER`` (scipy's default 100) iterations without convergence.
+    Each division that can meet a zero divisor (an interpolation step whose
+    denominator underflows) gives C's IEEE result through ``_c_divide``, so
+    the step test fails on the inf or NaN and the method bisects, as in C.
     Kept in the package so that the construction runs on numpy alone.
     """
 
@@ -201,11 +216,11 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> fl
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                stry = _c_divide(-fcur * (xcur - xpre), fcur - fpre)
             else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                dpre = _c_divide(fpre - fcur, xpre - xcur)
+                dblk = _c_divide(fblk - fcur, xblk - xcur)
+                stry = _c_divide(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
             bound = 3 * abs(sbis) - delta
             if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # C's MIN
                 spre, scur = scur, stry  # good short step

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from chemowave.cauchy_sim import (
     SimState,
     cell_centers,
 )
-from chemowave.errors import CFLViolation, InsufficientSamples, NegativeDensity
+from chemowave.errors import CFLViolation, InsufficientSamples, NegativeDensity, NumericalError
 
 
 def _pair_model(chi_s=0.0, chi_n=0.0, v=1.0):
@@ -262,7 +264,7 @@ def test_transport_matches_the_per_velocity_loop():
         else:
             upstream = f[k]
         expected[k] = f[k] - nu[k] * (f[k] - upstream)
-    out = cauchy_sim_mod._transport(f, v, nu)
+    out = cauchy_sim_mod._transport(f, v, nu, np.empty_like(f))
     assert np.array_equal(out, expected)
     assert np.array_equal(out[2], f[2])  # the zero velocity does not move
 
@@ -531,6 +533,73 @@ def test_step_matches_the_reference_step_when_dt_changes(case_two):
         expected = _reference_step(state, config, scale * dt)
         state = step(state, config, scale * dt)
         _assert_same_state(state, expected)
+
+
+def test_alternating_steps_of_two_meshes_match_the_reference_step(case_two):
+    # the work arrays are kept for the latest shape only: each switch of
+    # mesh replaces them, and no step may read another mesh's intermediates
+    fine = _sec4_2_config(case_two)
+    coarse = dataclasses.replace(fine, cells=512)
+    states = {config.cells: initial_state(config) for config in (fine, coarse)}
+    for _ in range(30):
+        for config in (fine, coarse, coarse, fine):
+            state = states[config.cells]
+            expected = _reference_step(state, config, config.default_dt())
+            states[config.cells] = step(state, config)
+            _assert_same_state(states[config.cells], expected)
+
+
+def test_threads_stepping_at_once_match_the_reference_step(case_two):
+    # each thread has its own work arrays; four threads on two cores, with a
+    # short switch interval, corrupt one another's steps if they share them
+    configs = [dataclasses.replace(_sec4_2_config(case_two), cells=cells) for cells in (256, 256, 256, 384)]
+    expected = []
+    for config in configs:
+        states = [initial_state(config)]
+        for _ in range(60):
+            states.append(_reference_step(states[-1], config, config.default_dt()))
+        expected.append(states)
+
+    def march(config, reference):
+        """The indices of the steps whose fields differ from the reference's."""
+        state, wrong = reference[0], []
+        for k in range(1, len(reference)):
+            state = step(state, config)
+            if not all(np.array_equal(getattr(state, name), getattr(reference[k], name)) for name in ("f", "s", "n")):
+                wrong.append(k)
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(march, *pair) for pair in zip(configs, expected)]
+            wrong = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [[]] * len(configs)
+
+
+def test_a_step_allocates_little_beyond_its_new_density(case_two):
+    # a step's three intermediates of f's shape are this thread's reused work
+    # arrays; it allocates the new f, two int8 sign arrays and vectors of
+    # cells, 1.64 f.nbytes, where fresh intermediates would take 3.65
+    config = _sec4_2_config(case_two)
+    state = step(initial_state(config), config)  # warm-up: work arrays and diffusion factors
+    tracemalloc.start()
+    try:
+        state = step(state, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state.f.nbytes
+
+
+def test_a_singular_diffusion_factorization_is_a_numerical_error():
+    # SimConfig refuses the meshes that lead here; r = 2.9e151 is what a
+    # 128-cell sec4_2 mesh on domain_length = 1e-150 would give: 1 + 2r == 2r
+    with pytest.raises(NumericalError, match=r"dgttrf\) failed with info=128"):
+        cauchy_sim_mod._diffusion_solver(128, 2.9043969342476805e151)
 
 
 @pytest.mark.parametrize("r", [1e-9, 0.01, 0.37, 2.5, 1e4])

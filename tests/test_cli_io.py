@@ -329,6 +329,26 @@ def test_non_finite_sim_value_is_a_config_error(key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "length,message",
+    [
+        ("1e-160", "cell width domain_length / cells = 7.8125e-163 lies outside"),  # dx**2 underflows to 0
+        ("1e-150", "makes the implicit diffusion matrix singular"),  # 1 + 2r == 2r at r = 5.76e151
+        ("1e300", "cell width domain_length / cells = 7.8125e+297 lies outside"),  # dx**2 overflows
+    ],
+)
+def test_mesh_without_a_diffusion_solve_is_a_config_error(length, message, tmp_path, capsys):
+    # these used to end in a ZeroDivisionError, LinAlgError or OverflowError traceback (exit 1)
+    text = TWO_VELOCITY_SIM.replace("domain_length = 20\n", f"domain_length = {length}\n")
+    with pytest.raises(ConfigError, match=rf"in \[sim\]: .*{re.escape(message)}"):
+        parse_config(text, mode="simulate")
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
     "key,value,message",
     [
         ("initial_center", "nan", "initial center must be finite"),

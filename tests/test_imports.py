@@ -2,12 +2,14 @@
 
 The construction runs on numpy alone: Brent's method and the nutrient's
 tridiagonal solve are in-package ports.  Only the simulation loads scipy,
-and only ``scipy.linalg`` (LAPACK dgttrf/dgttrs), when it first factors its
-diffusion matrix: a whole run, its component count included
-(``cauchy_sim.prominent_peaks``, a port of ``find_peaks``), loads neither
-``scipy.signal`` nor ``scipy.stats``.  Each check runs in a subprocess: this
-test process has long since loaded scipy.  The package's ``__all__`` must
-list exactly its public names.
+when it first factors its diffusion matrix, and then only ``scipy`` itself
+and its compiled LAPACK wrapper ``scipy.linalg._flapack`` (dgttrf/dgttrs),
+without the ``scipy.linalg`` package: a whole run, its component count
+included (``cauchy_sim.prominent_peaks``, a port of ``find_peaks``), loads
+none of ``scipy.linalg``, ``scipy.signal`` and ``scipy.stats``.  A later
+``import scipy.linalg`` reuses the loaded extension.  Each check runs in a
+subprocess: this test process has long since loaded scipy.  The package's
+``__all__`` must list exactly its public names.
 """
 
 from __future__ import annotations
@@ -49,7 +51,11 @@ cauchy_sim.initial_state(sim)
 loaded["sim_setup"] = scipy_modules()
 _state, diagnostics = cauchy_sim.run(sim, lambda snapshot: None)
 loaded["sim_run"] = [m for m in ("scipy.linalg", "scipy.signal", "scipy.stats") if m in sys.modules]
+loaded["sim_linalg"] = [m for m in scipy_modules() if m.startswith("scipy.linalg.")]
 loaded["sim_components"] = diagnostics.n_components
+flapack = sys.modules["scipy.linalg._flapack"]
+from scipy.linalg.lapack import dgttrf, dgttrs
+loaded["lapack_reused"] = dgttrf is flapack.dgttrf and dgttrs is flapack.dgttrs
 print(json.dumps(loaded))
 """
 
@@ -64,10 +70,12 @@ def test_construction_loads_no_deferred_scipy_module(tmp_path, configs_dir):
     assert loaded["import"] == []
     assert loaded["modes"] == []  # validate, upsilon-scan and profile
     assert loaded["sim_setup"] == []  # a simulation's config and initial state
-    # a whole short run: its first step factors the diffusion matrix, and its
-    # component count after the last step loads nothing more
-    assert loaded["sim_run"] == ["scipy.linalg"]
+    # a whole short run: its first step factors the diffusion matrix with the
+    # LAPACK extension alone, and its component count loads nothing more
+    assert loaded["sim_run"] == []
+    assert loaded["sim_linalg"] == ["scipy.linalg._flapack"]
     assert loaded["sim_components"] == 1
+    assert loaded["lapack_reused"]  # scipy.linalg, imported later, takes the loaded extension
 
 
 def test_all_lists_every_public_name_and_nothing_else():

@@ -7,9 +7,13 @@ profile.  Each must give the bits that ``scipy.optimize.brentq`` and
 ``scipy.linalg.solve_banded((1, 1), ...)``, which runs ``dgtsv``.  The simulation counts the
 components of its final density with ``cauchy_sim.prominent_peaks``, which
 must return the indices of ``scipy.signal.find_peaks(x, prominence=p)``.
+Brent's method must match scipy also where its interpolation divides by an
+underflowed zero, which C turns into inf or NaN and a bisection step.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -59,18 +63,43 @@ def test_brent_matches_scipy_on_random_brackets():
         compared += 1
 
 
-@pytest.mark.parametrize("case", ["case_one", "case_two"])
-def test_brent_matches_scipy_on_the_scan_brackets(case, request):
+@pytest.mark.parametrize(
+    "case,alpha",
+    [
+        pytest.param("case_one", None, id="case_one"),
+        pytest.param("case_two", None, id="case_two"),
+        # Upsilon's values are so small here that on 3 of the 13 brackets at
+        # 1e200 (0.0045273 to 0.0055083 among them) and 4 of the 12 at 1e300
+        # an extrapolation's denominator dblk * dpre * (fblk - fpre)
+        # underflows to 0: C divides to inf or NaN and bisects, where
+        # Python raises ZeroDivisionError
+        pytest.param("case_one", 1e200, id="case_one-alpha1e200"),
+        pytest.param("case_one", 1e300, id="case_one-alpha1e300"),
+    ],
+)
+def test_brent_matches_scipy_on_the_scan_brackets(case, alpha, request):
     model, cfg = request.getfixturevalue(case)
-    curve = scan(model, cfg.chem)
+    chem = cfg.chem if alpha is None else dataclasses.replace(cfg.chem, alpha=alpha)
+    curve = scan(model, chem)
     assert curve.brackets
     reference_roots = []
     for _interval_id, lo, hi, _y_lo, _y_hi in curve.brackets:
-        f = lambda c: wave_speed_mod.upsilon(model, cfg.chem, c)  # noqa: E731
+        f = lambda c: wave_speed_mod.upsilon(model, chem, c)  # noqa: E731
         (root_ref, seen_ref), (root, seen) = _both(f, lo, hi, ROOT_C_REL_TOL * max(abs(lo), abs(hi)))
         assert root == root_ref and seen == seen_ref
         reference_roots.append(root_ref)
-    assert refine_roots(curve, model, cfg.chem) == reference_roots
+    assert refine_roots(curve, model, chem) == reference_roots
+
+
+def test_c_divide_gives_the_ieee_quotient():
+    values = [0.0, -0.0, 1.0, -1.0, 5e-324, -3.5, np.inf, -np.inf, np.nan]
+    for a in values:
+        for b in values:
+            with np.errstate(all="ignore"):
+                expected = np.float64(a) / np.float64(b)
+            got = wave_speed_mod._c_divide(a, b)
+            same = got == expected and np.signbit(got) == np.signbit(expected)
+            assert same or (np.isnan(got) and np.isnan(expected)), (a, b)
 
 
 def test_brent_raises_as_scipy_does():
