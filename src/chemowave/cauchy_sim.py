@@ -383,9 +383,15 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     p = config.params
     s_new = _solve_diffusion(dt * p.d_s / dx**2, state.s + dt * (-p.alpha * state.s + p.beta * rho))
     n_new = _solve_diffusion(dt * p.d_n / dx**2, state.n * (1.0 - dt * p.gamma * rho))
-    if np.min(n_new) < -_NEGATIVE_TOL * config.initial_n or np.min(s_new) < -_NEGATIVE_TOL * max(
-        float(np.max(s_new)), 1.0
-    ):
+    # NaN fails every comparison and an overflowed S makes its slack -inf: refuse a non-finite
+    # field first, for good.  rho >= 0 keeps N at or below its last maximum, so its min shows it.
+    n_min = float(np.min(n_new))
+    s_min, s_max = float(np.min(s_new)), float(np.max(s_new))
+    if not (math.isfinite(s_min) and math.isfinite(s_max)):
+        raise NumericalError(f"non-finite chemical field s at t={state.t!r}")
+    if not math.isfinite(n_min):
+        raise NumericalError(f"non-finite chemical field n at t={state.t!r}")
+    if n_min < -_NEGATIVE_TOL * config.initial_n or s_min < -_NEGATIVE_TOL * max(s_max, 1.0):
         raise NegativeDensity(f"negative chemical field at t={state.t!r}")
 
     return SimState(
@@ -463,8 +469,13 @@ def run(config: SimConfig, on_snapshot: Callable[[Snapshot], object]) -> tuple[S
     density-peak track, so its memory does not grow with the number of
     snapshots.  An exception from ``on_snapshot`` stops the run.
 
-    If the exchange ever produces a negative density the step size is halved
-    once and the run continues; a second occurrence propagates the error.
+    If a step raises ``NegativeDensity`` the step size is halved once and the
+    run continues; a second occurrence propagates the error.  Under the
+    step's bound dt * max_rate <= 1 the exchange gives f + dt (e - r f) >=
+    (1 - dt r) f >= 0 up to rounding (e >= 0 is the event density), so the
+    halving is reached through the nutrient update n (1 - dt gamma rho) where
+    dt gamma rho > 1, or in ``step`` through a caller-built negative f.  A
+    non-finite S or N raises ``NumericalError`` at once, with no retry.
     The diagnostics' ``n_components`` counts the peaks of the final density
     whose prominence is at least ``PEAK_PROMINENCE_FRACTION`` of its range,
     with the walls as low ground, so that a maximum in the first or last

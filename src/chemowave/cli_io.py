@@ -71,8 +71,6 @@ class SimBlock:
     cfl: float
     t_end: float
     initial_shape: str = InitialDensity.kind
-    initial_center: float | None = InitialDensity.center
-    initial_width: float | None = InitialDensity.width
     initial_mass: float = InitialDensity.mass
     initial_n: float = SimConfig.initial_n
     snapshot_interval: float | None = SimConfig.snapshot_interval
@@ -137,9 +135,7 @@ class RunConfig:
             cells=s.cells,
             cfl=s.cfl,
             t_end=s.t_end,
-            initial_rho=InitialDensity(
-                kind=s.initial_shape, center=s.initial_center, width=s.initial_width, mass=s.initial_mass
-            ),
+            initial_rho=InitialDensity(kind=s.initial_shape, mass=s.initial_mass),
             initial_n=s.initial_n,
             snapshot_interval=s.snapshot_interval,
             keep_velocity_snapshots=s.snapshot_f,

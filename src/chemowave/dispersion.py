@@ -54,12 +54,11 @@ class DispersionRoots:
     side, rates T_+) are sorted ascending, so ``negative_roots[-1]`` and
     ``positive_roots[0]`` are the slowest decay rates toward -inf and +inf.
     Counts equal the number of active velocities below/above c.  For a stack
-    (``solve_roots`` on an array of speeds of one continuity interval) ``c``
-    is that array and every array field has a leading axis of speeds;
-    :meth:`speed` takes one speed out.
+    (``solve_roots`` on an array of speeds of one continuity interval) every
+    array field has a leading axis of speeds; :meth:`speed` takes one speed
+    out.
     """
 
-    c: float | np.ndarray
     negative_roots: np.ndarray
     positive_roots: np.ndarray
 
@@ -74,12 +73,8 @@ class DispersionRoots:
         return float(self.positive_roots[0])
 
     def speed(self, i: int) -> DispersionRoots:
-        """The roots at speed ``c[i]`` of a stack."""
-        return DispersionRoots(
-            c=float(self.c[i]),
-            negative_roots=self.negative_roots[i],
-            positive_roots=self.positive_roots[i],
-        )
+        """The roots at the ``i``-th speed of a stack."""
+        return DispersionRoots(negative_roots=self.negative_roots[i], positive_roots=self.positive_roots[i])
 
 
 def singular_values(model: VelocityModel, c: float | np.ndarray, side: str) -> np.ndarray:
@@ -266,11 +261,7 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
     with np.errstate(divide="ignore", invalid="ignore"):
         _verify_side(model, speeds, "left", poles_left, negative_roots)
         _verify_side(model, speeds, "right", poles_right, positive_roots)
-    roots = DispersionRoots(
-        c=speeds,
-        negative_roots=negative_roots,
-        positive_roots=positive_roots,
-    )
+    roots = DispersionRoots(negative_roots=negative_roots, positive_roots=positive_roots)
     return roots if np.ndim(c) else roots.speed(0)
 
 

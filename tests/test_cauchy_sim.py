@@ -292,6 +292,22 @@ def test_step_leaves_its_input_state_unchanged(case_two):
         assert all(np.array_equal(a, b) for a, b in zip(_arrays(st), saved))
 
 
+@pytest.mark.parametrize("name", ["s", "n"])
+def test_a_non_finite_chemical_field_stops_the_step(case_two, name):
+    # NaN fails every comparison of the negativity check, which used to let the
+    # step return it; a smaller dt cannot mend it, so it must not be the
+    # NegativeDensity that run() retries
+    _model, cfg = case_two
+    config = dataclasses.replace(cfg.build_sim_config(), cells=128)
+    state = step(initial_state(config), config)
+    spoiled = getattr(state, name).copy()
+    spoiled[5] = np.nan
+    with pytest.raises(NumericalError) as exc:
+        step(dataclasses.replace(state, **{name: spoiled}), config)
+    assert str(exc.value) == f"non-finite chemical field {name} at t={state.t!r}"
+    assert not isinstance(exc.value, NegativeDensity)
+
+
 def _arrays(state: SimState) -> list[np.ndarray]:
     return [a.copy() for a in (state.f, state.s, state.n, state.ds_dt, state.dn_dt)]
 
