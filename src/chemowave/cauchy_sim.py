@@ -42,21 +42,16 @@ def _finite_positive(x: float) -> bool:
 
 @dataclass(frozen=True)
 class InitialDensity:
-    """Shape descriptor for the initial cell density.
+    """The initial cell density: uniform on [center - width/2, center + width/2].
 
-    kind "block": uniform on [center - width/2, center + width/2];
-    kind "gaussian": exp(-(x - center)^2 / (2 width^2)).  Either way the
-    discrete mass is normalized to ``mass`` exactly.
+    The discrete mass is normalized to ``mass`` exactly.
     """
 
-    kind: str = "block"
     center: float | None = None
     width: float | None = None
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("block", "gaussian"):
-            raise ValueError(f"initial density kind must be 'block' or 'gaussian', got {self.kind!r}")
         if not _finite_positive(self.mass):
             raise ValueError(f"initial mass must be finite and positive, got {self.mass!r}")
         if self.center is not None and not math.isfinite(self.center):
@@ -76,13 +71,12 @@ class SimConfig:
     cfl: float
     t_end: float
     initial_rho: InitialDensity = field(default_factory=InitialDensity)
-    initial_n: float = 1.0
     snapshot_interval: float | None = None
     keep_velocity_snapshots: bool = False
 
     def __post_init__(self):
         # NaN fails every comparison and t_end = inf never ends, so "finite and > 0"
-        for name in ("domain_length", "t_end", "initial_n"):
+        for name in ("domain_length", "t_end"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if self.cells < 64:
@@ -161,19 +155,16 @@ def cell_centers(config: SimConfig) -> np.ndarray:
 
 
 def _initial_shape(config: SimConfig) -> np.ndarray:
-    """The initial density block or bump on the cell centers, before normalization."""
+    """The initial density block on the cell centers, before normalization."""
     x = cell_centers(config)
     init = config.initial_rho
     center = init.center if init.center is not None else 0.05 * config.domain_length
     width = init.width if init.width is not None else 0.1 * config.domain_length
-    if init.kind == "block":
-        return ((x >= center - 0.5 * width) & (x < center + 0.5 * width)).astype(float)
-    with np.errstate(over="ignore"):  # a bump far outside the domain is 0 on every cell
-        return np.exp(-0.5 * ((x - center) / width) ** 2)
+    return ((x >= center - 0.5 * width) & (x < center + 0.5 * width)).astype(float)
 
 
 def initial_state(config: SimConfig) -> SimState:
-    """Build the t = 0 state: density block/bump on the left, S = 0, N uniform."""
+    """Build the t = 0 state: density block on the left, S = 0, N = 1 (the construction's N_+)."""
     x = cell_centers(config)
     shape = _initial_shape(config)
     rho0 = shape * (config.initial_rho.mass / float(np.sum(shape) * config.dx))
@@ -184,7 +175,7 @@ def initial_state(config: SimConfig) -> SimState:
         t=0.0,
         f=f,
         s=zeros.copy(),
-        n=np.full_like(x, config.initial_n),
+        n=np.ones_like(x),
         ds_dt=zeros.copy(),
         dn_dt=zeros.copy(),
     )
@@ -391,7 +382,7 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
         raise NumericalError(f"non-finite chemical field s at t={state.t!r}")
     if not math.isfinite(n_min):
         raise NumericalError(f"non-finite chemical field n at t={state.t!r}")
-    if n_min < -_NEGATIVE_TOL * config.initial_n or s_min < -_NEGATIVE_TOL * max(s_max, 1.0):
+    if n_min < -_NEGATIVE_TOL or s_min < -_NEGATIVE_TOL * max(s_max, 1.0):
         raise NegativeDensity(f"negative chemical field at t={state.t!r}")
 
     return SimState(

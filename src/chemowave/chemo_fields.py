@@ -259,7 +259,7 @@ def solve_N(
     Boundary conditions: N'(-L) = 0 (flat left tail) and the far-field limit
     N(+inf) = N_+ = 1 through the integrated relation D N' + c N = c N_+ at
     +L.  The equation is linear in N, so N_+ = 1 is a pure normalization.
-    The profile must come out nondecreasing with N(-L) in (0, 1]; either
+    The profile must come out nondecreasing with N(-L) in [0, 1]; either
     failure raises ``NonMonotoneN``.
 
     For rho >= 0 one solve suffices: the profile is nondecreasing on every
@@ -267,7 +267,10 @@ def solve_N(
     sub_i (N_i - N_{i-1}) + gamma rho_i N_i, and the ghost row at -L gives
     (2 D / h^2) (N_1 - N_0) = gamma rho_0 N_0.  The Peclet switch keeps
     sub_i >= 0, so -A is an M-matrix with a right-hand side <= 0: N >= 0,
-    and by induction every increment is >= 0 in exact arithmetic.
+    and by induction every increment is >= 0 in exact arithmetic.  The
+    exact N(-L) is > 0: N_0 = 0 would make every increment, and so all of
+    N, vanish by the same rows, against the nonzero right-hand side at +L;
+    so a computed N(-L) of 0.0 or -0.0 is the underflow of a positive level.
     """
     if not c > 0.0:
         raise at_speed(NonPositiveSpeed("nutrient solve requires c > 0"), c)
@@ -279,6 +282,6 @@ def solve_N(
         raise NonMonotoneN(f"nutrient profile not monotone on {cells} cells")
     n_minus = float(values[0])
     # n_minus == 1 only in the consumption-free limit
-    if not (0.0 < n_minus <= 1.0 + N_MONOTONE_TOL):
-        raise NonMonotoneN(f"far-field level {n_minus!r} outside (0, 1.0]")
+    if not (0.0 <= n_minus <= 1.0 + N_MONOTONE_TOL):
+        raise NonMonotoneN(f"far-field level {n_minus!r} outside [0, 1.0]")
     return NField(grid=grid, values=values, n_minus=n_minus)

@@ -70,9 +70,7 @@ class SimBlock:
     cells: int
     cfl: float
     t_end: float
-    initial_shape: str = InitialDensity.kind
     initial_mass: float = InitialDensity.mass
-    initial_n: float = SimConfig.initial_n
     snapshot_interval: float | None = SimConfig.snapshot_interval
     snapshot_f: bool = SimConfig.keep_velocity_snapshots
 
@@ -135,8 +133,7 @@ class RunConfig:
             cells=s.cells,
             cfl=s.cfl,
             t_end=s.t_end,
-            initial_rho=InitialDensity(kind=s.initial_shape, mass=s.initial_mass),
-            initial_n=s.initial_n,
+            initial_rho=InitialDensity(mass=s.initial_mass),
             snapshot_interval=s.snapshot_interval,
             keep_velocity_snapshots=s.snapshot_f,
         )
@@ -258,8 +255,6 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         raise MissingKey("missing required section [model]")
     if "run" not in sections:
         raise MissingKey("missing required section [run]")
-    if "sim" in sections and "chem" not in sections:  # a SimConfig needs ChemParams
-        raise MissingKey("a [sim] section requires a [chem] section")
 
     run_sec = sections["run"]
     mode = run_sec["mode"] if mode is None else mode

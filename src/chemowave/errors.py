@@ -109,7 +109,7 @@ class ResonantMode(NumericalError):
 
 
 class NonMonotoneN(NumericalError):
-    """Nutrient profile is not nondecreasing, or its far-field level lies outside (0, 1]."""
+    """Nutrient profile is not nondecreasing, or its far-field level lies outside [0, 1]."""
 
 
 class NonPositiveSpeed(NumericalError):

@@ -93,8 +93,19 @@ def scan(
     intervals: list[IntervalSamples] = []
     for i, (lo, hi) in enumerate(window.admissible_intervals):
         if hi - lo <= 3.0 * guard:
-            continue  # too narrow for any sample clear of both nodes
+            logger.warning(
+                "continuity interval (%r, %r) is no wider than 3 node guards; skipped, no root there is found",
+                lo,
+                hi,
+            )
+            continue
         if hi - lo < _NARROW_INTERVAL_FACTOR * guard:
+            logger.info(
+                "continuity interval (%r, %r) is narrower than %g node guards; sampled at its midpoint only",
+                lo,
+                hi,
+                _NARROW_INTERVAL_FACTOR,
+            )
             cs = np.array([0.5 * (lo + hi)])
         else:
             cs = _chebyshev_points(lo + guard, hi - guard, samples_per_interval)

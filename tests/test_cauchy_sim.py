@@ -50,8 +50,6 @@ def test_config_validation():
         SimConfig(model=model, params=params, domain_length=10.0, cells=64, cfl=1.5, t_end=1.0)
     with pytest.raises(ValueError):
         SimConfig(model=model, params=params, domain_length=10.0, cells=64, cfl=0.5, t_end=-1.0)
-    with pytest.raises(ValueError):
-        InitialDensity(kind="triangle")
     # run() would step its next snapshot time by this interval forever
     for interval in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="snapshot_interval"):
@@ -62,10 +60,10 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("key", ["domain_length", "t_end", "initial_n", "mass"])
+@pytest.mark.parametrize("key", ["domain_length", "t_end", "mass"])
 def test_non_finite_values_are_rejected(key, value):
-    # NaN passed the old "x <= 0" checks; t_end = inf never ends; domain_length
-    # or initial_n = inf would turn every field into NaN without an error
+    # NaN passed the old "x <= 0" checks; t_end = inf never ends; domain_length = inf
+    # would turn every field into NaN without an error
     kwargs = dict(
         model=_pair_model(), params=_free_params(), domain_length=10.0, cells=64, cfl=0.5, t_end=1.0
     )
@@ -95,11 +93,9 @@ def test_initial_center_and_width_are_checked(kwargs, message):
 @pytest.mark.parametrize(
     "initial_rho",
     [
-        InitialDensity(kind="block", center=-5.0, width=2.0),
-        InitialDensity(kind="block", center=25.0, width=2.0),
-        InitialDensity(kind="block", center=10.0, width=1e-3),   # narrower than a cell, between centres
-        InitialDensity(kind="gaussian", center=-1e3, width=1.0),  # underflows to 0 on every cell
-        InitialDensity(kind="gaussian", center=1e200),  # its square overflows, without a warning
+        InitialDensity(center=-5.0, width=2.0),
+        InitialDensity(center=25.0, width=2.0),
+        InitialDensity(center=10.0, width=1e-3),   # narrower than a cell, between centres
     ],
 )
 def test_initial_density_without_support_is_refused_by_the_config(initial_rho):
@@ -111,22 +107,14 @@ def test_initial_density_without_support_is_refused_by_the_config(initial_rho):
 
 
 def test_initial_mass_is_unit():
-    model = _pair_model()
-    for kind in ("block", "gaussian"):
-        config = SimConfig(
-            model=model,
-            params=_free_params(),
-            domain_length=20.0,
-            cells=128,
-            cfl=0.5,
-            t_end=1.0,
-            initial_rho=InitialDensity(kind=kind),
-        )
-        state = initial_state(config)
-        assert total_mass(config, state) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(state.f >= 0.0)
-        assert np.all(state.n == config.initial_n)
-        assert np.all(state.s == 0.0)
+    config = SimConfig(
+        model=_pair_model(), params=_free_params(), domain_length=20.0, cells=128, cfl=0.5, t_end=1.0
+    )
+    state = initial_state(config)
+    assert total_mass(config, state) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(state.f >= 0.0)
+    assert np.all(state.n == 1.0)
+    assert np.all(state.s == 0.0)
 
 
 def test_unbiased_advection_limit_conserves_and_stays_symmetric():
@@ -140,7 +128,7 @@ def test_unbiased_advection_limit_conserves_and_stays_symmetric():
         cells=256,
         cfl=0.5,
         t_end=3.0,
-        initial_rho=InitialDensity(kind="block", center=10.0, width=2.0),
+        initial_rho=InitialDensity(center=10.0, width=2.0),
     )
     state = initial_state(config)
     m0 = total_mass(config, state)
@@ -180,12 +168,11 @@ def test_no_consumption_keeps_nutrient_flat():
         cells=128,
         cfl=0.5,
         t_end=2.0,
-        initial_n=0.7,
     )
     state = initial_state(config)
     for _ in range(60):
         state = step(state, config)
-    assert np.allclose(state.n, 0.7, rtol=0.0, atol=1e-12)
+    assert np.allclose(state.n, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_pure_decay_of_attractant():

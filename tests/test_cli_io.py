@@ -337,7 +337,7 @@ def test_nonpositive_snapshot_interval_is_a_config_error(interval, tmp_path, cap
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("key", ["domain_length", "t_end", "initial_n", "initial_mass"])
+@pytest.mark.parametrize("key", ["domain_length", "t_end", "initial_mass"])
 def test_non_finite_sim_value_is_a_config_error(key, value, tmp_path, capsys):
     # t_end = inf used to run forever; the others ran on or ended in a traceback
     if f"\n{key} = " in TWO_VELOCITY_SIM:
@@ -462,6 +462,8 @@ REMOVED_KEYS = [
     ("sim", "peak_prominence"),
     ("sim", "initial_center"),  # every run starts from the default block against the left wall
     ("sim", "initial_width"),
+    ("sim", "initial_shape"),  # every run starts from a block
+    ("sim", "initial_n"),  # and in N = 1, the construction's N_+
 ]
 
 
@@ -583,12 +585,12 @@ def test_sim_block_without_chem_is_a_missing_key(tmp_path, configs_dir, capsys):
     text = re.sub(r"(?s)\[chem\].*?\n\n", "", text)
     text = re.sub(r"(?m)^cells = .*$", "cells = 3", re.sub(r"(?m)^cfl = .*$", "cfl = 7", text))
     assert "[chem]" not in text and "[sim]" in text
-    with pytest.raises(MissingKey, match=r"\[sim\] section requires a \[chem\] section"):
-        parse_config(text)
+    with pytest.raises(MissingKey, match=r"in \[sim\]: a simulation requires both \[chem\] and \[sim\] sections"):
+        parse_config(text, mode="validate")
     cfg_path = tmp_path / "no_chem.ini"
     cfg_path.write_text(text)
     assert main(["validate", "--config", str(cfg_path)]) == 2
-    assert "[sim] section requires a [chem] section" in capsys.readouterr().err
+    assert "a simulation requires both [chem] and [sim] sections" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cells,t_end,interval", [("64", "0.02", "1e-300"), ("256", "1", "1e-9")])

@@ -11,6 +11,7 @@ from chemowave import (
     ChemParams,
     admissible_speed_interval,
     build_model,
+    expand_half_set,
     refine_roots,
     scan,
     solve_modes,
@@ -99,6 +100,30 @@ def test_upward_crossing_reported_not_rooted(case_one, chem_default, monkeypatch
     assert curve.brackets == []
     assert len(curve.upward_crossings) == 1
     assert wave_speed_mod.refine_roots(curve, model, chem_default) == []
+
+
+def test_narrow_intervals_are_logged(caplog):
+    # nodes 2 and 5 guards apart: the first interval gets no sample, the second its midpoint only,
+    # and neither can bracket a root, so each leaves a line in the log
+    half = [0.0, 0.02, 0.02 + 2e-9, 0.05, 0.05 + 5e-9, 0.2, 0.5, 1.0]
+    model = build_model(*expand_half_set(half, [0.0] + [1.0 / 14.0] * 7), 0.3, 0.1)
+    params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
+    with caplog.at_level(logging.INFO, logger="chemowave"):
+        curve = scan(model, params, samples_per_interval=8)
+    assert [(seg.lo, seg.hi, seg.c.size) for seg in curve.intervals if seg.c.size < 8] == [(0.05, 0.05 + 5e-9, 1)]
+    assert 0.02 not in [seg.lo for seg in curve.intervals]
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (
+            logging.WARNING,
+            f"continuity interval (0.02, {0.02 + 2e-9!r}) is no wider than 3 node guards; "
+            "skipped, no root there is found",
+        ),
+        (
+            logging.INFO,
+            f"continuity interval (0.05, {0.05 + 5e-9!r}) is narrower than 10 node guards; "
+            "sampled at its midpoint only",
+        ),
+    ]
 
 
 def test_lost_bracket_rejects_bad_signs(case_one, chem_default):
