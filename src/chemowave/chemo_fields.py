@@ -21,6 +21,7 @@ from .wave_profile import GRID_POINTS_PER_SIDE, PiecewiseExponential, two_sided_
 
 RESONANCE_GUARD_REL = 1e-10
 N_MONOTONE_TOL = 1e-12      # relative slack for roundoff-flat tails
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,8 @@ class ChemParams:
 
     Diffusivities and the degradation rate must be strictly positive; the
     production and consumption rates may be zero, which switches the
-    corresponding coupling off (useful for decoupled sanity runs).
+    corresponding coupling off (useful for decoupled sanity runs).  A
+    nonzero production rate beta must be a normal double.
     """
 
     d_s: float
@@ -47,6 +49,8 @@ class ChemParams:
             val = getattr(self, name)
             if not (np.isfinite(val) and val >= 0):
                 raise ValueError(f"{name} must be a nonnegative finite number, got {val!r}")
+        if 0.0 < self.beta < _TINY:  # S is linear in beta: a subnormal one rounds Upsilon's samples to a few bits
+            raise ValueError(f"beta must be 0 or at least {_TINY!r}, got {self.beta!r}")
 
 
 @dataclass(frozen=True)

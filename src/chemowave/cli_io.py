@@ -328,7 +328,7 @@ def _header_lines(config_hash: str | None) -> list[str]:
 # double-double arithmetic (_significands); zeros are written directly; inf,
 # NaN, other magnitudes and the values the rounding bound cannot certify go
 # through '%.17g' itself.
-_CSV_BLOCK = 2048  # values formatted together: bounds the temporaries to about 0.4 MB
+_CSV_BLOCK = (2048, 16384)  # values formatted together: an eighth of the table within these (temporaries to 3.2 MB)
 _DEKKER_SPLIT = 134217729.0  # 2**27 + 1
 _TIE_MARGIN = 2.0**-46
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
@@ -549,7 +549,7 @@ def _write_csv(
 ) -> None:
     """Write comment lines, the column names, one 17-digit row per table row and trailing comments."""
     table = np.asarray(table, dtype=np.float64)
-    per_block = max(1, _CSV_BLOCK // table.shape[1])
+    per_block = max(1, int(np.clip(table.size // 8, *_CSV_BLOCK)) // table.shape[1])
     with open(path, "wb") as out:
         out.write("\n".join([*head, columns, ""]).encode("utf-8"))
         for start in range(0, table.shape[0], per_block):

@@ -236,14 +236,14 @@ def solve_roots(model: VelocityModel, c: float | np.ndarray) -> DispersionRoots:
             lambda i: SpeedNotAdmissible("all relative velocities share one sign"),
         )
 
-    # Left side: poles from v<c are negative, ordered like the velocities;
-    # the m smallest of the n - 1 roots are the negative ones.  Right side:
-    # poles from v>c are positive, smaller for larger velocities; the n - m
-    # largest roots are the positive ones.  One eigenvalue call serves both.
+    # Left side: poles from v<c are negative; the m smallest of the n - 1 roots
+    # are the negative ones.  Right side: poles from v>c are positive; the n - m
+    # largest roots are the positive ones.  One eigenvalue call serves both.  T is
+    # one constant per side, so T/(v - c) falls as v rises: reversed, rows ascend.
     poles_left = singular_values(model, speeds, "left")
     poles_right = singular_values(model, speeds, "right")
-    neg_poles = np.sort(poles_left[:, :m], axis=1)
-    pos_poles = np.sort(poles_right[:, m:], axis=1)
+    neg_poles = poles_left[:, :m][:, ::-1]
+    pos_poles = poles_right[:, m:][:, ::-1]
     _check_pole_separation(neg_poles, speeds)
     _check_pole_separation(pos_poles, speeds)
     basis = _complement_basis(w.tobytes())

@@ -287,9 +287,9 @@ def descartes_positive(coefficients: np.ndarray, rates: np.ndarray) -> np.ndarra
     """Rows proved positive on t >= 0 by Descartes' rule of signs for exponential sums.
 
     Row k is ``sum_j coefficients[k, j] * exp(-rates[j] t)`` with positive
-    rates.  With the terms ordered by rate, such a sum has at most as many
-    real zeros (with multiplicity) as its coefficients have sign changes.
-    A row is certified when its rates are distinct, its coefficients finite
+    rates in ascending order.  Such a sum has at most as many real zeros
+    (with multiplicity) as its coefficients have sign changes.  A row is
+    certified when its rates are strictly ascending, its coefficients finite
     and nonzero with at most one sign change, and both the slowest
     coefficient and the value at t = 0 are positive: its one possible zero
     then lies at t < 0, and the sum stays above
@@ -301,37 +301,31 @@ def descartes_positive(coefficients: np.ndarray, rates: np.ndarray) -> np.ndarra
     speeds, (speeds, rows, terms) with rates (speeds, terms), give one bool
     per speed and row.
     """
-    order = np.argsort(rates, axis=-1)
-    if order.ndim == 1:  # one order for every row
-        coef, ordered = coefficients[..., order], rates[order]
-    else:
-        coef = np.take_along_axis(coefficients, order[..., None, :], axis=-1)
-        ordered = np.take_along_axis(rates, order, axis=-1)
-    terms = coef.shape[-1]
+    terms = coefficients.shape[-1]
     if terms == 0:
-        return np.zeros(coef.shape[:-1], dtype=bool)
-    distinct = ~(ordered[..., 1:] - ordered[..., :-1] <= 0.0).any(axis=-1)
-    sign = np.sign(coef)
-    sign_changes = (sign[..., 1:] != sign[..., :-1]).sum(axis=-1)
+        return np.zeros(coefficients.shape[:-1], dtype=bool)
+    ascending = (rates[..., 1:] > rates[..., :-1]).all(axis=-1)
+    negative = coefficients < 0.0  # slowest one positive: one sign change at most is no positive after a negative
     with np.errstate(invalid="ignore"):  # inf - inf in a row already refused as non-finite
-        margin = (terms + GRID_DECADES) * _EPS * np.abs(coef).sum(axis=-1)
+        margin = (terms + GRID_DECADES) * _EPS * np.abs(coefficients).sum(axis=-1)
         return (
-            distinct[..., None]
-            & (np.isfinite(coef) & (coef != 0.0)).all(axis=-1)
-            & (sign_changes <= 1)
-            & (coef[..., 0] > margin)
-            & (coef.sum(axis=-1) > margin)
+            ascending[..., None]
+            & (np.isfinite(coefficients) & (coefficients != 0.0)).all(axis=-1)
+            & (negative[..., :-1] <= negative[..., 1:]).all(axis=-1)
+            & (coefficients[..., 0] > margin)
+            & (coefficients.sum(axis=-1) > margin)
         )
 
 
 def certified_rows(profile: WaveProfile) -> np.ndarray:
     """Velocities k whose f(z, v_k) ``descartes_positive`` proves positive on both half-lines.
 
-    On a stack, one row of bools per speed.
+    The solve returns each side's roots ascending, so the left side's rates
+    -negative_roots are taken reversed.  On a stack, one row of bools per speed.
     """
     roots = profile.roots
     return descartes_positive(
-        profile.a[..., None, :] / profile.denom_left, -roots.negative_roots
+        profile.a[..., None, ::-1] / profile.denom_left[..., ::-1], -roots.negative_roots[..., ::-1]
     ) & descartes_positive(profile.b[..., None, :] / profile.denom_right, roots.positive_roots)
 
 

@@ -76,6 +76,16 @@ def test_chem_params_validation():
     ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=0.0, gamma=0.0)
 
 
+def test_nonzero_beta_must_be_a_normal_double():
+    # S is linear in beta: a subnormal beta rounds every Upsilon sample to a few bits
+    tiny = np.finfo(float).tiny
+    for beta in (5e-324, 1e-320, float(np.nextafter(tiny, 0.0))):
+        with pytest.raises(ValueError, match="beta must be 0 or at least 2.2250738585072014e-308"):
+            ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=beta, gamma=1.0)
+    for beta in (0.0, tiny):
+        assert ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=beta, gamma=1.0).beta == beta
+
+
 def test_even_source_has_flat_slope_at_origin():
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
     sfield = solve_S(_symmetric_mode(1.3), params, 0.0)

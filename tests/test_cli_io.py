@@ -325,6 +325,20 @@ def test_cli_validates_equal_sensitivities(tmp_path, configs_dir, capsys):
     assert "c_lower=0 " in capsys.readouterr().out
 
 
+def test_smallest_normal_beta_keeps_the_two_waves_and_a_subnormal_one_is_refused(tmp_path, configs_dir, capsys):
+    # S is linear in beta: at a subnormal beta, sec4_2 found no admissible speed and sec4_1 a wrong one
+    text = (configs_dir / "sec4_2.ini").read_text()
+    cfg_path = tmp_path / "beta.ini"
+    cfg_path.write_text(re.sub(r"(?m)^beta = .*$", "beta = 1e-320", text))
+    assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path / "subnormal")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid config: in [chem]: beta must be 0 or at least 2.2250738585072014e-308, got 1e-320\n"
+    cfg_path.write_text(re.sub(r"(?m)^beta = .*$", "beta = 2.2250738585072014e-308", text))
+    assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path / "tiny")]) == 0
+    rows = (tmp_path / "tiny" / "speeds.csv").read_text().splitlines()[3:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.024592930214359911, 0.14153597953274014]
+
+
 @pytest.mark.parametrize("interval", ["-1", "0", "nan"])
 def test_nonpositive_snapshot_interval_is_a_config_error(interval, tmp_path, capsys):
     text = TWO_VELOCITY_SIM.replace("t_end = 1\n", f"t_end = 1\nsnapshot_interval = {interval}\n")

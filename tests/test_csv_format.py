@@ -162,10 +162,29 @@ def mixed_table(shape: tuple[int, int], seed: int) -> np.ndarray:
     return values.reshape(shape)
 
 
-@pytest.mark.parametrize("shape", [(0, 2), (1, 1), (101, 2), (2048, 4), (4096, 23)])
+# shapes: a snapshot without and with its 18 f_k, a profile's 23 columns,
+# and a GL-128 profile's 133 columns, whose eighth is above the cap
+@pytest.mark.parametrize("shape", [(0, 2), (1, 1), (101, 2), (2048, 4), (4096, 23), (2048, 22), (1024, 133)])
 def test_tables_are_written_as_the_per_row_writer_wrote_them(tmp_path, shape):
     table = mixed_table(shape, seed=shape[0] * 100 + shape[1])
     head, columns, foot = ["# chemowave test", "# t=0.5"], ",".join(f"c{i}" for i in range(shape[1])), ("# end",)
     cli_io._write_csv(tmp_path / "new.csv", head, columns, table, foot)
     per_row_write_csv(tmp_path / "old.csv", head, columns, table, foot)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "shape,blocks",
+    [((2048, 4), [2048] * 4), ((4096, 23), [512 * 23] * 8), ((1024, 133), [123 * 133] * 8 + [40 * 133])],
+)
+def test_a_table_is_formatted_in_blocks_of_an_eighth_within_the_bounds(tmp_path, monkeypatch, shape, blocks):
+    sizes = []
+
+    def counted(block, format_rows=cli_io._format_rows):
+        sizes.append(block.size)
+        return format_rows(block)
+
+    monkeypatch.setattr(cli_io, "_format_rows", counted)
+    cli_io._write_csv(tmp_path / "table.csv", [], "c", np.ones(shape))
+    assert sizes == blocks
+    assert max(sizes) <= 16384

@@ -327,7 +327,7 @@ def test_nonpositive_grid_value_raises(case_one, monkeypatch, bad):
     [
         ([2.0, 1.0, 0.5], [1.0, 2.0, 3.0], True),       # no sign change
         ([1.0, 3.0, -2.0], [1.0, 2.0, 3.0], True),      # one change, positive at t = 0
-        ([-1.0, 2.0], [2.0, 1.0], True),                # one change once sorted by rate
+        ([2.0, -1.0], [1.0, 2.0], True),                # one change, the slowest term positive
         ([1.0, -2.0, 1.5], [1.0, 2.0, 3.0], False),     # two changes, though positive for t >= 0
         ([-1.0, 3.0], [1.0, 2.0], False),               # negative slowest coefficient
         ([1.0, -2.0], [1.0, 2.0], False),               # negative at t = 0
@@ -338,6 +338,7 @@ def test_nonpositive_grid_value_raises(case_one, monkeypatch, bad):
         ([np.inf, -np.inf], [1.0, 2.0], False),         # inf - inf at t = 0, no warning
         ([1.0, 1.0], [1.0, 1.0], False),                # equal rates
         ([1e-300, 1.0], [1.0, 2.0], False),             # slowest coefficient lost in rounding
+        ([-1.0, 2.0], [2.0, 1.0], False),               # the terms of case 2, rates not ascending
     ],
 )
 def test_descartes_certificate_on_single_sums(coefficients, rates, certified):
