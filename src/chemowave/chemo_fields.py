@@ -6,7 +6,8 @@ particular term per rho mode plus the two decaying homogeneous exponentials,
 fixed by C^1 matching at z = 0; its slope at the origin has a closed form of
 its own.  The nutrient N solves the linear equation
 -c N' - D_N N'' + gamma rho N = 0 on a truncated domain with N'(-L) = 0 and
-N(+L) = 1, discretized with second-order finite differences.
+N(+L) = 1 by finite differences: central (second order), or first-order
+upwind in every interior row when the cell Peclet number c h / D_N exceeds 2.
 """
 
 from __future__ import annotations

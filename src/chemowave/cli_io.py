@@ -97,7 +97,6 @@ def _kept(build):
 class RunConfig:
     """Parsed and validated run description; its model and SimConfig are built once, on first use."""
 
-    mode: str
     velocities: tuple[float, ...]       # nonnegative half of the symmetric set
     weights: tuple[float, ...]
     chi_s: float
@@ -106,6 +105,7 @@ class RunConfig:
     sim: SimBlock | None = None
     samples_per_interval: int = SAMPLES_PER_INTERVAL
     profile_speed: float | None = None
+    mode: str | None = None  # the mode whose needs parse_config checked; not a config key
 
     def __post_init__(self):
         if self.samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
@@ -157,7 +157,6 @@ _VALUE_TYPES = {
     "float": (float, _g17),
     "int": (int, str),
     "bool": (_parse_bool, lambda value: "true" if value else "false"),
-    "str": (str, str),
     "tuple[float, ...]": (
         lambda raw: tuple(float(p) for p in re.split(r"[,\s]+", raw.strip()) if p),
         lambda value: " ".join(_g17(v) for v in value),
@@ -175,7 +174,7 @@ def _keys(holder: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[tuple, bo
     }
 
 
-_RUN_FIELDS = _keys(RunConfig, skip=("chem", "sim"))
+_RUN_FIELDS = _keys(RunConfig, skip=("chem", "sim", "mode"))
 # section -> key -> ((parse, format), required), in the order format_config writes them
 _SCHEMA: dict[str, dict[str, tuple[tuple, bool]]] = {
     "model": {key: _RUN_FIELDS[key] for key in _MODEL_KEYS},
@@ -238,9 +237,9 @@ def _parse_sections(text: str) -> dict[str, dict[str, object]]:
 def parse_config(text: str, mode: str | None = None) -> RunConfig:
     """Parse and fully validate a configuration file.
 
-    ``mode``, when given, replaces the file's ``[run] mode`` before the
-    mode's requirements are checked (the command line's mode wins).
-    Raises :class:`ParseError` / :class:`UnknownKey` / :class:`MissingKey`
+    ``mode``, when given, is the mode the config is checked for: the sections
+    and [run] keys it needs must be present.  Without one no mode's needs are
+    checked.  Raises :class:`ParseError` / :class:`UnknownKey` / :class:`MissingKey`
     for structural problems and the specific model errors (with key context)
     for semantic ones.
     """
@@ -253,14 +252,11 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
                     raise MissingKey(f"missing required key {key!r} in section [{section}]")
     if "model" not in sections:
         raise MissingKey("missing required section [model]")
-    if "run" not in sections:
-        raise MissingKey("missing required section [run]")
 
-    run_sec = sections["run"]
-    mode = run_sec["mode"] if mode is None else mode
-    if mode not in _MODES:
+    run_sec = sections.get("run", {})
+    if mode is not None and mode not in _MODES:
         raise ParseError(f"mode must be one of {tuple(_MODES)}, got {mode!r}")
-    for need in _MODES[mode][1]:
+    for need in _MODES[mode][1] if mode else ():
         if need in _SCHEMA and need not in sections:
             raise MissingKey(f"mode {mode!r} requires a [{need}] section")
         if need in _SCHEMA["run"] and need not in run_sec:
@@ -270,7 +266,7 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         chem = ChemParams(**sections["chem"]) if "chem" in sections else None
     sim = SimBlock(**sections["sim"]) if "sim" in sections else None
     with _section("run"):
-        cfg = RunConfig(**sections["model"], **{**run_sec, "mode": mode}, chem=chem, sim=sim)
+        cfg = RunConfig(**sections["model"], **run_sec, chem=chem, sim=sim, mode=mode)
     with _section("model"):
         cfg.build_model()
     if cfg.sim is not None:
@@ -672,7 +668,9 @@ def _mode_simulate(cfg: RunConfig, out: Path, config_hash: str) -> None:
     # holds one snapshot at a time, and a disk that cannot take the spool
     # stops the run at once.  The CSVs are written after run() because
     # perfbench's tracer reads every traced call made inside run() as one of
-    # its steps (ROADMAP, loose ends).
+    # its steps (ROADMAP item 19).  Another run's output in ``out`` is refused: the runs would mix.
+    if (out / "diagnostics.csv").exists() or next(out.glob("snapshot_*.csv"), None):
+        raise FileExistsError(f"{out} already holds a simulation's output; give --out a directory without one")
     taken = 0
     with tempfile.TemporaryFile(dir=out) as spool:
 

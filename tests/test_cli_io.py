@@ -25,6 +25,7 @@ from chemowave.cli_io import (
 )
 from chemowave.cauchy_sim import SimConfig
 from chemowave.errors import (
+    AsymmetricSet,
     ConfigError,
     MissingKey,
     NegativeDensity,
@@ -49,13 +50,16 @@ beta = 1
 gamma = 1
 
 [run]
-mode = upsilon-scan
 samples_per_interval = 8
 """
 
 TWO_VELOCITY_SIM = TWO_VELOCITY_SCAN.replace(
     "[run]", "[sim]\ndomain_length = 20\ncells = 128\ncfl = 0.45\nt_end = 1\n\n[run]"
 )
+
+
+def _with_profile_speed(speed) -> str:
+    return TWO_VELOCITY_SCAN.replace("[run]\n", f"[run]\nprofile_speed = {speed}\n")
 
 
 def test_shipped_configs_parse_and_roundtrip(configs_dir):
@@ -94,7 +98,7 @@ def test_out_of_range_sensitivity_has_key_context():
 
 
 def test_parse_error_carries_line_number():
-    text = "[model]\nvelocities = 1\nweights = abc\nchi_s = 0.3\nchi_n = 0.1\n[run]\nmode = validate\n"
+    text = "[model]\nvelocities = 1\nweights = abc\nchi_s = 0.3\nchi_n = 0.1\n"
     with pytest.raises(ParseError, match="line 3"):
         parse_config(text)
     with pytest.raises(ParseError, match="line 2"):
@@ -104,19 +108,76 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError, match="duplicate key"):
         parse_config("[model]\nchi_s = 0.1\nchi_s = 0.2\n")
     with pytest.raises(ParseError, match="mode must be"):
-        parse_config(TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = dance"))
+        parse_config(TWO_VELOCITY_SCAN, mode="dance")
 
 
 def test_mode_requirements():
-    with pytest.raises(MissingKey, match=r"\[chem\]"):
-        parse_config(
-            "[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.3\nchi_n = 0.15\n"
-            "[run]\nmode = upsilon-scan\n"
-        )
-    with pytest.raises(MissingKey, match="profile_speed"):
-        parse_config(TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = profile"))
-    with pytest.raises(MissingKey, match=r"\[sim\]"):
-        parse_config(TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = simulate"))
+    model_only = "[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.3\nchi_n = 0.15\n"
+    with pytest.raises(MissingKey, match=r"^mode 'upsilon-scan' requires a \[chem\] section$"):
+        parse_config(model_only, mode="upsilon-scan")
+    with pytest.raises(MissingKey, match=r"^mode 'profile' requires 'profile_speed' in \[run\]$"):
+        parse_config(TWO_VELOCITY_SCAN, mode="profile")
+    with pytest.raises(MissingKey, match=r"^mode 'simulate' requires a \[sim\] section$"):
+        parse_config(TWO_VELOCITY_SCAN, mode="simulate")
+    # without a mode no mode's needs are checked: [model] alone is a config
+    cfg = parse_config(model_only)
+    assert cfg.mode is None and cfg.chem is None and cfg.profile_speed is None
+    assert parse_config(TWO_VELOCITY_SCAN, mode="upsilon-scan").mode == "upsilon-scan"
+
+
+def _assert_refused(text, mode, message, tmp_path, capsys):
+    """``mode`` on a config of ``text`` exits 2 with ``message`` and writes nothing."""
+    cfg_path = tmp_path / "refused.ini"
+    cfg_path.write_text(text)
+    assert main([mode, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+MODEL_INPUT_CHECKS = {  # name -> ([model] keys replaced, the AsymmetricSet message)
+    "half_lists_of_different_lengths": ({"velocities": "0.5 1"}, "velocity and weight half-lists have different lengths"),
+    "nan_velocity": ({"velocities": "nan"}, "velocities and weights must be finite"),
+    "inf_velocity": ({"velocities": "inf"}, "velocities and weights must be finite"),
+    "nan_weight": ({"weights": "nan"}, "velocities and weights must be finite"),
+    "inf_weight": ({"weights": "inf"}, "velocities and weights must be finite"),
+    "repeated_velocity": ({"velocities": "1 1", "weights": "0.25 0.25"}, "velocities must be distinct"),
+    "all_weight_on_v_0": (
+        {"velocities": "0 1", "weights": "1 0"}, "active set must contain at least one +/- velocity pair"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_INPUT_CHECKS)
+def test_model_input_checks_are_config_errors(case, tmp_path, capsys):
+    keys, message = MODEL_INPUT_CHECKS[case]
+    text = TWO_VELOCITY_SCAN
+    for key, value in keys.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    with pytest.raises(AsymmetricSet) as exc:
+        parse_config(text)
+    assert str(exc.value) == f"in [model]: {message}"
+    _assert_refused(text, "validate", str(exc.value), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("raw", ["false", "no", "0"])
+def test_snapshot_f_parses_false(raw):
+    text = TWO_VELOCITY_SIM.replace("t_end = 1\n", f"t_end = 1\nsnapshot_f = {raw}\n")
+    assert parse_config(text, mode="simulate").sim.snapshot_f is False
+
+
+def test_structural_config_errors_name_their_place(tmp_path, capsys):
+    maybe = TWO_VELOCITY_SIM.replace("t_end = 1\n", "t_end = 1\nsnapshot_f = maybe\n")
+    repeated = TWO_VELOCITY_SIM + "\n[sim]\ncells = 64\n"
+    no_model = TWO_VELOCITY_SCAN.replace("[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.3\nchi_n = 0.15\n", "")
+    for text, error, message in (
+        (maybe, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 20, column 13)"),
+        (repeated, ParseError, "duplicate section [sim] (line 24, column 1)"),
+        (no_model, MissingKey, "missing required section [model]"),
+    ):
+        with pytest.raises(error) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+        _assert_refused(text, "simulate", message, tmp_path, capsys)
 
 
 def test_emitted_floats_roundtrip(tmp_path):
@@ -169,9 +230,7 @@ def test_cli_validate_and_scan(tmp_path, capsys):
 
 
 def test_cli_profile_mode(tmp_path):
-    text = TWO_VELOCITY_SCAN.replace(
-        "mode = upsilon-scan", "mode = profile\nprofile_speed = 0.25"
-    )
+    text = _with_profile_speed(0.25)
     cfg_path = tmp_path / "prof.ini"
     cfg_path.write_text(text)
     assert main(["profile", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
@@ -181,7 +240,7 @@ def test_cli_profile_mode(tmp_path):
 
 
 def test_cli_simulate_mode(tmp_path):
-    text = TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = simulate") + (
+    text = TWO_VELOCITY_SCAN + (
         "\n[sim]\ndomain_length = 10\ncells = 64\ncfl = 0.5\nt_end = 2\nsnapshot_interval = 1\n"
     )
     cfg_path = tmp_path / "sim.ini"
@@ -194,7 +253,7 @@ def test_cli_simulate_mode(tmp_path):
 
 def _step_per_snapshot_config(tmp_path):
     """A short two-velocity simulation that takes one snapshot after every step."""
-    text = TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = simulate") + (
+    text = TWO_VELOCITY_SCAN + (
         "\n[sim]\ndomain_length = 10\ncells = 64\ncfl = 0.5\nt_end = 2\nsnapshot_interval = 1e-9\n"
     )
     cfg_path = tmp_path / "sim.ini"
@@ -215,6 +274,59 @@ def _step_spy(monkeypatch, fail_from=None):
 
     monkeypatch.setattr(cauchy_sim_mod, "step", spy)
     return calls
+
+
+def test_simulate_refuses_a_directory_that_holds_another_run(tmp_path, monkeypatch, capsys):
+    # a second run into one --out used to overwrite the first run's snapshots up to
+    # its own count and leave the rest beside its diagnostics.csv
+    text = TWO_VELOCITY_SCAN + "\n[sim]\ndomain_length = 10\ncells = 64\ncfl = 0.5\nt_end = 2\nsnapshot_interval = 0.5\n"
+    cfg_path = tmp_path / "sim.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(first) == ["diagnostics.csv"] + [f"snapshot_{i:04d}.csv" for i in range(5)]
+    capsys.readouterr()
+    cfg_path.write_text(text.replace("t_end = 2\n", "t_end = 1\n"))
+    steps = _step_spy(monkeypatch)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 4
+    message = f"i/o error: {out} already holds a simulation's output; give --out a directory without one\n"
+    assert capsys.readouterr().err == message
+    assert not steps
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    # a failed run leaves snapshots without diagnostics.csv: they are a run's output too
+    (out / "diagnostics.csv").unlink()
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == message
+    assert not steps
+    assert sorted(p.name for p in out.iterdir()) == sorted(first)[1:]
+
+
+def _read_table(path) -> tuple[str, np.ndarray]:
+    """The column names and the parsed rows of an emitted CSV."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def test_snapshot_velocity_columns_are_the_run_s_f(tmp_path, configs_dir):
+    text = (configs_dir / "sec4_2.ini").read_text()
+    for key, value in (("cells", "128"), ("t_end", "2")):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    for flag in ("true", "false"):
+        (tmp_path / f"{flag}.ini").write_text(text.replace("[sim]\n", f"[sim]\nsnapshot_f = {flag}\n"))
+        assert main(["simulate", "--config", str(tmp_path / f"{flag}.ini"), "--out", str(tmp_path / flag)]) == 0
+    snaps = []
+    cauchy_sim_mod.run(load_config(tmp_path / "true.ini", mode="simulate")[0].build_sim_config(), snaps.append)
+    written = sorted((tmp_path / "true").glob("snapshot_*.csv"))
+    assert len(written) == len(snaps) == 3  # t = 0, 1 and 2
+    for path, snap in ((written[0], snaps[0]), (written[-1], snaps[-1])):
+        names, table = _read_table(path)
+        assert names == "x,rho,s,n," + ",".join(f"f_{k}" for k in range(18))
+        assert snap.f.shape == (18, 128)
+        assert table[:, 4:].T.tobytes() == snap.f.tobytes()  # bit for bit, the sign of a zero included
+    for path in (tmp_path / "false").glob("snapshot_*.csv"):
+        names, table = _read_table(path)
+        assert names == "x,rho,s,n" and table.shape == (128, 4)
 
 
 def test_simulate_stops_at_the_snapshot_it_cannot_spool(tmp_path, monkeypatch, capsys):
@@ -301,17 +413,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text(TWO_VELOCITY_SCAN.replace("chi_s = 0.3", "chi_s = 0.7"))
     assert main(["validate", "--config", str(bad)]) == 2
     fast = tmp_path / "fast.ini"
-    fast.write_text(
-        TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = profile\nprofile_speed = 0.9")
-    )
+    fast.write_text(_with_profile_speed(0.9))
     assert main(["profile", "--config", str(fast)]) == 2
     # 3: numerical failure (numerically coincident velocity nodes)
     knot = tmp_path / "knot.ini"
     knot.write_text(
-        TWO_VELOCITY_SCAN.replace(
+        _with_profile_speed(0.1).replace(
             "velocities = 1\nweights = 0.5",
             "velocities = 0.5 0.50000000000000011\nweights = 0.25 0.25",
-        ).replace("mode = upsilon-scan", "mode = profile\nprofile_speed = 0.1")
+        )
     )
     assert main(["profile", "--config", str(knot)]) == 3
     capsys.readouterr()
@@ -387,26 +497,36 @@ def test_mesh_without_a_diffusion_solve_is_a_config_error(length, message, tmp_p
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_cli_mode_override(tmp_path):
-    # the CLI positional mode wins over the config's [run] mode
+def test_run_mode_is_an_unknown_key(tmp_path, capsys):
+    # the command line names the mode; a config that names one too is refused
     cfg_path = tmp_path / "two.ini"
-    cfg_path.write_text(TWO_VELOCITY_SCAN)
+    for mode in ("simulate", "dance"):
+        cfg_path.write_text(TWO_VELOCITY_SCAN.replace("[run]\n", f"[run]\nmode = {mode}\n"))
+        with pytest.raises(UnknownKey, match=r"^unknown key 'mode' in section \[run\] \(line 16\)$"):
+            load_config(cfg_path)
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "invalid config: unknown key 'mode' in section [run] (line 16)\n"
+    assert "\nmode = " not in format_config(parse_config(TWO_VELOCITY_SCAN, mode="upsilon-scan"))
+    # a config of [model] alone validates: [run] is optional
+    cfg_path.write_text(TWO_VELOCITY_SCAN.partition("[chem]")[0])
     assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert "speed window" in capsys.readouterr().out
 
 
 def test_cli_mode_is_checked_once_for_the_mode_that_runs(tmp_path, capsys):
-    # the file asks for profile without profile_speed: validate needs neither
-    profile_only = tmp_path / "profile.ini"
-    profile_only.write_text(TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", "mode = profile"))
-    assert main(["validate", "--config", str(profile_only)]) == 0
-    assert parse_config(profile_only.read_text(), mode="validate").mode == "validate"
-    # the file is a scan config: the CLI's profile mode still needs profile_speed
-    scan_only = tmp_path / "scan.ini"
-    scan_only.write_text(TWO_VELOCITY_SCAN)
-    assert main(["profile", "--config", str(scan_only)]) == 2
-    assert "profile_speed" in capsys.readouterr().err
+    # validate needs neither [chem] nor profile_speed, profile needs both
+    cfg_path = tmp_path / "scan.ini"
+    cfg_path.write_text(TWO_VELOCITY_SCAN)
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert load_config(cfg_path, mode="validate")[0].mode == "validate"
+    assert main(["profile", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "invalid config: mode 'profile' requires 'profile_speed' in [run]\n"
     with pytest.raises(MissingKey, match="profile_speed"):
-        load_config(scan_only, mode="profile")
+        load_config(cfg_path, mode="profile")
+    cfg_path.write_text(TWO_VELOCITY_SCAN.partition("[chem]")[0])
+    assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "invalid config: mode 'upsilon-scan' requires a [chem] section\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_too_few_samples_per_interval_is_a_config_error(tmp_path, capsys):
@@ -426,7 +546,7 @@ def test_too_few_samples_per_interval_is_a_config_error(tmp_path, capsys):
 def test_nonpositive_profile_speed_is_a_config_error(speed, tmp_path, capsys):
     # -0.05 and 0 lie inside the speed window (c_lower = -0.15) and used to exit 3 from
     # the nutrient solve; nan used to exit 2 with an unrelated dispersion message
-    text = TWO_VELOCITY_SCAN.replace("mode = upsilon-scan", f"mode = profile\nprofile_speed = {speed}")
+    text = _with_profile_speed(speed)
     with pytest.raises(ConfigError, match=r"in \[run\]: profile_speed must be finite and positive"):
         parse_config(text)
     cfg_path = tmp_path / "prof.ini"

@@ -66,6 +66,25 @@ def test_structural_rejections():
         build_model([], [], 0.3, 0.15)
 
 
+@pytest.mark.parametrize(
+    "velocities,weights,message",
+    [
+        ([-1.0, 1.0], [0.25, 0.5, 0.25], "velocity and weight lists have different lengths"),
+        ([-1.0, np.nan, 1.0], [0.25, 0.5, 0.25], "velocities and weights must be finite"),
+        ([-np.inf, 0.0, np.inf], [0.25, 0.5, 0.25], "velocities and weights must be finite"),
+        ([-1.0, 0.0, 1.0], [0.25, np.nan, 0.25], "velocities and weights must be finite"),
+        ([-1.0, 0.0, 1.0], [0.25, np.inf, 0.25], "velocities and weights must be finite"),
+        ([-1.0, -1.0, 1.0, 1.0], [0.25] * 4, "velocities must be distinct"),
+        ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0], "active set must contain at least one +/- velocity pair"),
+    ],
+    ids=["lengths", "nan_velocity", "inf_velocity", "nan_weight", "inf_weight", "repeated", "no_active_pair"],
+)
+def test_input_checks_name_their_fault(velocities, weights, message):
+    with pytest.raises(AsymmetricSet) as exc:
+        build_model(velocities, weights, 0.3, 0.15)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("chi_s,chi_n", [(0.7, 0.1), (-0.1, 0.0), (0.2, 0.3), (0.5, 0.5)])
 def test_sensitivity_rejections(chi_s, chi_n):
     with pytest.raises(SensitivityOutOfRange):
@@ -85,10 +104,10 @@ def test_boundary_sensitivity_warns():
 def test_boundary_warning_names_the_caller_outside_the_package():
     # parse_config reaches build_model through RunConfig.build_model; the
     # warning must still point at this file, not at chemowave's own lines
-    text = "[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.5\nchi_n = 0.1\n\n[run]\nmode = validate\n"
+    text = "[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.5\nchi_n = 0.1\n"
     for build in (
         lambda: build_model([-1.0, 1.0], [0.5, 0.5], 0.5, 0.1),
-        lambda: parse_config(text),
+        lambda: parse_config(text, mode="validate"),
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -110,6 +129,8 @@ def test_expand_half_set_roundtrip():
     assert w == [0.2, 0.2, 0.2, 0.2, 0.2]
     with pytest.raises(AsymmetricSet):
         expand_half_set([-0.5, 1.0], [0.5, 0.5])
+    with pytest.raises(AsymmetricSet, match="^velocity and weight half-lists have different lengths$"):
+        expand_half_set([0.5, 1.0], [0.5])
 
 
 def test_tumbling_rate_values(two_velocity_model):
