@@ -230,7 +230,8 @@ def _parse_sections(text: str) -> dict[str, dict[str, object]]:
             raise UnknownKey(f"unknown key {key!r} in section [{current}] (line {lineno})")
         if key in sections[current]:
             raise ParseError(f"duplicate key {key!r} in section [{current}]", line=lineno, column=1)
-        sections[current][key] = _convert(value, current, key, lineno, rawline.index("=") + 2)
+        column = len(rawline) - len(rawline.partition("=")[2].lstrip()) + 1  # the value's first character
+        sections[current][key] = _convert(value, current, key, lineno, column)
     return sections
 
 
@@ -731,7 +732,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        if cfg.mode != "validate":  # the one mode that writes no file
+            out.mkdir(parents=True, exist_ok=True)
         runner, _needs = _MODES[cfg.mode]
         runner(cfg, out, config_hash)
     except (ConfigError, ModelError) as exc:

@@ -10,24 +10,30 @@ equivalence is additionally exercised across admissible speeds.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from chemowave import (
     ChemParams,
+    SimConfig,
     admissible_speed_interval,
     build_model,
     duhamel_f,
     evaluate_f_matrix,
     evaluate_I,
     refine_roots,
+    run,
     scan,
     solve_modes,
     solve_N,
     solve_roots,
     solve_S,
+    total_mass,
     verification_grid,
     verify_root,
 )
@@ -293,42 +299,41 @@ def test_criterion_7_chemical_fields(case_one, case_two, case_three):
 # criterion 8: Cauchy simulations
 # ---------------------------------------------------------------------------
 
+def _cauchy_run(config, filters):
+    """One criterion-8 simulation: final mass, each snapshot's (min rho, min n), diagnostics.
+
+    Runs in a worker process under the calling process's warning filters.
+    """
+    warnings.filters[:] = filters
+    snapshots = []
+    state, diagnostics = run(config, snapshots.append)
+    mins = [(np.min(s.rho), np.min(s.n)) for s in snapshots]
+    return total_mass(config, state), mins, diagnostics
+
+
 def test_criterion_8_cauchy_runs(case_two, case_three):
     started = time.perf_counter()
-    from chemowave import SimConfig, run, total_mass
-
     model_two, _ = case_two
-    curve = scan(model_two, CHEM_FAST, 16)
-    fastest = max(refine_roots(curve, model_two, CHEM_FAST))
-
-    config_two = SimConfig(
-        model=model_two,
-        params=CHEM_FAST,
-        domain_length=30.0,
-        cells=2048,
-        cfl=0.45,
-        t_end=100.0,
+    model_three, _ = case_three
+    config_two, config_three = (
+        SimConfig(model=model, params=CHEM_FAST, domain_length=30.0, cells=2048, cfl=0.45, t_end=100.0)
+        for model in (model_two, model_three)
     )
-    snapshots = []
-    state, diagnostics = run(config_two, snapshots.append)
-    assert abs(total_mass(config_two, state) - 1.0) < 1e-8
-    assert all(np.min(s.rho) >= 0.0 and np.min(s.n) >= 0.0 for s in snapshots)
+    # the two simulations are independent: each runs in its own process, spawned
+    # rather than forked so that no thread of this one is copied into it
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = [pool.submit(_cauchy_run, config, warnings.filters) for config in (config_two, config_three)]
+        curve = scan(model_two, CHEM_FAST, 16)
+        fastest = max(refine_roots(curve, model_two, CHEM_FAST))
+        (mass, mins, diagnostics), (mass3, mins3, diagnostics3) = (r.result() for r in runs)
+
+    assert abs(mass - 1.0) < 1e-8
+    assert all(rho_min >= 0.0 and n_min >= 0.0 for rho_min, n_min in mins)
     assert diagnostics.n_components == 1
     assert 0.85 * fastest <= diagnostics.fitted_speed <= 1.15 * fastest
 
-    model_three, _ = case_three
-    config_three = SimConfig(
-        model=model_three,
-        params=CHEM_FAST,
-        domain_length=30.0,
-        cells=2048,
-        cfl=0.45,
-        t_end=100.0,
-    )
-    snapshots3 = []
-    state3, diagnostics3 = run(config_three, snapshots3.append)
-    assert abs(total_mass(config_three, state3) - 1.0) < 1e-8
-    assert all(np.min(s.rho) >= 0.0 and np.min(s.n) >= 0.0 for s in snapshots3)
+    assert abs(mass3 - 1.0) < 1e-8
+    assert all(rho_min >= 0.0 and n_min >= 0.0 for rho_min, n_min in mins3)
     assert diagnostics3.n_components > 1
 
     elapsed = time.perf_counter() - started

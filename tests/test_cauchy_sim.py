@@ -74,38 +74,6 @@ def test_non_finite_values_are_rejected(key, value):
             SimConfig(**{**kwargs, key: value})
 
 
-@pytest.mark.parametrize(
-    "kwargs,message",
-    [
-        (dict(center=float("nan")), "initial center must be finite"),
-        (dict(center=float("inf")), "initial center must be finite"),
-        (dict(width=-1.0), "initial width must be finite and positive"),
-        (dict(width=0.0), "initial width must be finite and positive"),
-        (dict(width=float("nan")), "initial width must be finite and positive"),
-        (dict(width=float("inf")), "initial width must be finite and positive"),
-    ],
-)
-def test_initial_center_and_width_are_checked(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        InitialDensity(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "initial_rho",
-    [
-        InitialDensity(center=-5.0, width=2.0),
-        InitialDensity(center=25.0, width=2.0),
-        InitialDensity(center=10.0, width=1e-3),   # narrower than a cell, between centres
-    ],
-)
-def test_initial_density_without_support_is_refused_by_the_config(initial_rho):
-    with pytest.raises(ValueError, match="no support inside"):
-        SimConfig(
-            model=_pair_model(), params=_free_params(), domain_length=20.0, cells=64, cfl=0.5, t_end=1.0,
-            initial_rho=initial_rho,
-        )
-
-
 def test_initial_mass_is_unit():
     config = SimConfig(
         model=_pair_model(), params=_free_params(), domain_length=20.0, cells=128, cfl=0.5, t_end=1.0
@@ -117,20 +85,27 @@ def test_initial_mass_is_unit():
     assert np.all(state.s == 0.0)
 
 
+@pytest.mark.parametrize("domain_length", [1e-3, 0.7, 1.0, 3.0, 20.0, 30.0, 123.456, 1e6])
+def test_the_coarsest_mesh_puts_unit_mass_on_six_cells(domain_length):
+    # the cells with centres in [0, 0.1 L) hold the block: 6 of the fewest cells a
+    # config allows, so SimConfig need not check that the start has support
+    config = SimConfig(
+        model=_pair_model(), params=_free_params(), domain_length=domain_length, cells=64, cfl=0.5, t_end=1.0
+    )
+    state = initial_state(config)
+    rho = config.model.weights @ state.f
+    assert np.count_nonzero(rho) == 6 and np.all(rho[:6] > 0.0)
+    assert total_mass(config, state) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_unbiased_advection_limit_conserves_and_stays_symmetric():
     # No sensing, no chemistry: a centred block just spreads symmetrically
     # under transport plus isotropic exchange; mass is conserved to roundoff.
     model = _pair_model()
-    config = SimConfig(
-        model=model,
-        params=_free_params(),
-        domain_length=20.0,
-        cells=256,
-        cfl=0.5,
-        t_end=3.0,
-        initial_rho=InitialDensity(center=10.0, width=2.0),
-    )
-    state = initial_state(config)
+    config = SimConfig(model=model, params=_free_params(), domain_length=20.0, cells=256, cfl=0.5, t_end=3.0)
+    centred = ((cell_centers(config) >= 9.0) & (cell_centers(config) < 11.0)).astype(float)
+    rho0 = centred / (centred.sum() * config.dx)
+    state = dataclasses.replace(initial_state(config), f=np.tile(rho0, (model.n_active, 1)))
     m0 = total_mass(config, state)
     for _ in range(100):
         state = step(state, config)
@@ -644,11 +619,11 @@ def test_a_density_against_a_wall_is_one_component(case, request):
 # and the length times s, d_s and d_n times s^2 and gamma times s, dt, the
 # Courant numbers |v| dt / dx and the diffusion numbers dt D / dx^2 keep their
 # bits, and for s a power of 2 every other product picks up an exact power of
-# 2, so f and S scale by 1/s and N is unchanged bit for bit.  Mirror: a start
-# at L - center gives the mirror image, up to rounding in the sum over
-# velocities and the diffusion solves; the bounds below are 3 to 5 times the
-# largest relative deviation over sec4_2's snapshots (5.8e-16 for f, rho and
-# S, 1.9e-14 for N).
+# 2, so f and S scale by 1/s and N is unchanged bit for bit.  Mirror: the start
+# reversed in space and velocity gives the mirror image, up to rounding in the
+# sum over velocities and the diffusion solves; the bounds below are 3 to 5
+# times the largest relative deviation over sec4_2's snapshots (5.8e-16 for f,
+# rho and S, 1.9e-14 for N).
 MIRROR_TOL = 2e-15
 MIRROR_N_TOL = 1e-13
 
@@ -716,13 +691,13 @@ def test_space_scaling_holds_for_random_symmetric_models(seed):
         _assert_space_scaling(config, s)
 
 
-def test_mirror_start_gives_the_mirror_image(case_two):
+def test_mirror_start_gives_the_mirror_image(case_two, monkeypatch):
     config = _short_sec4_2(case_two)
-    length = config.domain_length
-    assert config.initial_rho.center is None  # the default center, 0.05 * length
-    mirrored = dataclasses.replace(config, initial_rho=InitialDensity(center=length - 0.05 * length))
     base, base_diagnostics = _snapshots(config)
-    image, diagnostics = _snapshots(mirrored)
+    start = initial_state(config)
+    mirrored = dataclasses.replace(start, f=start.f[::-1, ::-1])  # the block against the right wall
+    monkeypatch.setattr(cauchy_sim_mod, "initial_state", lambda _config: mirrored)  # run() starts from it
+    image, diagnostics = _snapshots(config)
     assert len(image) == len(base)
     for snap, ref in zip(image, base):
         assert snap.t == ref.t

@@ -166,11 +166,14 @@ def test_snapshot_f_parses_false(raw):
 
 
 def test_structural_config_errors_name_their_place(tmp_path, capsys):
+    # a bad value's column is that of its first character, after any spaces
     maybe = TWO_VELOCITY_SIM.replace("t_end = 1\n", "t_end = 1\nsnapshot_f = maybe\n")
+    tight = TWO_VELOCITY_SIM.replace("t_end = 1\n", "t_end = 1\nsnapshot_f=maybe\n")
     repeated = TWO_VELOCITY_SIM + "\n[sim]\ncells = 64\n"
     no_model = TWO_VELOCITY_SCAN.replace("[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.3\nchi_n = 0.15\n", "")
     for text, error, message in (
-        (maybe, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 20, column 13)"),
+        (maybe, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 20, column 14)"),
+        (tight, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 20, column 12)"),
         (repeated, ParseError, "duplicate section [sim] (line 24, column 1)"),
         (no_model, MissingKey, "missing required section [model]"),
     ):
@@ -227,6 +230,14 @@ def test_cli_validate_and_scan(tmp_path, capsys):
     assert main(["upsilon-scan", "--config", str(cfg_path), "--out", str(tmp_path / "scan")]) == 0
     assert (tmp_path / "scan" / "upsilon.csv").exists()
     assert (tmp_path / "scan" / "speeds.csv").exists()
+
+
+def test_validate_creates_no_output_directory(tmp_path, configs_dir, capsys):
+    # validate writes no file, so a new --out stays absent
+    out = tmp_path / "v"
+    assert main(["validate", "--config", str(configs_dir / "sec4_1.ini"), "--out", str(out)]) == 0
+    assert "speed window" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_cli_profile_mode(tmp_path):
