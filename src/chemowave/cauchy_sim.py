@@ -18,7 +18,7 @@ import math
 import sys
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -44,14 +44,13 @@ def _finite_positive(x: float) -> bool:
 class InitialDensity:
     """The initial cell density: uniform on the cells whose centres lie in [0, 0.1 domain_length).
 
-    The discrete mass is normalized to ``mass`` exactly.
+    The discrete mass is normalized to ``mass``, the unit mass of the
+    construction's waves.  It is no setting: the step is linear in f and S
+    and reads S and N only through signs with a relative deadzone, so a start
+    of mass M is the unit-mass run with ``gamma * M``, rho and S scaled by M.
     """
 
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if not _finite_positive(self.mass):
-            raise ValueError(f"initial mass must be finite and positive, got {self.mass!r}")
+    mass = 1.0
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,10 @@ class SimConfig:
     cells: int
     cfl: float
     t_end: float
-    initial_rho: InitialDensity = field(default_factory=InitialDensity)
     snapshot_interval: float | None = None
     keep_velocity_snapshots: bool = False
+
+    initial_rho = InitialDensity()  # the one start; a class constant, not a field
 
     def __post_init__(self):
         # NaN fails every comparison and t_end = inf never ends, so "finite and > 0"

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cauchy_sim import InitialDensity, SimConfig, run
+from .cauchy_sim import SimConfig, run
 from .chemo_fields import ChemParams, s_slope_at_zero, solve_N, solve_S
 from .errors import (
     ChemowaveError,
@@ -70,9 +70,10 @@ class SimBlock:
     cells: int
     cfl: float
     t_end: float
-    initial_mass: float = InitialDensity.mass
     snapshot_interval: float | None = SimConfig.snapshot_interval
     snapshot_f: bool = SimConfig.keep_velocity_snapshots
+
+    initial_mass = SimConfig.initial_rho.mass  # the start's mass; no key
 
 
 def _kept(build):
@@ -133,7 +134,6 @@ class RunConfig:
             cells=s.cells,
             cfl=s.cfl,
             t_end=s.t_end,
-            initial_rho=InitialDensity(mass=s.initial_mass),
             snapshot_interval=s.snapshot_interval,
             keep_velocity_snapshots=s.snapshot_f,
         )
@@ -168,7 +168,7 @@ _MODEL_KEYS = ("velocities", "weights", "chi_s", "chi_n")  # RunConfig's other o
 def _keys(holder: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[tuple, bool]]:
     """key -> ((parse, format), required) for the fields of a dataclass; no default means required."""
     return {
-        f.name: (_VALUE_TYPES[f.type.removesuffix(" | None")], f.default is MISSING and f.default_factory is MISSING)
+        f.name: (_VALUE_TYPES[f.type.removesuffix(" | None")], f.default is MISSING)
         for f in fields(holder)
         if f.name not in skip
     }
@@ -741,6 +741,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an array too large for this host, e.g. from cells or samples_per_interval
+        print("numerical failure: not enough memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -60,7 +60,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("key", ["domain_length", "t_end", "mass"])
+@pytest.mark.parametrize("key", ["domain_length", "t_end"])
 def test_non_finite_values_are_rejected(key, value):
     # NaN passed the old "x <= 0" checks; t_end = inf never ends; domain_length = inf
     # would turn every field into NaN without an error
@@ -68,16 +68,17 @@ def test_non_finite_values_are_rejected(key, value):
         model=_pair_model(), params=_free_params(), domain_length=10.0, cells=64, cfl=0.5, t_end=1.0
     )
     with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
-        if key == "mass":
-            InitialDensity(mass=value)
-        else:
-            SimConfig(**{**kwargs, key: value})
+        SimConfig(**{**kwargs, key: value})
 
 
 def test_initial_mass_is_unit():
     config = SimConfig(
         model=_pair_model(), params=_free_params(), domain_length=20.0, cells=128, cfl=0.5, t_end=1.0
     )
+    # the start's mass is a constant of the class, not a setting
+    assert config.initial_rho.mass == InitialDensity.mass == 1.0
+    assert dataclasses.fields(InitialDensity) == ()
+    assert "initial_rho" not in {f.name for f in dataclasses.fields(SimConfig)}
     state = initial_state(config)
     assert total_mass(config, state) == pytest.approx(1.0, abs=1e-12)
     assert np.all(state.f >= 0.0)

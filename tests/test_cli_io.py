@@ -15,7 +15,9 @@ import pytest
 
 import chemowave.cauchy_sim as cauchy_sim_mod
 import chemowave.cli_io as cli_io_mod
+import chemowave.wave_speed as wave_speed_mod
 from chemowave.cli_io import (
+    SimBlock,
     emit_speeds_summary,
     emit_upsilon_csv,
     format_config,
@@ -416,6 +418,29 @@ def test_simulate_with_a_non_finite_field_is_a_numerical_failure(configs_dir, tm
         assert "nan" not in snapshot.read_text()
 
 
+@pytest.mark.parametrize(
+    "mode,key,value,module,callee",
+    [
+        ("simulate", "cells", "10000000000000", cauchy_sim_mod, "cell_centers"),
+        ("upsilon-scan", "samples_per_interval", "100000000000", wave_speed_mod, "_chebyshev_points"),
+    ],
+    ids=["simulate", "upsilon-scan"],
+)
+def test_an_allocation_too_large_is_a_numerical_failure(mode, key, value, module, callee, tmp_path, monkeypatch, capsys):
+    # these values used to end in numpy's _ArrayMemoryError traceback (exit 1); the callee
+    # that allocated first raises the error here, so that no host tries to touch 73 TiB
+    message = f"Unable to allocate 73 TiB for an array from {key} = {value}"
+
+    def too_large(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, callee, too_large)
+    cfg_path = tmp_path / "large.ini"
+    cfg_path.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", TWO_VELOCITY_SIM))
+    assert main([mode, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: not enough memory: {message}\n"
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 4: unreadable config
     assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == 4
@@ -472,13 +497,10 @@ def test_nonpositive_snapshot_interval_is_a_config_error(interval, tmp_path, cap
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("key", ["domain_length", "t_end", "initial_mass"])
+@pytest.mark.parametrize("key", ["domain_length", "t_end"])
 def test_non_finite_sim_value_is_a_config_error(key, value, tmp_path, capsys):
-    # t_end = inf used to run forever; the others ran on or ended in a traceback
-    if f"\n{key} = " in TWO_VELOCITY_SIM:
-        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", TWO_VELOCITY_SIM)
-    else:
-        text = TWO_VELOCITY_SIM.replace("t_end = 1\n", f"t_end = 1\n{key} = {value}\n")
+    # t_end = inf used to run forever; domain_length = nan ran on
+    text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", TWO_VELOCITY_SIM)
     with pytest.raises(ConfigError, match=r"in \[sim\]: .*must be finite and positive"):
         parse_config(text, mode="simulate")
     cfg_path = tmp_path / "sim.ini"
@@ -609,6 +631,7 @@ REMOVED_KEYS = [
     ("sim", "initial_width"),
     ("sim", "initial_shape"),  # every run starts from a block
     ("sim", "initial_n"),  # and in N = 1, the construction's N_+
+    ("sim", "initial_mass"),  # and of unit mass; a run of mass M is the unit-mass run at gamma * M
 ]
 
 
@@ -684,13 +707,14 @@ def test_format_config_includes_all_blocks(configs_dir):
 
 def test_sim_block_defaults_are_the_library_defaults():
     # a [sim] block with only its required keys builds the library's default run
-    # (initial_rho included, so every InitialDensity default is checked too)
-    sim_config = parse_config(TWO_VELOCITY_SIM).build_sim_config()
+    cfg = parse_config(TWO_VELOCITY_SIM)
+    sim_config = cfg.build_sim_config()
+    assert len(dataclasses.fields(SimConfig)) == 8 and len(dataclasses.fields(SimBlock)) == 6
+    # the start's mass is no key, but stays readable where it always was
+    assert cfg.sim.initial_mass == sim_config.initial_rho.mass == 1.0
     for f in dataclasses.fields(SimConfig):
         if f.default is not dataclasses.MISSING:
             assert getattr(sim_config, f.name) == f.default, f.name
-        elif f.default_factory is not dataclasses.MISSING:
-            assert getattr(sim_config, f.name) == f.default_factory(), f.name
 
 
 def test_one_model_build_per_loaded_config(configs_dir, monkeypatch):
