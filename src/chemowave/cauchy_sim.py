@@ -348,9 +348,7 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     np.multiply(sign_n, model.chi_n, out=arg)
     rates -= arg
     # f += dt * (event_density - rates * f), event_density = sum_k (w_k * rates_k) * f_k
-    _scale_rows(model.weights, rates, out=arg)
-    arg *= f
-    event_density = arg.sum(axis=0)
+    event_density = np.einsum("k,kj,kj->j", model.weights, rates, f)
     rates *= f
     np.subtract(event_density, rates, out=rates)
     rates *= dt
