@@ -103,15 +103,24 @@ def s_slope_at_zero(
     With rho = sum_j s_j exp(mu_j z) for z < 0 and sum_j s_j exp(-r_j z) for z > 0,
     S'(0) = beta (theta_+ R - theta_- L) / (D_S (theta_- - theta_+)), where
     R = sum_j s_j / (-r_j - theta_+) and L = sum_j s_j / (mu_j - theta_-).
-    No denominator can vanish, so unlike ``solve_S`` this has no resonant
-    speed.  ``beta`` is the last factor, so that doubling it doubles the
-    slope bit for bit.  A stack of speeds gives the one-speed values' bits.
+    Splitting each term, theta_+ R - theta_- L is
+
+        rho(0-) - rho(0+) + sum_j s_j r_j / (r_j + theta_+) - sum_j s_j mu_j / (mu_j - theta_-),
+
+    and the bracket is exactly zero for the continuous rho that ``solve_modes``
+    gives, so it is dropped: summed in doubles, it cancels terms of the size
+    of rho(0) against each other and leaves their rounding in a slope that
+    may be many orders smaller (near a root, or at a large ``alpha``).  The
+    closed form is therefore that of a continuous rho.  No denominator can
+    vanish, so unlike ``solve_S`` this has no resonant speed.  ``beta`` is the
+    last factor, so that doubling it doubles the slope bit for bit.  A stack
+    of speeds gives the one-speed values' bits.
     """
     c = np.asarray(c, dtype=float)
     theta_plus, theta_minus = _homogeneous_exponents(params, c)
-    right = (rho.right_coefficients / (-rho.right_rates - theta_plus[..., None])).sum(axis=-1)
-    left = (rho.left_coefficients / (rho.left_rates - theta_minus[..., None])).sum(axis=-1)
-    slope = (theta_plus * right - theta_minus * left) / (params.d_s * (theta_minus - theta_plus))
+    right = rho.right_coefficients * rho.right_rates / (rho.right_rates + theta_plus[..., None])
+    left = rho.left_coefficients * rho.left_rates / (rho.left_rates - theta_minus[..., None])
+    slope = (right.sum(axis=-1) - left.sum(axis=-1)) / (params.d_s * (theta_minus - theta_plus))
     slope = slope * params.beta
     return float(slope) if c.ndim == 0 else slope
 

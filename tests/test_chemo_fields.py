@@ -117,8 +117,9 @@ def test_moving_frame_fd_oracle():
 
 def test_sfield_is_an_exponential_sum_with_homogeneous_terms_last():
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0)
+    # continuous at the origin, as every rho of solve_modes is: the slope's closed form assumes it
     rho = PiecewiseExponential(
-        np.array([0.7, 0.1]), np.array([0.9, 3.0]), np.array([0.5]), np.array([1.4])
+        np.array([0.7, 0.1]), np.array([0.9, 3.0]), np.array([0.8]), np.array([1.4])
     )
     c = 0.15
     sfield = solve_S(rho, params, c)

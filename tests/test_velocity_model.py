@@ -233,7 +233,7 @@ def test_mirror_identity_of_run_lengths(case_one):
         assert mean_run_length(model, c, "right") == pytest.approx(mirrored, rel=1e-14)
 
 
-@pytest.mark.parametrize("chi, root", [(0.15, None), (0.4, 0.14995647511016905)])
+@pytest.mark.parametrize("chi, root", [(0.15, None), (0.4, 0.149956475110169)])
 def test_equal_sensitivities_put_the_lower_window_edge_at_zero(case_one, chem_default, chi, root):
     # with chi_s == chi_n the right-side run length at c=0 is 0 only up to the
     # rounding of t_pm = 1 - chi + chi against t_pp = 1 + chi - chi

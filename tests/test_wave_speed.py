@@ -250,3 +250,17 @@ def test_sfield_slope_is_upsilon(case_one, chem_default, c):
     model, _cfg = case_one
     value = upsilon(model, chem_default, c)
     assert abs((value - _slope_50_digits(solve_modes(model, c).rho_modes(), chem_default, c)) / value) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1e30, 1e100, 1e200])
+def test_a_large_alpha_keeps_the_two_waves_of_sec4_1(case_one, alpha):
+    # Upsilon shrinks like 1 / alpha while rho(0) does not; the slope's closed form once
+    # summed rho(0-) - rho(0+), exactly zero, from terms of the size of rho(0), and the
+    # rounding of that difference gave 4, 16 and 13 roots here instead of 2
+    model, cfg = case_one
+    params = replace(cfg.chem, alpha=alpha)
+    roots = refine_roots(scan(model, params), model, params)
+    assert roots == pytest.approx([0.01203199095998, 0.14460570186855], rel=1e-11)
+    for c in roots:
+        check = verify_root(model, params, c)
+        assert check.slope_sign_changes == 1 and abs(check.maximum_location) < 1e-6
