@@ -168,7 +168,7 @@ _MODEL_KEYS = ("velocities", "weights", "chi_s", "chi_n")  # RunConfig's other o
 def _keys(holder: type, skip: tuple[str, ...] = ()) -> dict[str, tuple[tuple, bool]]:
     """key -> ((parse, format), required) for the fields of a dataclass; no default means required."""
     return {
-        f.name: (_VALUE_TYPES[f.type.removesuffix(" | None")], f.default is MISSING)
+        f.name: (_VALUE_TYPES[f.type.removesuffix(" | None")], f.default is MISSING and f.default_factory is MISSING)
         for f in fields(holder)
         if f.name not in skip
     }
