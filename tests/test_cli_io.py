@@ -431,7 +431,7 @@ def test_an_allocation_too_large_is_a_numerical_failure(
 ):
     # these values used to end in numpy's _ArrayMemoryError traceback (exit 1); the callee
     # that allocated first raises the error here, so that no host tries to touch 73 TiB
-    message = f"Unable to allocate 73 TiB for an array from {key} = {value}"
+    message = f"Unable to allocate an array for {key} = {value}"
 
     def too_large(*args):
         raise MemoryError(message)

@@ -20,14 +20,12 @@ ones times a common factor, so there it is c0 at every eps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chemowave import ChemParams, build_model, expand_half_set, refine_roots, scan
-from chemowave.velocity_model import SensitivityBoundaryWarning
 from chemowave.wave_speed import brentq
 
 EPS_LADDER = (1 / 16, 1 / 32, 1 / 64)
@@ -55,9 +53,7 @@ def parabolic_speed(v, w, chi_s: float, chi_n: float, params: ChemParams) -> flo
 
 def kinetic_speeds(v, w, chi_s: float, chi_n: float, params: ChemParams, eps: float) -> list[float]:
     """The construction's roots at sensitivities x eps and alpha x eps^2, divided by eps."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SensitivityBoundaryWarning)  # sec4_2's chi_s = 1/2 at eps = 1
-        model = build_model(v, w, eps * chi_s, eps * chi_n)
+    model = build_model(v, w, eps * chi_s, eps * chi_n)
     scaled = replace(params, alpha=eps * eps * params.alpha)
     return [c / eps for c in refine_roots(scan(model, scaled), model, scaled)]
 
