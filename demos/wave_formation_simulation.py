@@ -30,7 +30,6 @@ for label, config_name in (("two", "sec4_2.ini"), ("three", "sec4_3.ini")):
         params=cfg.chem,
         domain_length=cfg.sim.domain_length,
         cells=CELLS,
-        cfl=cfg.sim.cfl,
         t_end=T_END,
     )
     state, diagnostics = run(config, lambda snapshot: None)  # the final state is all it reads

@@ -34,6 +34,7 @@ _NEGATIVE_TOL = 1e-12  # relative slack before declaring a density negative
 SIGN_DEADZONE = 1e-12  # sign arguments this small relative to their largest |value| count as 0
 FIT_WINDOW_FRACTION = 0.5  # trailing share of the peak track fitted for the front speed
 PEAK_PROMINENCE_FRACTION = 0.05  # peak prominence, as a fraction of the final rho range
+CFL = 0.45  # Courant number of the default step, and the bound step enforces on any dt
 
 
 def _finite_positive(x: float) -> bool:
@@ -61,10 +62,9 @@ class SimConfig:
     params: ChemParams
     domain_length: float
     cells: int
-    cfl: float
     t_end: float
     snapshot_interval: float | None = None
-    keep_velocity_snapshots: bool = False
+    snapshot_f: bool = False  # keep each snapshot's velocity components
 
     initial_rho = InitialDensity()  # the one start; a class constant, not a field
 
@@ -75,8 +75,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if self.cells < 64:
             raise ValueError("cells must be at least 64")
-        if not (0.0 < self.cfl < 1.0):
-            raise ValueError("cfl must lie strictly inside (0, 1)")
         if self.snapshot_interval is not None and not self.snapshot_interval > 0.0:
             raise ValueError("snapshot_interval must be positive")
         # each step's diffusion solves divide by dx**2, which must be a normal double, and
@@ -98,12 +96,12 @@ class SimConfig:
         return self.domain_length / self.cells
 
     def default_dt(self) -> float:
-        """cfl * dx / max|v|, capped for the tumbling exchange and for S's explicit decay.
+        """CFL * dx / max|v|, capped for the tumbling exchange and for S's explicit decay.
 
         ``s + dt (beta rho - alpha s)`` stays nonnegative only while dt alpha <= 1.
         """
         v_max = float(np.max(np.abs(self.model.velocities)))
-        return min(self.cfl * self.dx / v_max, 0.5 / self.model.rates.max_rate, 1.0 / self.params.alpha)
+        return min(CFL * self.dx / v_max, 0.5 / self.model.rates.max_rate, 1.0 / self.params.alpha)
 
 
 @dataclass(frozen=True)
@@ -328,8 +326,8 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
         dt = config.default_dt()
     v = model.velocities
     v_max = float(np.max(np.abs(v)))
-    if v_max * dt / dx > config.cfl * (1.0 + 1e-12):
-        raise CFLViolation(f"dt={dt!r} violates the transport CFL bound {config.cfl!r}")
+    if v_max * dt / dx > CFL * (1.0 + 1e-12):
+        raise CFLViolation(f"dt={dt!r} violates the transport CFL bound {CFL!r}")
     if dt * model.rates.max_rate > 1.0:
         raise CFLViolation(f"dt={dt!r} violates the tumbling bound dt*maxT <= 1")
 
@@ -480,7 +478,7 @@ def run(config: SimConfig, on_snapshot: Callable[[Snapshot], object]) -> tuple[S
             rho=rho,
             s=st.s.copy(),
             n=st.n.copy(),
-            f=st.f.copy() if config.keep_velocity_snapshots else None,
+            f=st.f.copy() if config.snapshot_f else None,
         ))
 
     snap(state)

@@ -20,7 +20,7 @@ import re
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +66,13 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 
 @dataclass(frozen=True)
 class SimBlock:
+    """The [sim] keys: SimConfig's fields after model and params, under the same names."""
+
     domain_length: float
     cells: int
-    cfl: float
     t_end: float
     snapshot_interval: float | None = SimConfig.snapshot_interval
-    snapshot_f: bool = SimConfig.keep_velocity_snapshots
+    snapshot_f: bool = SimConfig.snapshot_f
 
     initial_mass = SimConfig.initial_rho.mass  # the start's mass; no key
 
@@ -126,17 +127,7 @@ class RunConfig:
     def build_sim_config(self) -> SimConfig:
         if self.chem is None or self.sim is None:
             raise MissingKey("a simulation requires both [chem] and [sim] sections")
-        s = self.sim
-        return SimConfig(
-            model=self.build_model(),
-            params=self.chem,
-            domain_length=s.domain_length,
-            cells=s.cells,
-            cfl=s.cfl,
-            t_end=s.t_end,
-            snapshot_interval=s.snapshot_interval,
-            keep_velocity_snapshots=s.snapshot_f,
-        )
+        return SimConfig(model=self.build_model(), params=self.chem, **asdict(self.sim))
 
 
 def _g17(x: float) -> str:

@@ -316,7 +316,7 @@ def test_criterion_8_cauchy_runs(case_two, case_three):
     model_two, _ = case_two
     model_three, _ = case_three
     config_two, config_three = (
-        SimConfig(model=model, params=CHEM_FAST, domain_length=30.0, cells=2048, cfl=0.45, t_end=100.0)
+        SimConfig(model=model, params=CHEM_FAST, domain_length=30.0, cells=2048, t_end=100.0)
         for model in (model_two, model_three)
     )
     # the two simulations are independent: each runs in its own process, spawned

@@ -24,6 +24,7 @@ from chemowave import (
 )
 import chemowave.cauchy_sim as cauchy_sim_mod
 from chemowave.cauchy_sim import (
+    CFL,
     FIT_WINDOW_FRACTION,
     PEAK_PROMINENCE_FRACTION,
     SIGN_DEADZONE,
@@ -45,16 +46,14 @@ def test_config_validation():
     model = _pair_model()
     params = _free_params()
     with pytest.raises(ValueError):
-        SimConfig(model=model, params=params, domain_length=10.0, cells=32, cfl=0.5, t_end=1.0)
+        SimConfig(model=model, params=params, domain_length=10.0, cells=32, t_end=1.0)
     with pytest.raises(ValueError):
-        SimConfig(model=model, params=params, domain_length=10.0, cells=64, cfl=1.5, t_end=1.0)
-    with pytest.raises(ValueError):
-        SimConfig(model=model, params=params, domain_length=10.0, cells=64, cfl=0.5, t_end=-1.0)
+        SimConfig(model=model, params=params, domain_length=10.0, cells=64, t_end=-1.0)
     # run() would step its next snapshot time by this interval forever
     for interval in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="snapshot_interval"):
             SimConfig(
-                model=model, params=params, domain_length=10.0, cells=64, cfl=0.5, t_end=1.0,
+                model=model, params=params, domain_length=10.0, cells=64, t_end=1.0,
                 snapshot_interval=interval,
             )
 
@@ -65,7 +64,7 @@ def test_non_finite_values_are_rejected(key, value):
     # NaN passed the old "x <= 0" checks; t_end = inf never ends; domain_length = inf
     # would turn every field into NaN without an error
     kwargs = dict(
-        model=_pair_model(), params=_free_params(), domain_length=10.0, cells=64, cfl=0.5, t_end=1.0
+        model=_pair_model(), params=_free_params(), domain_length=10.0, cells=64, t_end=1.0
     )
     with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
         SimConfig(**{**kwargs, key: value})
@@ -73,7 +72,7 @@ def test_non_finite_values_are_rejected(key, value):
 
 def test_initial_mass_is_unit():
     config = SimConfig(
-        model=_pair_model(), params=_free_params(), domain_length=20.0, cells=128, cfl=0.5, t_end=1.0
+        model=_pair_model(), params=_free_params(), domain_length=20.0, cells=128, t_end=1.0
     )
     # the start's mass is a constant of the class, not a setting
     assert config.initial_rho.mass == InitialDensity.mass == 1.0
@@ -91,7 +90,7 @@ def test_the_coarsest_mesh_puts_unit_mass_on_six_cells(domain_length):
     # the cells with centres in [0, 0.1 L) hold the block: 6 of the fewest cells a
     # config allows, so SimConfig need not check that the start has support
     config = SimConfig(
-        model=_pair_model(), params=_free_params(), domain_length=domain_length, cells=64, cfl=0.5, t_end=1.0
+        model=_pair_model(), params=_free_params(), domain_length=domain_length, cells=64, t_end=1.0
     )
     state = initial_state(config)
     rho = config.model.weights @ state.f
@@ -103,7 +102,7 @@ def test_unbiased_advection_limit_conserves_and_stays_symmetric():
     # No sensing, no chemistry: a centred block just spreads symmetrically
     # under transport plus isotropic exchange; mass is conserved to roundoff.
     model = _pair_model()
-    config = SimConfig(model=model, params=_free_params(), domain_length=20.0, cells=256, cfl=0.5, t_end=3.0)
+    config = SimConfig(model=model, params=_free_params(), domain_length=20.0, cells=256, t_end=3.0)
     centred = ((cell_centers(config) >= 9.0) & (cell_centers(config) < 11.0)).astype(float)
     rho0 = centred / (centred.sum() * config.dx)
     state = dataclasses.replace(initial_state(config), f=np.tile(rho0, (model.n_active, 1)))
@@ -123,7 +122,6 @@ def test_per_step_mass_conservation_with_full_coupling(case_two):
         params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
         domain_length=20.0,
         cells=256,
-        cfl=0.45,
         t_end=1.0,
     )
     state = initial_state(config)
@@ -142,7 +140,6 @@ def test_no_consumption_keeps_nutrient_flat():
         params=_free_params(beta=1.0, gamma=0.0),
         domain_length=20.0,
         cells=128,
-        cfl=0.5,
         t_end=2.0,
     )
     state = initial_state(config)
@@ -159,7 +156,6 @@ def test_pure_decay_of_attractant():
         params=_free_params(beta=0.0, gamma=0.0),
         domain_length=20.0,
         cells=128,
-        cfl=0.5,
         t_end=2.0,
     )
     base = initial_state(config)
@@ -187,7 +183,6 @@ def test_nutrient_maximum_principle(case_three):
         params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
         domain_length=20.0,
         cells=256,
-        cfl=0.45,
         t_end=2.0,
     )
     state = initial_state(config)
@@ -203,11 +198,26 @@ def test_nutrient_maximum_principle(case_three):
 def test_cfl_violation_raised():
     model = _pair_model()
     config = SimConfig(
-        model=model, params=_free_params(), domain_length=10.0, cells=128, cfl=0.5, t_end=1.0
+        model=model, params=_free_params(), domain_length=10.0, cells=128, t_end=1.0
     )
     state = initial_state(config)
     with pytest.raises(CFLViolation):
         step(state, config, dt=10.0 * config.default_dt())
+
+
+def test_step_accepts_the_courant_bound_and_nothing_above_it(case_two):
+    # on the shipped sec4_2 mesh the Courant cap binds: CFL dx / max|v| = 0.00665,
+    # against 1 / alpha = 0.1 and 0.5 / max T = 0.256
+    _model, cfg = case_two
+    config = cfg.build_sim_config()
+    dt = config.default_dt()
+    assert dt == CFL * config.dx / float(np.max(np.abs(config.model.velocities)))
+    assert dt == pytest.approx(0.00665, abs=5e-6)
+    assert dt < min(1.0 / config.params.alpha, 0.5 / config.model.rates.max_rate)
+    state = initial_state(config)
+    assert step(state, config, dt).t == dt
+    with pytest.raises(CFLViolation, match="transport CFL bound 0.45"):
+        step(state, config, dt * (1.0 + 1e-9))
 
 
 def test_transport_matches_the_per_velocity_loop():
@@ -240,7 +250,6 @@ def test_step_leaves_its_input_state_unchanged(case_two):
         params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
         domain_length=20.0,
         cells=128,
-        cfl=0.45,
         t_end=1.0,
     )
     state = step(initial_state(config), config)  # nonzero fields and time differences
@@ -304,10 +313,9 @@ def test_run_produces_snapshots_and_diagnostics(case_two):
         params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
         domain_length=20.0,
         cells=128,
-        cfl=0.45,
         t_end=40.0,
         snapshot_interval=2.0,
-        keep_velocity_snapshots=True,
+        snapshot_f=True,
     )
     snapshots = []
     state, diagnostics = run(config, snapshots.append)
@@ -327,7 +335,7 @@ def test_run_memory_does_not_grow_with_the_snapshot_count(case_two):
     # a caller that drops each snapshot leaves run() holding only the peak
     # track; with the velocity rows each snapshot has 3 + 18 rows of cells
     _model, cfg = case_two
-    config = dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, keep_velocity_snapshots=True)
+    config = dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, snapshot_f=True)
     snapshot_bytes = (3 + config.model.n_active) * config.cells * 8
     run(config, lambda snapshot: None)  # caches the diffusion factors of each dt, the cut last step's too
     peaks = {}
@@ -355,7 +363,6 @@ def test_front_speed_grid_self_consistency(case_two):
             params=params,
             domain_length=30.0,
             cells=cells,
-            cfl=0.45,
             t_end=80.0,
         )
         _state, diagnostics = run(config, lambda snapshot: None)
@@ -369,7 +376,6 @@ def test_dt_halving_is_logged(monkeypatch, caplog):
         params=_free_params(beta=1.0, gamma=1.0),
         domain_length=10.0,
         cells=64,
-        cfl=0.5,
         t_end=1.0,
         snapshot_interval=0.1,
     )
@@ -466,7 +472,6 @@ def _sec4_2_config(case_two):
         params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
         domain_length=30.0,
         cells=2048,
-        cfl=0.45,
         t_end=100.0,
     )
 
@@ -478,7 +483,6 @@ def _zero_velocity_config():
         params=ChemParams(d_s=0.5, d_n=1.0, alpha=10.0, beta=1.0, gamma=1.0),
         domain_length=20.0,
         cells=256,
-        cfl=0.45,
         t_end=100.0,
     )
 
@@ -632,7 +636,7 @@ MIRROR_N_TOL = 1e-13
 def _short_sec4_2(case_two):
     # 21 snapshots with velocities, in about 0.05 s
     _model, cfg = case_two
-    return dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, keep_velocity_snapshots=True)
+    return dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, snapshot_f=True)
 
 
 def _space_scaled(config, s):
@@ -683,10 +687,9 @@ def test_space_scaling_holds_for_random_symmetric_models(seed):
         params=ChemParams(d_s=0.5, d_n=1.0, alpha=float(rng.choice([0.5, 10.0])), beta=1.0, gamma=1.0),
         domain_length=30.0,
         cells=128,
-        cfl=0.45,
         t_end=20.0,
         snapshot_interval=1.0,
-        keep_velocity_snapshots=True,
+        snapshot_f=True,
     )
     for s in (2.0, 0.5):
         _assert_space_scaling(config, s)

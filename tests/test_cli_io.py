@@ -56,7 +56,7 @@ samples_per_interval = 8
 """
 
 TWO_VELOCITY_SIM = TWO_VELOCITY_SCAN.replace(
-    "[run]", "[sim]\ndomain_length = 20\ncells = 128\ncfl = 0.45\nt_end = 1\n\n[run]"
+    "[run]", "[sim]\ndomain_length = 20\ncells = 128\nt_end = 1\n\n[run]"
 )
 
 
@@ -174,9 +174,9 @@ def test_structural_config_errors_name_their_place(tmp_path, capsys):
     repeated = TWO_VELOCITY_SIM + "\n[sim]\ncells = 64\n"
     no_model = TWO_VELOCITY_SCAN.replace("[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.3\nchi_n = 0.15\n", "")
     for text, error, message in (
-        (maybe, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 20, column 14)"),
-        (tight, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 20, column 12)"),
-        (repeated, ParseError, "duplicate section [sim] (line 24, column 1)"),
+        (maybe, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 19, column 14)"),
+        (tight, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 19, column 12)"),
+        (repeated, ParseError, "duplicate section [sim] (line 23, column 1)"),
         (no_model, MissingKey, "missing required section [model]"),
     ):
         with pytest.raises(error) as exc:
@@ -254,7 +254,7 @@ def test_cli_profile_mode(tmp_path):
 
 def test_cli_simulate_mode(tmp_path):
     text = TWO_VELOCITY_SCAN + (
-        "\n[sim]\ndomain_length = 10\ncells = 64\ncfl = 0.5\nt_end = 2\nsnapshot_interval = 1\n"
+        "\n[sim]\ndomain_length = 10\ncells = 64\nt_end = 2\nsnapshot_interval = 1\n"
     )
     cfg_path = tmp_path / "sim.ini"
     cfg_path.write_text(text)
@@ -267,7 +267,7 @@ def test_cli_simulate_mode(tmp_path):
 def _step_per_snapshot_config(tmp_path):
     """A short two-velocity simulation that takes one snapshot after every step."""
     text = TWO_VELOCITY_SCAN + (
-        "\n[sim]\ndomain_length = 10\ncells = 64\ncfl = 0.5\nt_end = 2\nsnapshot_interval = 1e-9\n"
+        "\n[sim]\ndomain_length = 10\ncells = 64\nt_end = 2\nsnapshot_interval = 1e-9\n"
     )
     cfg_path = tmp_path / "sim.ini"
     cfg_path.write_text(text)
@@ -292,7 +292,7 @@ def _step_spy(monkeypatch, fail_from=None):
 def test_simulate_refuses_a_directory_that_holds_another_run(tmp_path, monkeypatch, capsys):
     # a second run into one --out used to overwrite the first run's snapshots up to
     # its own count and leave the rest beside its diagnostics.csv
-    text = TWO_VELOCITY_SCAN + "\n[sim]\ndomain_length = 10\ncells = 64\ncfl = 0.5\nt_end = 2\nsnapshot_interval = 0.5\n"
+    text = TWO_VELOCITY_SCAN + "\n[sim]\ndomain_length = 10\ncells = 64\nt_end = 2\nsnapshot_interval = 0.5\n"
     cfg_path = tmp_path / "sim.ini"
     cfg_path.write_text(text)
     out = tmp_path / "sim"
@@ -634,6 +634,7 @@ REMOVED_KEYS = [
     ("sim", "initial_shape"),  # every run starts from a block
     ("sim", "initial_n"),  # and in N = 1, the construction's N_+
     ("sim", "initial_mass"),  # and of unit mass; a run of mass M is the unit-mass run at gamma * M
+    ("sim", "cfl"),  # the Courant number is the scheme constant cauchy_sim.CFL
 ]
 
 
@@ -711,7 +712,8 @@ def test_sim_block_defaults_are_the_library_defaults():
     # a [sim] block with only its required keys builds the library's default run
     cfg = parse_config(TWO_VELOCITY_SIM)
     sim_config = cfg.build_sim_config()
-    assert len(dataclasses.fields(SimConfig)) == 8 and len(dataclasses.fields(SimBlock)) == 6
+    # the [sim] keys are SimConfig's fields after model and params, under the same names
+    assert [f.name for f in dataclasses.fields(SimBlock)] == [f.name for f in dataclasses.fields(SimConfig)][2:]
     # the start's mass is no key, but stays readable where it always was
     assert cfg.sim.initial_mass == sim_config.initial_rho.mass == 1.0
     for f in dataclasses.fields(SimConfig):
@@ -754,7 +756,7 @@ def test_sim_block_without_chem_is_a_missing_key(tmp_path, configs_dir, capsys):
     # a SimConfig needs ChemParams, so a [sim] block without [chem] cannot be checked
     text = (configs_dir / "sec4_2.ini").read_text()
     text = re.sub(r"(?s)\[chem\].*?\n\n", "", text)
-    text = re.sub(r"(?m)^cells = .*$", "cells = 3", re.sub(r"(?m)^cfl = .*$", "cfl = 7", text))
+    text = re.sub(r"(?m)^cells = .*$", "cells = 3", re.sub(r"(?m)^t_end = .*$", "t_end = -1", text))
     assert "[chem]" not in text and "[sim]" in text
     with pytest.raises(MissingKey, match=r"in \[sim\]: a simulation requires both \[chem\] and \[sim\] sections"):
         parse_config(text, mode="validate")
