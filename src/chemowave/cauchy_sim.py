@@ -147,24 +147,22 @@ def cell_centers(config: SimConfig) -> np.ndarray:
 def initial_state(config: SimConfig) -> SimState:
     """Build the t = 0 state: density block on the left, S = 0, N = 1 (the construction's N_+).
 
-    The block holds the cells whose centres (k + 1/2) dx lie in [0, 0.1 L):
-    k + 1/2 < 0.1 cells.  The 64 or more cells that ``SimConfig`` allows meet
-    this for k = 0..5 with at least 0.9 cells to spare, far beyond rounding,
-    so every start has mass to normalize.
+    The block holds the cells whose centres (k + 1/2) dx lie in [0, 0.1 L),
+    taken in integers, free of rounding: 10 k + 5 < cells.  That is the first
+    (cells + 4) // 10 cells, at least 6 of the 64 or more that ``SimConfig``
+    allows, so every start has mass to normalize.
     """
-    x = cell_centers(config)
-    center = 0.05 * config.domain_length
-    width = 0.1 * config.domain_length
-    shape = ((x >= center - 0.5 * width) & (x < center + 0.5 * width)).astype(float)
-    rho0 = shape * (config.initial_rho.mass / float(np.sum(shape) * config.dx))
+    block = (config.cells + 4) // 10
+    rho0 = np.zeros(config.cells)
+    rho0[:block] = config.initial_rho.mass / (block * config.dx)
     # Isotropic split: every velocity starts at the local spatial density.
     f = np.tile(rho0, (config.model.n_active, 1))
-    zeros = np.zeros_like(x)
+    zeros = np.zeros_like(rho0)
     return SimState(
         t=0.0,
         f=f,
         s=zeros.copy(),
-        n=np.ones_like(x),
+        n=np.ones_like(rho0),
         ds_dt=zeros.copy(),
         dn_dt=zeros.copy(),
     )

@@ -27,7 +27,6 @@ ROOT_C_REL_TOL = 1e-12
 _BRENT_MAXITER = 100
 SAMPLES_PER_INTERVAL = 64
 MIN_SAMPLES_PER_INTERVAL = 8
-_NARROW_INTERVAL_FACTOR = 10.0  # intervals narrower than this * node guard get one sample
 
 
 @dataclass(frozen=True)
@@ -99,16 +98,7 @@ def scan(
                 hi,
             )
             continue
-        if hi - lo < _NARROW_INTERVAL_FACTOR * guard:
-            logger.info(
-                "continuity interval (%r, %r) is narrower than %g node guards; sampled at its midpoint only",
-                lo,
-                hi,
-                _NARROW_INTERVAL_FACTOR,
-            )
-            cs = np.array([0.5 * (lo + hi)])
-        else:
-            cs = _chebyshev_points(lo + guard, hi - guard, samples_per_interval)
+        cs = _chebyshev_points(lo + guard, hi - guard, samples_per_interval)
         ys = upsilon(model, params, cs)
         intervals.append(IntervalSamples(interval_id=i, lo=lo, hi=hi, c=cs, upsilon=ys))
 

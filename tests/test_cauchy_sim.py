@@ -98,6 +98,20 @@ def test_the_coarsest_mesh_puts_unit_mass_on_six_cells(domain_length):
     assert total_mass(config, state) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("domain_length", [3.0, 30.0])
+def test_the_block_is_the_cells_of_the_integer_rule(domain_length):
+    # centres (k + 1/2) dx in [0, 0.1 L) is 10 k + 5 < cells; a float comparison of the
+    # centres put the cell at exactly 0.1 L into the block on some meshes (L = 3, 75 cells)
+    for cells in range(64, 400):
+        config = SimConfig(
+            model=_pair_model(), params=_free_params(), domain_length=domain_length, cells=cells, t_end=1.0
+        )
+        state = initial_state(config)
+        expected = np.flatnonzero(10 * np.arange(cells) + 5 < cells)
+        assert np.array_equal(np.flatnonzero(state.f[0]), expected), cells
+        assert np.all(state.f[:, : expected.size] == 1.0 / (expected.size * config.dx)), cells
+
+
 def test_unbiased_advection_limit_conserves_and_stays_symmetric():
     # No sensing, no chemistry: a centred block just spreads symmetrically
     # under transport plus isotropic exchange; mass is conserved to roundoff.

@@ -242,7 +242,7 @@ def test_validate_creates_no_output_directory(tmp_path, configs_dir, capsys):
     assert not out.exists()
 
 
-def test_cli_profile_mode(tmp_path):
+def test_cli_profile_mode(tmp_path, configs_dir, capsys):
     text = _with_profile_speed(0.25)
     cfg_path = tmp_path / "prof.ini"
     cfg_path.write_text(text)
@@ -250,6 +250,18 @@ def test_cli_profile_mode(tmp_path):
     header = (tmp_path / "profile.csv").read_text().splitlines()
     cols = [line for line in header if not line.startswith("#")][0]
     assert cols == "z,rho,I,s,n,f_0,f_1"
+    # sec4_1 at its root: the nutrient lies in (0, 1] and never decreases along z
+    sec4_1 = (configs_dir / "sec4_1.ini").read_text()
+    cfg_path.write_text(sec4_1.replace("[run]\n", "[run]\nprofile_speed = 0.05246996633768716\n"))
+    assert main(["profile", "--config", str(cfg_path), "--out", str(tmp_path / "root")]) == 0
+    names, table = _read_table(tmp_path / "root" / "profile.csv")
+    n = table[:, names.split(",").index("n")]
+    assert np.all((n > 0.0) & (n <= 1.0)) and np.all(np.diff(n) >= 0.0)
+    capsys.readouterr()
+    # and at its velocity node 0.0848: exit 2, the speed named once in the one stderr line
+    cfg_path.write_text(sec4_1.replace("[run]\n", "[run]\nprofile_speed = 0.0848\n"))
+    assert main(["profile", "--config", str(cfg_path), "--out", str(tmp_path / "node")]) == 2
+    assert capsys.readouterr().err == "validation error: at c=0.0848: speed collides with a velocity node\n"
 
 
 def test_cli_simulate_mode(tmp_path):
@@ -332,6 +344,10 @@ def test_snapshot_velocity_columns_are_the_run_s_f(tmp_path, configs_dir):
     cauchy_sim_mod.run(load_config(tmp_path / "true.ini", mode="simulate")[0].build_sim_config(), snaps.append)
     written = sorted((tmp_path / "true").glob("snapshot_*.csv"))
     assert len(written) == len(snaps) == 3  # t = 0, 1 and 2
+    # diagnostics.csv reports the component count and has one peak-track row per snapshot
+    diagnostics = (tmp_path / "true" / "diagnostics.csv").read_text().splitlines()
+    assert any(line.startswith("# n_components=") for line in diagnostics)
+    assert _read_table(tmp_path / "true" / "diagnostics.csv")[1].shape == (len(written), 2)
     for path, snap in ((written[0], snaps[0]), (written[-1], snaps[-1])):
         names, table = _read_table(path)
         assert names == "x,rho,s,n," + ",".join(f"f_{k}" for k in range(18))
@@ -698,6 +714,11 @@ def test_cli_scan_on_shipped_config(tmp_path, configs_dir, capsys):
     assert 0.0 < c < 0.23714
     # the printed |Upsilon| is the residual written to speeds.csv
     assert f"|Upsilon|={abs(residual):.3e}  " in stdout
+    # sec4_3 has no admissible root: a success whose speeds.csv says so in its last line
+    out = tmp_path / "case3"
+    assert main(["upsilon-scan", "--config", str(configs_dir / "sec4_3.ini"), "--out", str(out)]) == 0
+    assert "admissible wave speeds: 0" in capsys.readouterr().out
+    assert (out / "speeds.csv").read_text().splitlines()[-1] == "# status=no_wave"
 
 
 def test_format_config_includes_all_blocks(configs_dir):

@@ -7,7 +7,8 @@ root.  Models are drawn as the velocity-sweep benchmark draws them
 ``test_dispersion_property`` draws symmetric sets.  A typed failure of the
 scan or the refinement is an allowed outcome and is counted with
 ``hypothesis.event``; every reported root must pass every check, and no
-exception may be untyped.
+exception may be untyped.  The symmetric models also approach the
+closed-form parabolic-limit speed of ``test_parabolic_limit`` at second order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from chemowave import (
 from chemowave.chemo_fields import N_MONOTONE_TOL
 from chemowave.errors import ChemowaveError
 from chemowave.wave_speed import ROOT_C_REL_TOL
-from test_dispersion_property import symmetric_models as symmetric_velocity_sets
+from test_dispersion_property import distinct_half_velocities, symmetric_models as symmetric_velocity_sets
+from test_parabolic_limit import HALVING_RATIO, kinetic_speeds, parabolic_speed
 
 MAX_LOCATION_TOL = 1e-6   # |argmax S| at a verified root, as in the case-study acceptance test
 MASS_REL_TOL = 1e-10      # unit mass of rho, recomputed from its modes
@@ -44,6 +46,7 @@ SCALED_UPSILON_TOL = 1e-12  # |s^2 Upsilon(s c) - Upsilon(c)| / max |Upsilon| of
 # Brent stops on a bracket narrower than 2 ROOT_C_REL_TOL relative, so two
 # refinements of one root may differ by twice that
 SCALED_ROOT_TOL = 4.0 * ROOT_C_REL_TOL
+PARABOLIC_EPS_LADDER = (0.02, 0.01, 0.005)  # sensitivities x eps, alpha x eps^2
 
 
 def _params(alpha: float) -> ChemParams:
@@ -232,3 +235,40 @@ def test_gauss_legendre_models_keep_the_space_time_scaling(drawn):
 @example(CANCELLING_MODEL)
 def test_symmetric_models_keep_the_space_time_scaling(drawn):
     _check_scaling(drawn)
+
+
+@st.composite
+def parabolic_models(draw):
+    """A symmetric set of 4 to 40 velocities, from 2 to 20 half velocities, and its chemistry.
+
+    ``chi_n`` is 0.1 to 0.9 times ``chi_s``: at ``chi_n = 0`` the limit root's
+    interval (0, A chi_n) is empty and there is no wave, and ``chi_n = chi_s``
+    drew ``BracketFailure`` at speeds near 0.  Two-velocity sets, whose
+    kinetic root is the limit speed at every eps, have their own test.
+    """
+    k = draw(st.integers(min_value=2, max_value=20))
+    half_v = distinct_half_velocities(draw, k)
+    half_w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    v, w = expand_half_set(half_v, list(half_w / (2.0 * half_w.sum())))
+    chi_s = draw(st.floats(0.05, 0.45))
+    chi_n = chi_s * draw(st.floats(0.1, 0.9))
+    params = ChemParams(
+        d_s=draw(st.floats(0.1, 2.0)), d_n=1.0, alpha=draw(st.floats(0.1, 10.0)), beta=1.0, gamma=1.0
+    )
+    return (v, w, chi_s, chi_n), params
+
+
+@settings(max_examples=30, deadline=None)
+@given(parabolic_models())
+def test_symmetric_models_approach_the_parabolic_speed_at_second_order(drawn):
+    (v, w, chi_s, chi_n), params = drawn
+    try:
+        ladder = [kinetic_speeds(v, w, chi_s, chi_n, params, eps) for eps in PARABOLIC_EPS_LADDER]
+    except ChemowaveError as exc:
+        event(f"typed failure: {type(exc).__name__}")
+        return
+    assert [len(speeds) for speeds in ladder] == [1, 1, 1], ladder  # exactly one wave at every eps
+    c0 = parabolic_speed(v, w, chi_s, chi_n, params)
+    errors = [speed - c0 for [speed] in ladder]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert HALVING_RATIO[0] <= coarse / fine <= HALVING_RATIO[1], errors

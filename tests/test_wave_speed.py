@@ -103,25 +103,23 @@ def test_upward_crossing_reported_not_rooted(case_one, chem_default, monkeypatch
 
 
 def test_narrow_intervals_are_logged(caplog):
-    # nodes 2 and 5 guards apart: the first interval gets no sample, the second its midpoint only,
-    # and neither can bracket a root, so each leaves a line in the log
+    # nodes 2 and 5 guards apart: the first interval gets no sample and leaves a line in the log,
+    # the second gets the full Chebyshev set on its guarded inside, as every wider interval does
     half = [0.0, 0.02, 0.02 + 2e-9, 0.05, 0.05 + 5e-9, 0.2, 0.5, 1.0]
     model = build_model(*expand_half_set(half, [0.0] + [1.0 / 14.0] * 7), 0.3, 0.1)
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
     with caplog.at_level(logging.INFO, logger="chemowave"):
         curve = scan(model, params, samples_per_interval=8)
-    assert [(seg.lo, seg.hi, seg.c.size) for seg in curve.intervals if seg.c.size < 8] == [(0.05, 0.05 + 5e-9, 1)]
+    assert all(seg.c.size == 8 for seg in curve.intervals)
+    (narrow,) = [seg for seg in curve.intervals if seg.lo == 0.05]
+    assert narrow.hi == 0.05 + 5e-9
+    assert narrow.lo + model.node_guard < narrow.c[0] and narrow.c[-1] < narrow.hi - model.node_guard
     assert 0.02 not in [seg.lo for seg in curve.intervals]
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
         (
             logging.WARNING,
             f"continuity interval (0.02, {0.02 + 2e-9!r}) is no wider than 3 node guards; "
             "skipped, no root there is found",
-        ),
-        (
-            logging.INFO,
-            f"continuity interval (0.05, {0.05 + 5e-9!r}) is narrower than 10 node guards; "
-            "sampled at its midpoint only",
         ),
     ]
 
