@@ -261,12 +261,10 @@ def _flapack():
 def _diffusion_solver(n_cells: int, r: float) -> partial:
     """LAPACK dgttrs bound to the LU factors (dgttrf) of I - r * Laplacian with no-flux walls.
 
-    Called as ``solver(rhs, overwrite_b=True)``.  The nutrient profile's one
-    solve per run uses ``chemo_fields.solve_tridiagonal``, a Python port of
-    dgtsv, so that the construction needs no scipy; the simulation solves
-    twice per step for thousands of steps, where that loop would double the
-    step, so it keeps LAPACK and loads scipy's LAPACK extension (``_flapack``)
-    on its first factorization.  A factorization that fails raises
+    Called as ``solver(rhs, overwrite_b=True)``.  The simulation solves twice
+    per step for thousands of steps, where a Python loop would double the
+    step, so it uses LAPACK and loads scipy's LAPACK extension (``_flapack``)
+    on its first factorization; the construction needs no scipy.  A factorization that fails raises
     ``NumericalError``; ``SimConfig`` refuses the meshes known to cause one.
     """
     lapack = _flapack()

@@ -8,6 +8,7 @@ its own.  The nutrient N solves the linear equation
 -c N' - D_N N'' + gamma rho N = 0 on a truncated domain with N'(-L) = 0 and
 N(+L) = 1 by finite differences: central (second order), or first-order
 upwind in every interior row when the cell Peclet number c h / D_N exceeds 2.
+The difference equations are solved by their own increment recurrence.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .velocity_model import bisect_decreasing
 from .wave_profile import GRID_POINTS_PER_SIDE, PiecewiseExponential, two_sided_grid
 
 RESONANCE_GUARD_REL = 1e-10
-N_MONOTONE_TOL = 1e-12      # relative slack for roundoff-flat tails
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -58,7 +58,8 @@ class ChemParams:
 class NField:
     """Nutrient profile on a uniform grid, normalized to the far-field limit N_+ = 1.
 
-    ``n_minus`` is the left far-field level N(-L), in (0, 1].
+    ``n_minus`` is the left far-field level N(-L), in [0, 1]: 0.0 only where
+    the level underflows, 1.0 only without consumption.
     """
 
     grid: np.ndarray
@@ -175,90 +176,36 @@ def locate_maximum(sfield: PiecewiseExponential, halfwidth: float) -> float:
     return bisect_decreasing(sfield.derivative, float(z[idx[0]]), float(z[idx[0] + 1]), rtol=0.0)
 
 
-def _n_system(
-    rho_vals: np.ndarray, params: ChemParams, c: float, h: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nutrient two-point problem as ``solve_tridiagonal``'s arguments (dl, d, du, b)."""
-    n = rho_vals.size
+def _nutrient_recurrence(rho_vals: np.ndarray, params: ChemParams, c: float, h: float) -> np.ndarray:
+    """N on the grid from the rows' increment recurrence (``solve_N``'s docstring)."""
     d = params.d_n
-    main = np.zeros(n)
-    sub = np.zeros(n)    # entry i couples row i to i-1
-    sup = np.zeros(n)    # entry i couples row i to i+1
-    rhs = np.zeros(n)
-
+    inv_h2 = 1.0 / (h * h)
     # Written as D N'' + c N' - gamma rho N = 0.  Central first derivative is
     # second order; if the cell Peclet number exceeds 2 the forward difference
-    # keeps the off-diagonals nonnegative (discrete maximum principle).
-    upwind = c * h / d > 2.0
-    inv_h2 = 1.0 / (h * h)
-    if upwind:
-        sub[1:-1] = d * inv_h2
-        sup[1:-1] = d * inv_h2 + c / h
-        main[1:-1] = -2.0 * d * inv_h2 - c / h - params.gamma * rho_vals[1:-1]
+    # keeps sub >= 0 (discrete maximum principle).
+    if c * h / d > 2.0:
+        sub, sup = d * inv_h2, d * inv_h2 + c / h
     else:
-        sub[1:-1] = d * inv_h2 - c / (2.0 * h)
-        sup[1:-1] = d * inv_h2 + c / (2.0 * h)
-        main[1:-1] = -2.0 * d * inv_h2 - params.gamma * rho_vals[1:-1]
-
-    # z = -L: zero-derivative condition through a ghost node (N_{-1} = N_1).
-    main[0] = -2.0 * d * inv_h2 - params.gamma * rho_vals[0]
-    sup[0] = 2.0 * d * inv_h2
-    # z = +L: the limit N_+ enters through the integrated far-field relation
-    # D N' + c N = c N_+ (the density tail beyond L is negligible), folded
-    # into the PDE row via a ghost node.  A plain Dirichlet value here would
-    # carry an O(exp(-c L / D)) truncation error, far above the tail scale.
-    sub[-1] = 2.0 * d * inv_h2
-    main[-1] = -2.0 * d * inv_h2 - 2.0 * c / h - c * c / d - params.gamma * rho_vals[-1]
-    rhs[-1] = -(2.0 * c / h + c * c / d)  # N_+ = 1
-
-    return sub[1:], main, sup[:-1], rhs
-
-
-def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = ``b`` for the tridiagonal A with sub-, main and superdiagonal ``dl``, ``d``, ``du``.
-
-    The arguments of LAPACK ``dgtsv`` for one right-hand side, and a
-    line-for-line port of reference ``dgtsv``: Gaussian elimination with
-    partial pivoting, the same operations in the same order, so x has the
-    bits of ``scipy.linalg.lapack.dgtsv``.  A Python loop costs about 3 ms
-    at 4097 nodes, which one nutrient solve per profile can pay; the
-    simulation, which solves twice per step for thousands of steps, keeps
-    LAPACK (``cauchy_sim._diffusion_solver``).
-    """
-    if not all(np.isfinite(x).all() for x in (dl, d, du, b)):
-        raise ValueError("array must not contain infs or NaNs")
-    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):  # no row interchange
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            temp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
-    if d[n - 1] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix")
-
-    # back substitution with the upper factor (diagonal d, superdiagonals du, dl)
-    b[n - 1] = b[n - 1] / d[n - 1]
-    if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return np.array(b)
+        sub, sup = d * inv_h2 - c / (2.0 * h), d * inv_h2 + c / (2.0 * h)
+    consumption = params.gamma * rho_vals
+    ratio = sub / sup
+    ghost = 2.0 * d * inv_h2  # an end row's coupling, doubled by its ghost node
+    # z = -L: zero-derivative condition through a ghost node (N_{-1} = N_1)
+    growth = float(consumption[0]) / ghost
+    factors = []  # N_i / N_{i+1} = 1 / (1 + g_i)
+    for q in (consumption[1:-1] / sup).tolist():
+        factor = 1.0 / (1.0 + growth)
+        factors.append(factor)
+        growth = ratio * (growth * factor) + q
+    factor = 1.0 / (1.0 + growth)
+    factors.append(factor)
+    # z = +L: the limit N_+ = 1 enters through the integrated far-field
+    # relation D N' + c N = c N_+ (the density tail beyond L is negligible),
+    # folded into the PDE row via a ghost node.  A plain Dirichlet value here
+    # would carry an O(exp(-c L / D)) truncation error, far above the tail scale.
+    far = 2.0 * c / h + c * c / d
+    factors.append(far / (ghost * (growth * factor) + (far + float(consumption[-1]))))
+    return np.cumprod(factors[::-1])[::-1].copy()
 
 
 def solve_N(
@@ -276,26 +223,31 @@ def solve_N(
     The profile must come out nondecreasing with N(-L) in [0, 1]; either
     failure raises ``NonMonotoneN``.
 
-    For rho >= 0 one solve suffices: the profile is nondecreasing on every
-    mesh.  An interior row of ``_n_system`` gives sup_i (N_{i+1} - N_i) =
-    sub_i (N_i - N_{i-1}) + gamma rho_i N_i, and the ghost row at -L gives
-    (2 D / h^2) (N_1 - N_0) = gamma rho_0 N_0.  The Peclet switch keeps
-    sub_i >= 0, so -A is an M-matrix with a right-hand side <= 0: N >= 0,
-    and by induction every increment is >= 0 in exact arithmetic.  The
-    exact N(-L) is > 0: N_0 = 0 would make every increment, and so all of
-    N, vanish by the same rows, against the nonzero right-hand side at +L;
-    so a computed N(-L) of 0.0 or -0.0 is the underflow of a positive level.
+    The rows are solved by their own recurrence, left to right.  An interior
+    row gives sup_i (N_{i+1} - N_i) = sub_i (N_i - N_{i-1}) + gamma rho_i N_i,
+    and the ghost row at -L gives (2 D / h^2) (N_1 - N_0) = gamma rho_0 N_0.
+    So the growth g_i = (N_{i+1} - N_i) / N_i starts at
+    g_0 = gamma rho_0 / (2 D / h^2) and obeys
+    g_i = (sub_i / sup_i) g_{i-1} / (1 + g_{i-1}) + gamma rho_i / sup_i, and
+    N_i = N_{i+1} / (1 + g_i).  The Peclet switch keeps sub_i >= 0 (and
+    sup_i > 0).  The row at +L fixes the scale:
+    N_n = a / ((2 D / h^2) g_{n-1} / (1 + g_{n-1}) + a + gamma rho_n) with
+    a = 2 c / h + c^2 / D.  Where rho >= 0 on the grid, every g_i is built
+    from nonnegative numbers, so in floating point each factor 1 / (1 + g_i)
+    and N_n are at most 1: N is nondecreasing with 0 <= N(-L) <= 1 on every
+    mesh and at any gamma, and gamma = 0 gives N = 1 exactly.  A level below
+    the smallest double underflows to +0.0.  The checks are therefore exact:
+    only a negative rho value can fail them.
     """
     if not c > 0.0:
         raise at_speed(NonPositiveSpeed("nutrient solve requires c > 0"), c)
 
     grid = np.linspace(-domain_halfwidth, domain_halfwidth, cells + 1)
     rho_vals = np.asarray(rho(grid), dtype=float)
-    values = solve_tridiagonal(*_n_system(rho_vals, params, c, grid[1] - grid[0]))
-    if not np.all(np.diff(values) >= -N_MONOTONE_TOL * np.max(np.abs(values))):
+    values = _nutrient_recurrence(rho_vals, params, c, grid[1] - grid[0])
+    if not np.all(np.diff(values) >= 0.0):
         raise NonMonotoneN(f"nutrient profile not monotone on {cells} cells")
     n_minus = float(values[0])
-    # n_minus == 1 only in the consumption-free limit
-    if not (0.0 <= n_minus <= 1.0 + N_MONOTONE_TOL):
+    if not (0.0 <= n_minus <= 1.0):
         raise NonMonotoneN(f"far-field level {n_minus!r} outside [0, 1.0]")
     return NField(grid=grid, values=values, n_minus=n_minus)

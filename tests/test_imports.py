@@ -1,10 +1,11 @@
 """Which scipy modules importing chemowave and running its modes load.
 
-The construction runs on numpy alone: Brent's method and the nutrient's
-tridiagonal solve are in-package ports.  Only the simulation loads scipy,
-when it first factors its diffusion matrix, and then only ``scipy`` itself
-and its compiled LAPACK wrapper ``scipy.linalg._flapack`` (dgttrf/dgttrs),
-without the ``scipy.linalg`` package: a whole run, its component count
+The construction runs on numpy alone: Brent's method is an in-package port,
+and the nutrient profile is one pass of its own recurrence.  Only the
+simulation loads scipy, when it first factors its diffusion matrix, and then
+only ``scipy`` itself and its compiled LAPACK wrapper
+``scipy.linalg._flapack`` (dgttrf/dgttrs), without the ``scipy.linalg``
+package: a whole run, its component count
 included (``cauchy_sim.prominent_peaks``, a port of ``find_peaks``), loads
 none of ``scipy.linalg``, ``scipy.signal`` and ``scipy.stats``.  A later
 ``import scipy.linalg`` reuses the loaded extension.  Each check runs in a

@@ -1,33 +1,32 @@
-"""The in-package ports of scipy's brentq, LAPACK dgtsv and find_peaks, checked against scipy.
+"""The in-package ports of scipy's brentq and find_peaks, and the nutrient solve, checked against scipy.
 
 The construction modes run on numpy alone: ``wave_speed.brentq`` refines the
-wave speeds and ``chemo_fields.solve_tridiagonal`` solves the nutrient
-profile.  Each must give the bits that ``scipy.optimize.brentq`` and
-``scipy.linalg.lapack.dgtsv`` give; the tridiagonal solve also matches
-``scipy.linalg.solve_banded((1, 1), ...)``, which runs ``dgtsv``.  The simulation counts the
-components of its final density with ``cauchy_sim.prominent_peaks``, which
-must return the indices of ``scipy.signal.find_peaks(x, prominence=p)``.
-Brent's method must match scipy also where its interpolation divides by an
-underflowed zero, which C turns into inf or NaN and a bisection step.
+wave speeds and must give the bits that ``scipy.optimize.brentq`` gives, also
+where its interpolation divides by an underflowed zero, which C turns into
+inf or NaN and a bisection step.  ``chemo_fields.solve_N`` solves the
+nutrient's difference rows by their increment recurrence; it must agree with
+``scipy.linalg.solve_banded`` on the same rows, and with a 50-digit
+elimination of them.  The simulation counts the components of its final
+density with ``cauchy_sim.prominent_peaks``, which must return the indices
+of ``scipy.signal.find_peaks(x, prominence=p)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq as scipy_brentq
 from scipy.signal import find_peaks
 
 import chemowave.wave_speed as wave_speed_mod
-from chemowave import refine_roots, scan, solve_modes
+from chemowave import ChemParams, refine_roots, scan, solve_modes, solve_N
 from chemowave.cauchy_sim import prominent_peaks
-from chemowave.chemo_fields import _n_system, solve_tridiagonal
 from chemowave.wave_speed import ROOT_C_REL_TOL, brentq
 
 TINY = np.finfo(float).tiny
@@ -129,49 +128,99 @@ def test_brent_returns_a_bracket_end_with_a_zero_value():
     assert brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == 1.0
 
 
-def _three_solves(dl, d, du, b) -> tuple[bytes, bytes, bytes]:
-    """The bytes of the port's, LAPACK dgtsv's and solve_banded's solution of one system."""
-    *_factors, x, info = dgtsv(dl, d, du, b)
-    assert info == 0
-    ab = np.zeros((3, d.size))
-    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-    return solve_tridiagonal(dl, d, du, b).tobytes(), x.tobytes(), solve_banded((1, 1), ab, b).tobytes()
+def _nutrient_rows(rho_vals: np.ndarray, params: ChemParams, c: float, h: float, num=float) -> tuple[list, ...]:
+    """The nutrient's difference rows A N = b, formed in ``num``: lists (lower, diag, upper, b).
+
+    ``lower[i]`` and ``upper[i]`` couple row i to N_{i-1} and N_{i+1}.  The
+    interior rows are those of D N'' + c N' - gamma rho N = 0, central up to
+    cell Peclet number 2 and forward above it; row 0 is the ghost row of
+    N'(-L) = 0, and the last row folds in D N' + c N = c with N_+ = 1.
+    """
+    upwind = c * h / params.d_n > 2.0
+    d, c, h, gamma = num(params.d_n), num(c), num(h), num(params.gamma)
+    consumption = [gamma * num(x) for x in rho_vals.tolist()]
+    edge, far = 2 * d / h**2, 2 * c / h + c * c / d
+    sub, sup = (d / h**2, d / h**2 + c / h) if upwind else (d / h**2 - c / (2 * h), d / h**2 + c / (2 * h))
+    n = len(consumption)
+    lower = [num(0)] + [sub] * (n - 2) + [edge]
+    upper = [edge] + [sup] * (n - 2) + [num(0)]
+    diag = [-(lower[i] + upper[i]) - consumption[i] for i in range(n)]
+    diag[-1] -= far
+    return lower, diag, upper, [num(0)] * (n - 1) + [-far]
+
+
+def banded_solve(rho_vals: np.ndarray, params: ChemParams, c: float, h: float) -> np.ndarray:
+    """The nutrient's rows solved by ``scipy.linalg.solve_banded``."""
+    lower, diag, upper, b = _nutrient_rows(rho_vals, params, c, h)
+    return solve_banded((1, 1), np.array([[0.0, *upper[:-1]], diag, [*lower[1:], 0.0]]), np.array(b))
+
+
+def exact_solve(rho_vals: np.ndarray, params: ChemParams, c: float, h: float) -> list:
+    """The nutrient's rows formed and eliminated at 50 digits from the same doubles, as ``mpmath.mpf``.
+
+    No pivoting: every row is diagonally dominant.
+    """
+    with mpmath.workdps(50):
+        lower, diag, upper, b = _nutrient_rows(rho_vals, params, c, h, num=mpmath.mpf)
+        for i in range(1, len(b)):
+            factor = lower[i] / diag[i - 1]
+            diag[i] -= factor * upper[i - 1]
+            b[i] -= factor * b[i - 1]
+        exact = [b[-1] / diag[-1]]
+        for i in range(len(b) - 2, -1, -1):
+            exact.append((b[i] - upper[i] * exact[-1]) / diag[i])
+    return exact[::-1]
+
+
+def resolvable_rises(nfield, rho, params: ChemParams, c: float) -> np.ndarray:
+    """Where the exact rise N_{i+1} - N_i of ``nfield``'s rows is at least two spacings of its N_{i+1}.
+
+    Below one spacing even a correctly rounded profile may be flat.  From two
+    on, the relative rise is at least 2**-52, so the recurrence's factor
+    N_i / N_{i+1} = 1 / (1 + g_i) rounds to at most 1 - 2**-52, which puts
+    the computed N_i strictly below N_{i+1}.
+    """
+    exact = exact_solve(np.asarray(rho(nfield.grid), dtype=float), params, c, nfield.grid[1] - nfield.grid[0])
+    rises = np.array([float(right - left) for left, right in zip(exact, exact[1:])])
+    return rises >= 2.0 * np.spacing(nfield.values[1:])
+
+
+def _nutrient_at(
+    model, params: ChemParams, c: float, cells: int, halfwidth: float | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(solve_N's values, the rho samples and the h it solved with), by default on the profile's own window."""
+    profile = solve_modes(model, c)
+    nfield = solve_N(profile.rho_modes(), params, c, halfwidth or profile.halfwidth, cells=cells)
+    return nfield.values, np.asarray(profile.rho_modes()(nfield.grid), dtype=float), nfield.grid[1] - nfield.grid[0]
+
+
+# sec4_1's root and sec4_2's two roots
+ROOTS = (("case_one", 0.05246996633767849), ("case_two", 0.024592930214375405), ("case_two", 0.14153597953281605))
 
 
 @pytest.mark.parametrize("nodes", [4097, 8193, 16385, 32769])
-def test_tridiagonal_matches_solve_banded_on_the_nutrient_systems(case_one, case_two, nodes):
-    for (model, cfg), c in ((case_one, 0.0525), (case_two, 0.1415)):
-        profile = solve_modes(model, c)
-        grid = np.linspace(-profile.halfwidth, profile.halfwidth, nodes)
-        port, lapack, banded = _three_solves(
-            *_n_system(np.asarray(profile.rho_modes()(grid)), cfg.chem, c, grid[1] - grid[0])
-        )
-        assert port == lapack == banded
+def test_nutrient_recurrence_matches_solve_banded(nodes, request):
+    # solve_banded forms each diagonal entry -(sub + sup) - gamma rho, of size
+    # 2 D / h^2, so its own error grows as 1 / h^2: measured 1.6e-12, 7.6e-12,
+    # 3.9e-11 and 1.03e-10 of max|N| at these node counts
+    for case, c in ROOTS:
+        model, cfg = request.getfixturevalue(case)
+        values, rho_vals, h = _nutrient_at(model, cfg.chem, c, nodes - 1)
+        reference = banded_solve(rho_vals, cfg.chem, c, h)
+        assert np.max(np.abs(values - reference)) < 5e-12 * (nodes / 4097) ** 2 * np.max(np.abs(reference))
 
 
-def test_tridiagonal_matches_solve_banded_with_row_interchanges():
-    rng = np.random.default_rng(5)
-    interchanges = 0
-    for n in list(range(2, 12)) * 20 + [257, 1000]:
-        dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
-        d = rng.normal(size=n) * rng.choice([0.05, 1.0, 20.0])  # weak, even and dominant diagonals
-        rhs = rng.normal(size=n)
-        interchanges += int(np.sum(np.abs(d[:-1]) < np.abs(dl)))
-        port, lapack, banded = _three_solves(dl, d, du, rhs)
-        assert port == lapack == banded
-    assert interchanges > 100  # the pivoting branch ran (counted on the input diagonal)
-
-
-def test_tridiagonal_refuses_what_solve_banded_refuses():
-    # rows 0 and 1 of this matrix are equal
-    dl, d, du, rhs = np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.0]), np.ones(3)
-    assert dgtsv(dl, d, du, rhs)[-1] > 0  # LAPACK reports a zero pivot
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_banded((1, 1), np.array([[0.0, *du], d, [*dl, 0.0]]), rhs)
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solve_tridiagonal(dl, d, du, rhs)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_tridiagonal(dl, d, du, np.array([1.0, np.nan, 1.0]))
+@pytest.mark.parametrize("halfwidth", [pytest.param(None, id="profile_window"), pytest.param(3.0, id="halfwidth_3")])
+def test_nutrient_recurrence_matches_a_50_digit_solve(request, halfwidth):
+    # Measured at most 8.3e-15 relative at any node on the profile's own
+    # window, and 4.3e-14 on |z| <= 3, where rho at the ends is 1-37% of its
+    # peak, so that the end rows' gamma rho terms count; solve_banded's error
+    # is 1.0-2.9e-13 and 3.0-10e-13
+    for case, c in ROOTS:
+        model, cfg = request.getfixturevalue(case)
+        values, rho_vals, h = _nutrient_at(model, cfg.chem, c, 1024, halfwidth)
+        exact = np.array([float(x) for x in exact_solve(rho_vals, cfg.chem, c, h)])
+        assert np.max(np.abs(values - exact) / exact) < 1e-13
 
 
 def _same_peaks(x, prominence) -> None:
