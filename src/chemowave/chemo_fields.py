@@ -173,7 +173,7 @@ def locate_maximum(sfield: PiecewiseExponential, halfwidth: float) -> float:
     idx = np.nonzero((d[:-1] > 0.0) & (d[1:] <= 0.0))[0]
     if idx.size == 0:
         raise ValueError("no descending zero of dS/dz inside the window")
-    return bisect_decreasing(sfield.derivative, float(z[idx[0]]), float(z[idx[0] + 1]), rtol=0.0)
+    return bisect_decreasing(sfield.derivative, float(z[idx[0]]), float(z[idx[0] + 1]))
 
 
 def _nutrient_recurrence(rho_vals: np.ndarray, params: ChemParams, c: float, h: float) -> np.ndarray:
@@ -241,6 +241,8 @@ def solve_N(
     """
     if not c > 0.0:
         raise at_speed(NonPositiveSpeed("nutrient solve requires c > 0"), c)
+    if cells < 1:
+        raise ValueError(f"cells must be at least 1, got {cells!r}")
 
     grid = np.linspace(-domain_halfwidth, domain_halfwidth, cells + 1)
     rho_vals = np.asarray(rho(grid), dtype=float)

@@ -173,7 +173,7 @@ def _polish(
             lam.size,
         )
         for i, j in zip(*np.nonzero(outside)):
-            lam[i, j] = bisect_decreasing(_falling(w, poles[i], speeds[i]), lo[i, j], hi[i, j], rtol=0.0)
+            lam[i, j] = bisect_decreasing(_falling(w, poles[i], speeds[i]), lo[i, j], hi[i, j])
     return lam
 
 

@@ -235,11 +235,11 @@ def mean_run_length(model: VelocityModel, c: float | np.ndarray, side: str) -> f
     return float(total) if np.ndim(c) == 0 else total
 
 
-def bisect_decreasing(f, lo: float, hi: float, rtol: float = 1e-14) -> float:
-    """Root of a continuous strictly decreasing f with f(lo) > 0 > f(hi); rtol=0 halves to the last bit."""
+def bisect_decreasing(f, lo: float, hi: float) -> float:
+    """Root of a continuous strictly decreasing f with f(lo) > 0 > f(hi), halved to the last bit."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or (hi - lo) <= rtol * max(abs(lo), abs(hi)):
+        if mid <= lo or mid >= hi:
             break
         if f(mid) > 0.0:
             lo = mid
@@ -248,35 +248,32 @@ def bisect_decreasing(f, lo: float, hi: float, rtol: float = 1e-14) -> float:
     return 0.5 * (lo + hi)
 
 
-def _run_length_sign(model: VelocityModel, side: str, lo: float, hi: float):
-    """A stand-in for ``mean_run_length(model, ., side)`` inside ``bisect_decreasing(f, lo, hi)``.
-
-    The stand-in has the sign of the run length at every speed in (lo, hi),
-    so the bisection takes the same midpoints and returns the same bits, but
-    it evaluates the run length only within ``slack`` of its root.
+def _window_edge(model: VelocityModel, side: str, lo: float, hi: float) -> float:
+    """Root of ``mean_run_length(model, ., side)`` in (lo, hi), in closed form.
 
     Between two nodes every rate T_k is constant, so the run length f is
-    affine there with root ``sum(w v / T) / sum(w / T)``.  The piece is the
-    one after the last node in (lo, hi) where the computed f is > 0 (after lo
-    if there is none).  With u = eps / 2, |c| <= v_max and T_min, T_max the
-    smallest and largest of the four rates:
+    affine there, and on the piece that holds the sign change its root is
+    ``sum(s v) / sum(s)`` with s = w / T at that piece's rates.  The piece
+    starts at the last node in (lo, hi) where the computed f is > 0 (at lo if
+    there is none).
 
-    - each computed f(c) is within E = (n + 4) eps 2 v_max / T_min of the
-      exact one: every term has 3 roundings and the n-term sum n - 1, and
-      the terms' magnitudes sum to at most 2 v_max / T_min;
-    - f falls with slope at least sum(w) / T_max, so |c - r| > E T_max puts
-      the computed f(c) on the side of the exact root r, and nonzero;
-    - the piece's ends a < b have computed f(a) > 0 >= f(b) (lo and hi have
-      f(lo) > 0 > f(hi)), so the exact f(a) > -E and f(b) < E.  If r is
-      not in [a, b], it lies within E T_max of the nearer end, and so does
-      the root of the piece's affine extension: the two roots differ by less
-      than E T_max;
-    - the closed form rounds its two n-term sums and one quotient, which
-      moves it by less than E T_max / 2.
+    Rounding bound.  Let r be the exact root of f formed from the model's
+    doubles, eps the machine epsilon, and T_min, T_max the side's two rates.
 
-    So a midpoint farther than 2.5 E T_max from the closed form has the sign
-    of ``root - c``; ``slack`` is 4 E T_max, and mean_run_length decides the
-    midpoints within it.
+    - On r's piece, each s_k v_k is rounded n + 1 times (quotient, product,
+      n-term sum), each s_k n times, and their ratio once: to first order the
+      edge is within (n + 1) eps / 2 (sum|s v| / sum(s) + |r|) of r.
+    - Each computed f at a node is within E = (n + 2) eps v_max sum(w) / T_min
+      of the exact one (3 roundings per term, n - 1 in the sum, terms summing
+      to at most 2 v_max sum(w) / T_min in magnitude).  f falls with slope at
+      least sum(w) / T_max, so a node's sign can be wrong only within
+      D = (n + 2) eps v_max T_max / T_min of r (lo and hi count as nodes, with
+      f(lo) > 0 > f(hi)).  The piece taken is then a neighbour of r's: its
+      affine extension meets f at their shared node, and both roots lie
+      within D of that node on the same side.
+
+    So the edge is within (n + 2) eps (sum|s v| / sum(s) + |r|) of r (twice
+    the first-order bound), plus D if a node lies within D of r.
     """
     v = model.velocities
     nodes = v[(v > lo) & (v < hi)]
@@ -284,27 +281,18 @@ def _run_length_sign(model: VelocityModel, side: str, lo: float, hi: float):
     a = float(ahead[-1]) if ahead.size else lo
     # the rates just above a are the piece's: v_k < c exactly for the nodes v_k <= a
     s = model.weights / side_rates(model, np.nextafter(a, hi), side)
-    root = float(np.sum(s * v) / np.sum(s))
-    r = model.rates
-    t_min = min(r.t_mm, r.t_mp, r.t_pm, r.t_pp)
-    slack = 4.0 * (model.n_active + 4) * np.finfo(float).eps * 2.0 * model.v_max * r.max_rate / t_min
-
-    def sign(c: float) -> float:
-        if abs(c - root) > slack:
-            return root - c
-        return mean_run_length(model, c, side)
-
-    return sign
+    return float(np.sum(s * v) / np.sum(s))
 
 
 def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
     """Confinement window (c_lower, c_upper) of the model.
 
-    c_upper is the unique root of the left-side mean run length in
-    (0, v_max); c_lower the root of the right-side analogue in (-v_max, 0].
-    Both run lengths are strictly decreasing in c, so plain bisection is
-    unconditionally safe.  Its midpoints' signs come from ``_run_length_sign``,
-    which gives the bits of bisecting ``mean_run_length`` itself.
+    c_upper is the root of the left-side mean run length in (0, v_max - guard)
+    and c_lower that of the right-side one in (-v_max + guard, 0], each the
+    closed-form root of the affine piece that holds the sign change
+    (``_window_edge``, which states its rounding bound).  A left run length
+    that is not positive at 0 or not negative at v_max - guard, or a right one
+    positive at 0, leaves no window.
     """
     v_max = model.v_max
     guard = model.node_guard
@@ -316,7 +304,7 @@ def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
         )
     if mean_run_length(model, v_max - guard, "left") >= 0.0:
         raise NoConfinementWindow("no sign change of the left-side run length in (0, v_max)")
-    c_upper = bisect_decreasing(_run_length_sign(model, "left", 0.0, v_max - guard), 0.0, v_max - guard)
+    c_upper = _window_edge(model, "left", 0.0, v_max - guard)
 
     # chi_n <= chi_s makes the right-side run length nonpositive at c=0, and
     # chi_n == chi_s makes it 0; that 0 is only exact up to the rounding of the
@@ -326,7 +314,7 @@ def admissible_speed_interval(model: VelocityModel) -> SpeedInterval:
     if abs(g_right_0) <= model.n_active * np.finfo(float).eps * float(np.sum(terms)):
         c_lower = 0.0
     elif g_right_0 < 0.0:
-        c_lower = bisect_decreasing(_run_length_sign(model, "right", -v_max + guard, 0.0), -v_max + guard, 0.0)
+        c_lower = _window_edge(model, "right", -v_max + guard, 0.0)
     else:
         raise NoConfinementWindow("right-side mean run length positive at c=0")
 

@@ -368,6 +368,12 @@ def test_nutrient_requires_positive_speed(chem_default):
         solve_N(_symmetric_mode(1.3), chem_default, -0.2, 40.0)
 
 
+@pytest.mark.parametrize("cells", [0, -3])
+def test_nutrient_refuses_a_mesh_without_cells(chem_default, cells):
+    with pytest.raises(ValueError, match="cells must be at least 1"):
+        solve_N(_symmetric_mode(1.3), chem_default, 0.2, 40.0, cells=cells)
+
+
 def test_nutrient_interpolation():
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
     nfield = solve_N(_symmetric_mode(1.3), params, 0.2, 50.0)

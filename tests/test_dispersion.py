@@ -42,8 +42,8 @@ def vectorised_bisection(
 
     Every step halves each bracket that still has a representable midpoint
     (200 steps at most), moving ``lo`` up where the dispersion sum is
-    negative: the midpoints and stopping test of ``bisect_decreasing`` with
-    ``rtol=0``, run on all brackets at once.  ``poles`` is one row for every
+    negative: the midpoints and stopping test of ``bisect_decreasing``, run
+    on all brackets at once.  ``poles`` is one row for every
     bracket or one row per bracket; ``speeds``, one per bracket, names the
     speed of a NaN sum.
     """

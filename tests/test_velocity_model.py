@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 import pytest
@@ -26,10 +29,8 @@ from chemowave.errors import (
 from chemowave import velocity_model
 from chemowave.velocity_model import (
     SensitivityBoundaryWarning,
-    SpeedInterval,
     TumblingRates,
     VelocityModel,
-    bisect_decreasing,
     side_rates,
 )
 
@@ -165,12 +166,18 @@ def test_rate_ordering_and_positivity(chi_s, chi_n):
 
 
 def test_two_velocity_speed_window_closed_form():
-    # Hand-derived: with velocities {-v, v} and equal weights, the left-side
-    # run length vanishes at c = v (chi_s + chi_n), the right-side analogue at
-    # c = -v (chi_s - chi_n).
+    # With velocities {-v, v} and equal weights the window's edges are the
+    # rational roots v (t_mm - t_mp) / (t_mm + t_mp) and
+    # v (t_pm - t_pp) / (t_pm + t_pp) of the model's rates, which are
+    # v (chi_s + chi_n) and -v (chi_s - chi_n) up to the rates' rounding.
     for v, chi_s, chi_n in [(1.0, 0.3, 0.15), (2.0, 0.3, 0.15), (1.0, 0.4, 0.1)]:
         model = build_model([-v, v], [0.5, 0.5], chi_s, chi_n)
         window = admissible_speed_interval(model)
+        r = model.rates
+        upper = Fraction(v) * (Fraction(r.t_mm) - Fraction(r.t_mp)) / (Fraction(r.t_mm) + Fraction(r.t_mp))
+        lower = Fraction(v) * (Fraction(r.t_pm) - Fraction(r.t_pp)) / (Fraction(r.t_pm) + Fraction(r.t_pp))
+        assert abs(Fraction(window.c_upper) - upper) <= np.spacing(float(upper))
+        assert abs(Fraction(window.c_lower) - lower) <= 2 * np.spacing(abs(float(lower)))
         assert window.c_upper == pytest.approx(v * (chi_s + chi_n), abs=1e-12)
         assert window.c_lower == pytest.approx(-v * (chi_s - chi_n), abs=1e-12)
         # cross-check by an independent coarse bisection on the run length
@@ -246,18 +253,6 @@ def test_equal_sensitivities_put_the_lower_window_edge_at_zero(case_one, chem_de
         assert roots == [root]
 
 
-def _plain_window(model) -> SpeedInterval:
-    """The window from bisecting mean_run_length itself, on admissible_speed_interval's brackets."""
-    v_max, guard = model.v_max, model.node_guard
-    c_upper = bisect_decreasing(lambda c: mean_run_length(model, c, "left"), 0.0, v_max - guard)
-    c_lower = 0.0
-    if model.chi_n < model.chi_s:
-        c_lower = bisect_decreasing(lambda c: mean_run_length(model, c, "right"), -v_max + guard, 0.0)
-    lo = max(0.0, c_lower)
-    bounds = [lo, *(float(x) for x in model.velocities if lo < x < c_upper), c_upper]
-    return SpeedInterval(c_lower, c_upper, tuple(zip(bounds[:-1], bounds[1:])))
-
-
 def _sensitivities(rng, i: int) -> tuple[float, float]:
     """One draw in four each: chi_s == chi_n; chi_s + chi_n close to 1 (T_max / T_min up to 2e4);
     weak sensitivities, whose window edges lie where the run length's rounding matters most."""
@@ -289,19 +284,64 @@ def _window_models(family: str):
             yield build_model([-speed, speed], [0.5, 0.5], *_sensitivities(rng, i))
 
 
+def _exact_edge(model, side: str, lo: float, hi: float) -> tuple[Fraction, float]:
+    """The exact root in (lo, hi) of the run length formed from the model's doubles, and its edge's bound.
+
+    The piece is the one after the last node where the exact run length is
+    > 0 (after lo if there is none).  On the piece above the first k
+    velocities the run length times t_below t_above is ``num - c den``, with
+    ``num = sum(w v t_other)`` and ``den = sum(w t_other)``, t_other being
+    the rate a velocity does not take.  The bound is the one derived in
+    ``velocity_model._window_edge``'s docstring.
+    """
+    r = model.rates
+    t_below, t_above = map(Fraction, (r.t_mm, r.t_mp) if side == "left" else (r.t_pm, r.t_pp))
+    v = [Fraction(x) for x in model.velocities.tolist()]
+    terms = [(wk * vk, wk, wk * abs(vk)) for vk, wk in zip(v, map(Fraction, model.weights.tolist()))]
+    cum = list(accumulate(terms, lambda p, q: tuple(map(add, p, q)), initial=(Fraction(0),) * 3))
+
+    def piece(k: int) -> tuple[Fraction, ...]:
+        """num, den and sum(w |v| t_other) above the first k velocities."""
+        return tuple(t_above * b + t_below * (t - b) for b, t in zip(cum[k], cum[-1]))
+
+    k = sum(x <= lo for x in v)
+    for j, x in enumerate(v):
+        if lo < x < hi:
+            num, den, _spread = piece(j + 1)
+            if num > x * den:
+                k = j + 1
+    num, den, spread = piece(k)
+    root = num / den
+    eps = np.finfo(float).eps
+    n = model.n_active
+    bound = (n + 2) * eps * (float(spread / den) + abs(float(root)))
+    near = (n + 2) * eps * model.v_max * float(max(t_below, t_above) / min(t_below, t_above))
+    if any(abs(float(x - root)) <= near for x in [Fraction(lo), *(x for x in v if lo < x < hi), Fraction(hi)]):
+        bound += near
+    return root, bound
+
+
 @pytest.mark.parametrize("family", WINDOW_DRAWS)
-def test_window_is_the_plain_bisection_bit_for_bit(family, two_velocity_model):
-    models = [two_velocity_model, *_window_models(family)]
-    differ = [
-        (model.velocities.size, model.chi_s, model.chi_n)
-        for model in models
-        if admissible_speed_interval(model) != _plain_window(model)
-    ]
-    assert differ == []
+def test_window_edges_lie_within_their_bound_of_the_exact_roots(family, two_velocity_model):
+    beyond = []
+    for model in [two_velocity_model, *_window_models(family)]:
+        window = admissible_speed_interval(model)
+        v_max, guard = model.v_max, model.node_guard
+        # c_lower = 0 from the rounding test at chi_s == chi_n lies within the bound too
+        edges = [
+            (window.c_upper, _exact_edge(model, "left", 0.0, v_max - guard)),
+            (window.c_lower, _exact_edge(model, "right", -v_max + guard, 0.0)),
+        ]
+        for edge, (root, bound) in edges:
+            if not abs(Fraction(edge) - root) <= bound:
+                beyond.append((model.n_active, model.chi_s, model.chi_n, edge, float(root), bound))
+        assert window.c_lower < window.c_upper
+    assert beyond == []
 
 
-def test_window_evaluates_the_run_length_only_near_its_edges(monkeypatch):
-    # the plain bisection evaluates it about 102 times for this window
+def test_window_evaluates_the_run_length_five_times(monkeypatch):
+    # at 0 and v_max - guard on the left, at 0 on the right, and once per
+    # edge over the nodes inside its bracket
     calls = []
 
     def spy(model, c, side):
@@ -311,7 +351,7 @@ def test_window_evaluates_the_run_length_only_near_its_edges(monkeypatch):
     monkeypatch.setattr(velocity_model, "mean_run_length", spy)
     nodes, weights = np.polynomial.legendre.leggauss(128)
     admissible_speed_interval(build_model(nodes, weights / weights.sum(), 0.3, 0.1))
-    assert len(calls) <= 40
+    assert len(calls) == 5
 
 
 def test_right_run_length_positive_at_zero_has_no_window():
@@ -324,6 +364,13 @@ def test_right_run_length_positive_at_zero_has_no_window():
 def test_no_confinement_for_unbiased_model():
     model = build_model([-1.0, 1.0], [0.5, 0.5], 0.0, 0.0)
     with pytest.raises(NoConfinementWindow):
+        admissible_speed_interval(model)
+
+
+def test_no_confinement_when_the_edge_lies_inside_the_node_guard():
+    # the exact edge chi_s + chi_n = 1 - 3e-13 lies above v_max - guard = 1 - 1e-9
+    model = build_model([-1.0, 1.0], [0.5, 0.5], 0.5 - 1e-13, 0.5 - 2e-13)
+    with pytest.raises(NoConfinementWindow, match="no sign change of the left-side run length"):
         admissible_speed_interval(model)
 
 
