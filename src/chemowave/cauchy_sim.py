@@ -11,19 +11,16 @@ to roundoff accumulation.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import logging
 import math
-import sys
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from pathlib import Path
 
 import numpy as np
 
+from ._scipy_ext import scipy_extension
 from .chemo_fields import ChemParams
 from .errors import CFLViolation, InsufficientSamples, NegativeDensity, NumericalError
 from .velocity_model import VelocityModel
@@ -224,50 +221,18 @@ def _scale_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> 
     return np.einsum("i,j->ij" if b.ndim == 1 else "i,ij->ij", a, b, out=out)
 
 
-_FLAPACK = "scipy.linalg._flapack"
-_flapack_lock = threading.Lock()
-
-
-def _flapack():
-    """scipy's compiled LAPACK wrapper ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package.
-
-    Importing a submodule runs its package first, and ``scipy.linalg``'s
-    ``__init__`` loads some 330 modules (about 29 MB of resident memory) that
-    the simulation never calls.  So this imports ``scipy`` alone (on Windows
-    its start-up makes its DLLs findable), then loads the extension file from
-    scipy's ``linalg`` directory under its own name.  A module already in
-    ``sys.modules`` is reused, and a later ``import scipy.linalg`` finds and
-    reuses this one: its ``from scipy.linalg import _flapack`` reads
-    ``sys.modules``, though the package gets no ``_flapack`` attribute.
-    """
-    with _flapack_lock:
-        module = sys.modules.get(_FLAPACK)
-        if module is None:
-            import scipy
-
-            linalg = Path(scipy.__file__).parent / "linalg"
-            paths = [linalg / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-            path = next((p for p in paths if p.is_file()), None)
-            if path is None:
-                raise ImportError(f"no {_FLAPACK} extension in {linalg}", name=_FLAPACK)
-            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_FLAPACK] = module
-        return module
-
-
 @lru_cache(maxsize=8)
 def _diffusion_solver(n_cells: int, r: float) -> partial:
     """LAPACK dgttrs bound to the LU factors (dgttrf) of I - r * Laplacian with no-flux walls.
 
     Called as ``solver(rhs, overwrite_b=True)``.  The simulation solves twice
     per step for thousands of steps, where a Python loop would double the
-    step, so it uses LAPACK and loads scipy's LAPACK extension (``_flapack``)
-    on its first factorization; the construction needs no scipy.  A factorization that fails raises
+    step, so it uses LAPACK, from scipy's compiled wrapper ``_flapack``, loaded
+    on the first factorization; the construction loads no LAPACK.  A factorization that fails raises
     ``NumericalError``; ``SimConfig`` refuses the meshes known to cause one.
     """
-    lapack = _flapack()
+    import scipy  # noqa: F401  on Windows, scipy's start-up makes its LAPACK DLLs findable
+    lapack = scipy_extension("scipy.linalg._flapack")
     diag = np.full(n_cells, 1.0 + 2.0 * r)
     diag[0] = diag[-1] = 1.0 + r
     dl, d, du, du2, ipiv, info = lapack.dgttrf(np.full(n_cells - 1, -r), diag, np.full(n_cells - 1, -r))
@@ -394,44 +359,17 @@ def _next_snapshot_time(next_snap: float, snap_dt: float, t: float) -> float:
     return max(min(next_snap + k * snap_dt, past + snap_dt), math.nextafter(past, math.inf))
 
 
-def _local_maxima(x: np.ndarray) -> np.ndarray:
-    """Indices of the local maxima of ``x``, as scipy.signal's ``_local_maxima_1d`` finds them.
-
-    The first and last samples are never maxima.  A run of equal samples
-    entered from a lower one is a maximum if the sample after the run is
-    lower too; its index is the run's middle, rounded down.  NaN compares
-    false, so it neither rises nor falls.
-    """
-    if x.size < 3:
-        return np.empty(0, dtype=np.intp)
-    rises = np.flatnonzero(x[:-2] < x[1:-1]) + 1  # i in [1, n - 2] with x[i - 1] < x[i]
-    # a run that starts at i ends before the first k > i with x[k] != x[k - 1], or at the last sample
-    breaks = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, x.size - 1)
-    ahead = breaks[np.searchsorted(breaks, rises + 1)]
-    falls = x[ahead] < x[rises]
-    return (rises[falls] + ahead[falls] - 1) // 2
-
-
 def prominent_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     """The indices that ``scipy.signal.find_peaks(x, prominence=prominence)`` returns.
 
-    A local maximum's prominence is its height over the higher of its two
-    bases, the lowest sample on each side before the first one above it or
-    the end of ``x`` (no window).  The walks test ``~(x <= height)``, so NaN
-    stops them as it stops scipy's.  A maximum is kept if its prominence is
-    at least ``prominence``.
+    Calls the compiled routines ``find_peaks`` runs for it, ``_local_maxima_1d``
+    and ``_peak_prominences`` with no window (``wlen = -1``), from
+    ``scipy.signal._peak_finding_utils`` (136 KB), without the package.
     """
-    peaks = _local_maxima(x)
-    keep = np.zeros(peaks.size, dtype=bool)
-    for j, peak in enumerate(peaks):
-        height = x[peak]
-        above = np.flatnonzero(~(x[:peak] <= height))
-        left = above[-1] + 1 if above.size else 0
-        above = np.flatnonzero(~(x[peak + 1 :] <= height))
-        right = peak + 1 + above[0] if above.size else x.size
-        base = max(x[left : peak + 1].min(), x[peak:right].min())
-        keep[j] = prominence <= height - base
-    return peaks[keep]
+    utils = scipy_extension("scipy.signal._peak_finding_utils")
+    x = np.asarray(x, order="C", dtype=np.float64)
+    peaks = utils._local_maxima_1d(x)[0]
+    return peaks[prominence <= utils._peak_prominences(x, peaks, np.intp(-1))[0]]
 
 
 def run(config: SimConfig, on_snapshot: Callable[[Snapshot], object]) -> tuple[SimState, FrontDiagnostics]:
@@ -453,10 +391,11 @@ def run(config: SimConfig, on_snapshot: Callable[[Snapshot], object]) -> tuple[S
     The diagnostics' ``n_components`` counts the peaks of the final density
     whose prominence is at least ``PEAK_PROMINENCE_FRACTION`` of its range,
     with the walls as low ground, so that a maximum in the first or last
-    cell counts (``prominent_peaks``, which loads no scipy module, on rho
-    padded with -inf).  The only scipy modules a run loads are ``scipy`` and
-    its compiled LAPACK wrapper ``scipy.linalg._flapack``, for the diffusion
-    solves (``_flapack``); the ``scipy.linalg`` package never runs.
+    cell counts (``prominent_peaks`` on rho padded with -inf).  The only
+    scipy modules a run loads are ``scipy``, its compiled LAPACK wrapper
+    ``scipy.linalg._flapack`` for the diffusion solves, and its compiled peak
+    finder ``scipy.signal._peak_finding_utils`` for the count; the packages
+    ``scipy.linalg`` and ``scipy.signal`` never run.
     """
     x = cell_centers(config)
     state = initial_state(config)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._scipy_ext import scipy_extension
 from .chemo_fields import ChemParams, locate_maximum, s_slope_at_zero, slope_sign_changes, solve_S
 from .errors import ChemowaveError, LostBracket
 from .velocity_model import VelocityModel, admissible_speed_interval
@@ -156,32 +157,13 @@ def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) 
     return roots
 
 
-def _c_divide(a: float, b: float) -> float:
-    """``a / b`` as C computes it in IEEE 754 doubles: a zero ``b`` gives +-inf, or NaN for 0 / 0 and NaN / 0.
-
-    Python raises ZeroDivisionError there instead.
-    """
-    if b != 0.0:
-        return a / b
-    if a == 0.0 or math.isnan(a):
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
 def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
-    """A root of ``f`` in ``[xa, xb]`` by Brent's method, as ``scipy.optimize.brentq``.
+    """A root of ``f`` in ``[xa, xb]`` by Brent's method: ``scipy.optimize.brentq`` with ``rtol = ROOT_C_REL_TOL``.
 
-    A line-for-line port of scipy's ``brentq.c``: the same operations in the
-    same order and the same stopping test ``|xblk - xcur| / 2 < (xtol + rtol
-    |xcur|) / 2`` with ``rtol = ROOT_C_REL_TOL``, so it evaluates ``f`` at the
-    same points and returns the same bits as scipy with that ``rtol``.  As
-    scipy's wrapper does, it raises ValueError when ``f`` returns NaN or
-    ``f(xa)`` and ``f(xb)`` share a sign, and RuntimeError after
-    ``_BRENT_MAXITER`` (scipy's default 100) iterations without convergence.
-    Each division that can meet a zero divisor (an interpolation step whose
-    denominator underflows) gives C's IEEE result through ``_c_divide``, so
-    the step test fails on the inf or NaN and the method bisects, as in C.
-    Kept in the package so that the construction runs on numpy alone.
+    Calls scipy's compiled ``_brentq`` (``scipy.optimize._zeros``, a 21 KB
+    extension, without its package) for at most ``_BRENT_MAXITER``
+    iterations, scipy's default 100, and adds the NaN check of scipy's
+    wrapper, so it raises what ``scipy.optimize.brentq`` raises.
     """
 
     def value(x: float) -> float:
@@ -190,53 +172,8 @@ def brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> fl
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    # f is never NaN and a zero value returns at once, so the C code's
-    # signbit(a) != signbit(b) is (a < 0) != (b < 0) below
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + ROOT_C_REL_TOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = _c_divide(-fcur * (xcur - xpre), fcur - fpre)
-            else:  # extrapolate
-                dpre = _c_divide(fpre - fcur, xpre - xcur)
-                dblk = _c_divide(fblk - fcur, xblk - xcur)
-                stry = _c_divide(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # C's MIN
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+    zeros = scipy_extension("scipy.optimize._zeros")
+    return zeros._brentq(value, xa, xb, xtol, ROOT_C_REL_TOL, _BRENT_MAXITER, (), False, True)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
-"""The in-package ports of scipy's brentq and find_peaks, and the nutrient solve, checked against scipy.
+"""Contract tests of the private scipy entry points, and the nutrient solve checked against scipy.
 
-The construction modes run on numpy alone: ``wave_speed.brentq`` refines the
-wave speeds and must give the bits that ``scipy.optimize.brentq`` gives, also
-where its interpolation divides by an underflowed zero, which C turns into
-inf or NaN and a bisection step.  ``chemo_fields.solve_N`` solves the
-nutrient's difference rows by their increment recurrence; it must agree with
-``scipy.linalg.solve_banded`` on the same rows, and with a 50-digit
-elimination of them.  The simulation counts the components of its final
-density with ``cauchy_sim.prominent_peaks``, which must return the indices
-of ``scipy.signal.find_peaks(x, prominence=p)``.
+``wave_speed.brentq`` refines the wave speeds through scipy's compiled
+``_brentq``, loaded without the ``scipy.optimize`` package: it must evaluate
+the same points, return the same bits and raise the same errors as
+``scipy.optimize.brentq`` at ``rtol = ROOT_C_REL_TOL``.  The simulation
+counts the components of its final density with
+``cauchy_sim.prominent_peaks``, which calls the compiled routines of
+``find_peaks`` and must return the indices of
+``scipy.signal.find_peaks(x, prominence=p)``.  These run on every scipy the
+package supports, so they catch a change of those private signatures.
+``chemo_fields.solve_N`` solves the nutrient's difference rows by their
+increment recurrence; it must agree with ``scipy.linalg.solve_banded`` on the
+same rows, and with a 50-digit elimination of them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ TINY = np.finfo(float).tiny
 
 
 def _both(f, lo, hi, xtol):
-    """(root, evaluated points) of scipy's brentq and of the port, at the port's rtol."""
+    """(root, evaluated points) of scipy's brentq and of ``wave_speed.brentq``, at the latter's rtol."""
     results = []
     for solver, kwargs in ((scipy_brentq, {"rtol": ROOT_C_REL_TOL}), (brentq, {})):
         seen = []
@@ -70,8 +73,7 @@ def test_brent_matches_scipy_on_random_brackets():
         # Upsilon's values are so small here that on 3 of the 13 brackets at
         # 1e200 (0.0045273 to 0.0055083 among them) and 4 of the 12 at 1e300
         # an extrapolation's denominator dblk * dpre * (fblk - fpre)
-        # underflows to 0: C divides to inf or NaN and bisects, where
-        # Python raises ZeroDivisionError
+        # underflows to 0, and scipy's C loop divides to inf or NaN and bisects
         pytest.param("case_one", 1e200, id="case_one-alpha1e200"),
         pytest.param("case_one", 1e300, id="case_one-alpha1e300"),
     ],
@@ -90,17 +92,6 @@ def test_brent_matches_scipy_on_the_scan_brackets(case, alpha, request):
     assert refine_roots(curve, model, chem) == reference_roots
 
 
-def test_c_divide_gives_the_ieee_quotient():
-    values = [0.0, -0.0, 1.0, -1.0, 5e-324, -3.5, np.inf, -np.inf, np.nan]
-    for a in values:
-        for b in values:
-            with np.errstate(all="ignore"):
-                expected = np.float64(a) / np.float64(b)
-            got = wave_speed_mod._c_divide(a, b)
-            same = got == expected and np.signbit(got) == np.signbit(expected)
-            assert same or (np.isnan(got) and np.isnan(expected)), (a, b)
-
-
 def test_brent_raises_as_scipy_does():
     for f, error in (
         (lambda x: x - 3.0, ValueError),  # no sign change
@@ -108,9 +99,9 @@ def test_brent_raises_as_scipy_does():
     ):
         with pytest.raises(error) as reference:
             scipy_brentq(f, 0.0, 1.0, xtol=2e-12, rtol=ROOT_C_REL_TOL)
-        with pytest.raises(error) as ported:
+        with pytest.raises(error) as ours:
             brentq(f, 0.0, 1.0, xtol=2e-12)
-        assert str(ported.value) == str(reference.value)
+        assert str(ours.value) == str(reference.value)
 
 
 def test_brent_raises_when_it_does_not_converge(monkeypatch):
@@ -118,9 +109,9 @@ def test_brent_raises_when_it_does_not_converge(monkeypatch):
     monkeypatch.setattr(wave_speed_mod, "_BRENT_MAXITER", 2)
     with pytest.raises(RuntimeError) as reference:
         scipy_brentq(cube, 0.0, 1.0, xtol=2e-12, rtol=ROOT_C_REL_TOL, maxiter=2)
-    with pytest.raises(RuntimeError) as ported:
+    with pytest.raises(RuntimeError) as ours:
         brentq(cube, 0.0, 1.0, xtol=2e-12)
-    assert str(ported.value) == str(reference.value)
+    assert str(ours.value) == str(reference.value)
 
 
 def test_brent_returns_a_bracket_end_with_a_zero_value():

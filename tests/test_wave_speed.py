@@ -19,7 +19,7 @@ from chemowave import (
     upsilon,
     verify_root,
 )
-from chemowave.errors import LostBracket, ResonantMode
+from chemowave.errors import LostBracket, NullSpaceDimensionError, ResonantMode
 import chemowave.wave_speed as wave_speed_mod
 
 
@@ -130,6 +130,31 @@ def test_lost_bracket_rejects_bad_signs(case_one, chem_default):
     curve.brackets = [(0, 0.01, 0.02, -1.0, 1.0)]
     with pytest.raises(LostBracket):
         refine_roots(curve, model, chem_default)
+
+
+def test_solver_error_inside_a_bracket_becomes_lost_bracket(case_one, chem_default, monkeypatch):
+    # the error leaves Upsilon inside Brent's loop, which runs in scipy's C
+    # code, and must reach refine_roots as itself
+    model, _cfg = case_one
+    curved = lambda _m, _p, c: np.tanh(40.0 * (0.0246 - c))  # noqa: E731
+    monkeypatch.setattr(wave_speed_mod, "upsilon", curved)
+    curve = scan(model, chem_default, 16)
+    [(_i, lo, hi, _y_lo, _y_hi)] = curve.brackets
+    error = NullSpaceDimensionError("matching matrix has a 2-dimensional null space")
+    calls = []
+
+    def failing(_m, _p, c):
+        calls.append(c)
+        if len(calls) == 2:
+            raise error
+        return curved(_m, _p, c)
+
+    monkeypatch.setattr(wave_speed_mod, "upsilon", failing)
+    with pytest.raises(LostBracket) as lost:
+        refine_roots(curve, model, chem_default)
+    assert str(lost.value) == f"could not refine bracket ({lo!r}, {hi!r}): {error}"
+    assert lost.value.__cause__ is error
+    assert len(calls) == 2
 
 
 def test_node_jump_is_recorded_not_rooted(case_one, chem_default):
