@@ -82,8 +82,8 @@ def _particular_coefficients(
         k = int(np.argmax(resonant))
         raise at_speed(
             ResonantMode(
-                f"source exponent {mu[k]!r} resonates with the homogeneous operator "
-                f"(alpha - c*mu - d_s*mu^2 = {denom[k]!r})"
+                f"source exponent {float(mu[k])!r} resonates with the homogeneous operator "
+                f"(alpha - c*mu - d_s*mu^2 = {float(denom[k])!r})"
             ),
             c,
         )

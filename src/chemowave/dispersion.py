@@ -186,7 +186,7 @@ def _check_pole_separation(poles_sorted: np.ndarray, speeds: np.ndarray) -> None
     def coincident(i: int) -> BracketFailure:
         j = int(np.argmax(bad[i]))
         return BracketFailure(
-            f"singular values {poles_sorted[i, j]!r} and {poles_sorted[i, j + 1]!r} are "
+            f"singular values {float(poles_sorted[i, j])!r} and {float(poles_sorted[i, j + 1])!r} are "
             "numerically coincident; mode counts would be unreliable"
         )
 

@@ -252,7 +252,7 @@ def solve_modes(model: VelocityModel, c: float | np.ndarray) -> WaveProfile:
     raise_first(
         mismatch > MATCHING_REL_TOL * np.abs(f0).max(axis=1),
         speeds,
-        lambda i: NullSpaceDimensionError(f"left/right expansions disagree at z=0: max mismatch {mismatch[i]!r}"),
+        lambda i: NullSpaceDimensionError(f"left/right expansions disagree at z=0: max mismatch {float(mismatch[i])!r}"),
     )
 
     left_mass = np.vecdot(a, mass_row[:, :m])

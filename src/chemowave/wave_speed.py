@@ -20,7 +20,7 @@ from ._scipy_ext import scipy_extension
 from .chemo_fields import ChemParams, locate_maximum, s_slope_at_zero, slope_sign_changes, solve_S
 from .errors import ChemowaveError, LostBracket
 from .velocity_model import VelocityModel, admissible_speed_interval
-from .wave_profile import solve_modes
+from .wave_profile import PiecewiseExponential, solve_modes
 
 logger = logging.getLogger(__name__)
 
@@ -75,53 +75,61 @@ def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
     return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2.0 * k - 1.0) * np.pi / (2.0 * n)))
 
 
-def scan(
-    model: VelocityModel, params: ChemParams, samples_per_interval: int = SAMPLES_PER_INTERVAL
-) -> UpsilonCurve:
-    """Sample Upsilon over every continuity interval and bracket sign changes.
+@dataclass(frozen=True)
+class IntervalModes:
+    """The stacked density modes ``rho`` at one continuity interval's samples ``c``."""
 
-    Samples are Chebyshev-spaced inside each component of the admissible
-    range (endpoints inset by the node guard).  Each interval's samples are
-    evaluated by one stacked ``upsilon`` call, bit-identical to one call per
-    sample; an error it raises is one that a sample raises by itself.
+    interval_id: int
+    lo: float
+    hi: float
+    c: np.ndarray
+    rho: PiecewiseExponential
+
+
+def scan_modes(model: VelocityModel, samples_per_interval: int = SAMPLES_PER_INTERVAL) -> list[IntervalModes]:
+    """The mode stage of ``scan``, which no chemistry parameter enters.
+
+    Samples are Chebyshev-spaced inside each continuity interval, inset by the node guard, and solved
+    by one stacked ``solve_modes`` call per interval; an error it raises is one a sample raises by itself.
     """
     if samples_per_interval < MIN_SAMPLES_PER_INTERVAL:
         raise ValueError(f"samples_per_interval must be at least {MIN_SAMPLES_PER_INTERVAL}")
-    window = admissible_speed_interval(model)
     guard = model.node_guard
-
-    intervals: list[IntervalSamples] = []
-    for i, (lo, hi) in enumerate(window.admissible_intervals):
+    modes: list[IntervalModes] = []
+    for i, (lo, hi) in enumerate(admissible_speed_interval(model).admissible_intervals):
         if hi - lo <= 3.0 * guard:
             logger.warning(
-                "continuity interval (%r, %r) is no wider than 3 node guards; skipped, no root there is found",
-                lo,
-                hi,
+                "continuity interval (%r, %r) is no wider than 3 node guards; skipped, no root there is found", lo, hi
             )
             continue
         cs = _chebyshev_points(lo + guard, hi - guard, samples_per_interval)
-        ys = upsilon(model, params, cs)
-        intervals.append(IntervalSamples(interval_id=i, lo=lo, hi=hi, c=cs, upsilon=ys))
+        modes.append(IntervalModes(i, lo, hi, cs, solve_modes(model, cs).rho_modes()))
+    return modes
 
+
+def scan_chemistry(modes: list[IntervalModes], params: ChemParams) -> UpsilonCurve:
+    """The chemistry stage of ``scan``: Upsilon by ``s_slope_at_zero`` on the modes, and its sign changes.
+
+    A downward change between two samples of an interval is a bracket; an upward one is logged, never rooted.
+    """
+    intervals = [IntervalSamples(m.interval_id, m.lo, m.hi, m.c, s_slope_at_zero(m.rho, params, m.c)) for m in modes]
     brackets: list[tuple[int, float, float, float, float]] = []
     upward: list[tuple[int, float, float]] = []
     for seg in intervals:
-        y = seg.upsilon
-        for j in range(y.size - 1):
+        c, y = seg.c.tolist(), seg.upsilon.tolist()
+        for j in range(len(y) - 1):
             if y[j] > 0.0 and y[j + 1] < 0.0:
-                brackets.append(
-                    (seg.interval_id, float(seg.c[j]), float(seg.c[j + 1]), float(y[j]), float(y[j + 1]))
-                )
+                brackets.append((seg.interval_id, c[j], c[j + 1], y[j], y[j + 1]))
             elif y[j] < 0.0 and y[j + 1] > 0.0:
-                logger.warning(
-                    "upward in-interval crossing of Upsilon between c=%r and c=%r; "
-                    "not counted as a wave speed",
-                    seg.c[j],
-                    seg.c[j + 1],
-                )
-                upward.append((seg.interval_id, float(seg.c[j]), float(seg.c[j + 1])))
-
+                msg = "upward in-interval crossing of Upsilon between c=%r and c=%r; not counted as a wave speed"
+                logger.warning(msg, c[j], c[j + 1])
+                upward.append((seg.interval_id, c[j], c[j + 1]))
     return UpsilonCurve(intervals=intervals, brackets=brackets, upward_crossings=upward)
+
+
+def scan(model: VelocityModel, params: ChemParams, samples_per_interval: int = SAMPLES_PER_INTERVAL) -> UpsilonCurve:
+    """Upsilon sampled and bracketed on every continuity interval: ``scan_modes``, then ``scan_chemistry``."""
+    return scan_chemistry(scan_modes(model, samples_per_interval), params)
 
 
 def refine_roots(curve: UpsilonCurve, model: VelocityModel, params: ChemParams) -> list[float]:

@@ -142,8 +142,11 @@ def test_literal_resonant_constants_raise():
     # exp(-z) with (d_s, alpha, c) = (0.5, 0.5, 0) makes the source exponent
     # coincide with the decaying homogeneous exponent exactly.
     params = ChemParams(d_s=0.5, d_n=1.0, alpha=0.5, beta=1.0, gamma=1.0)
-    with pytest.raises(ResonantMode):
+    with pytest.raises(ResonantMode) as info:
         solve_S(_one_sided_mode(1.0), params, 0.0)
+    assert str(info.value) == (
+        "at c=0.0: source exponent -1.0 resonates with the homogeneous operator (alpha - c*mu - d_s*mu^2 = 0.0)"
+    )
 
 
 def test_ode_residual_on_grid(case_one, chem_default):

@@ -477,8 +477,12 @@ def test_cli_exit_codes(tmp_path, capsys):
             "velocities = 0.5 0.50000000000000011\nweights = 0.25 0.25",
         )
     )
-    assert main(["profile", "--config", str(knot)]) == 3
     capsys.readouterr()
+    assert main(["profile", "--config", str(knot)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: at c=0.1: singular values -2.4166666666666665 and -2.416666666666666 are "
+        "numerically coincident; mode counts would be unreliable\n"
+    )
 
 
 def test_cli_validates_equal_sensitivities(tmp_path, configs_dir, capsys):

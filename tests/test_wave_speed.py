@@ -21,6 +21,7 @@ from chemowave import (
 )
 from chemowave.errors import LostBracket, NullSpaceDimensionError, ResonantMode
 import chemowave.wave_speed as wave_speed_mod
+from chemowave.wave_speed import scan_chemistry, scan_modes
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,56 @@ def test_scan_is_deterministic(case_one, chem_default):
     assert len(c1.intervals) == 2  # one interior node below the speed ceiling
 
 
+
+@pytest.mark.parametrize("case", ["case_one", "case_two", "case_three"])
+def test_one_mode_stage_serves_every_parameter_value(case, request):
+    # scan is scan_chemistry after scan_modes: one mode stage, then the chemistry stage at
+    # each (alpha, d_s, beta), gives a fresh scan's curve bit for bit, and each interval's
+    # samples are one stacked upsilon call's
+    model, cfg = request.getfixturevalue(case)
+    modes = scan_modes(model)
+    for alpha, d_s, beta in [(0.5, 0.5, 1.0), (10.0, 0.1, 2.5), (1e4, 2.0, 0.3), (1e7, 0.5, 3.0)]:
+        params = replace(cfg.chem, alpha=alpha, d_s=d_s, beta=beta)
+        staged, whole = scan_chemistry(modes, params), scan(model, params)
+        assert [(seg.interval_id, seg.lo, seg.hi) for seg in staged.intervals] == [
+            (seg.interval_id, seg.lo, seg.hi) for seg in whole.intervals
+        ]
+        for ours, theirs in zip(staged.intervals, whole.intervals):
+            assert ours.c.tobytes() == theirs.c.tobytes()
+            assert ours.upsilon.tobytes() == theirs.upsilon.tobytes()
+            assert theirs.upsilon.tobytes() == upsilon(model, params, theirs.c).tobytes()
+        assert repr(staged.brackets) == repr(whole.brackets)
+        assert repr(staged.upward_crossings) == repr(whole.upward_crossings)
+
+
+def _equal_sensitivities(cfg, chi: float):
+    """sec4_1's velocity set with chi_s = chi_n = chi, whose speed window starts at c_lower = 0."""
+    model = build_model(*expand_half_set(list(cfg.velocities), list(cfg.weights)), chi, chi)
+    assert admissible_speed_interval(model).c_lower == 0.0
+    return model
+
+
+@pytest.mark.parametrize("chi", [0.1, 0.15, 0.2, 0.25])
+def test_equal_sensitivities_scan_at_the_default_sample_count(case_one, chi):
+    _model, cfg = case_one
+    curve = scan(_equal_sensitivities(cfg, chi), cfg.chem)
+    assert curve.intervals[0].lo == 0.0 and curve.brackets
+
+
+@pytest.mark.xfail(
+    raises=NullSpaceDimensionError,
+    strict=True,
+    reason="with chi_s == chi_n, solve_modes raises NullSpaceDimensionError at c = 7.99e-07, the first of 256 "
+    "Chebyshev samples, 9.4e-6 of the interval's width above c_lower = 0: rounding of an ill-conditioned "
+    "near-zero root decides it (CHANGES.md FOUND), so upsilon-scan exits 3 at samples_per_interval = 256",
+)
+@pytest.mark.parametrize("chi", [0.1, 0.15, 0.2])
+def test_equal_sensitivities_scan_at_256_samples(case_one, chi):
+    _model, cfg = case_one
+    curve = scan(_equal_sensitivities(cfg, chi), cfg.chem, 256)
+    assert curve.intervals[0].lo == 0.0 and curve.brackets
+
+
 def test_samples_keep_clear_of_nodes_and_endpoints(case_two, chem_strong):
     model, _cfg = case_two
     window = admissible_speed_interval(model)
@@ -80,12 +131,18 @@ def test_sample_count_contract(case_one, chem_default):
     assert all(seg.c.size == 8 for seg in curve.intervals)
 
 
+def _fake_upsilon(monkeypatch, fake):
+    """Replace Upsilon by ``fake(_, params, c)`` in both its callers: the scan's chemistry stage and Brent's method."""
+    monkeypatch.setattr(wave_speed_mod, "s_slope_at_zero", fake)
+    monkeypatch.setattr(wave_speed_mod, "upsilon", fake)
+
+
 def test_refine_bisection_on_synthetic_curve(case_one, chem_default, monkeypatch):
     # Bisection correctness in isolation: replace the matching function by a
     # linear one and check the refined root hits its zero.
     model, _cfg = case_one
     root_true = 0.1234567
-    monkeypatch.setattr(wave_speed_mod, "upsilon", lambda _m, _p, c: root_true - c)
+    _fake_upsilon(monkeypatch, lambda _m, _p, c: root_true - c)
     curve = wave_speed_mod.scan(model, chem_default, 16)
     roots = wave_speed_mod.refine_roots(curve, model, chem_default)
     assert len(roots) == 1
@@ -93,12 +150,17 @@ def test_refine_bisection_on_synthetic_curve(case_one, chem_default, monkeypatch
     assert curve.root_residuals[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_upward_crossing_reported_not_rooted(case_one, chem_default, monkeypatch):
+def test_upward_crossing_reported_not_rooted(case_one, chem_default, monkeypatch, caplog):
     model, _cfg = case_one
-    monkeypatch.setattr(wave_speed_mod, "upsilon", lambda _m, _p, c: c - 0.1234567)
-    curve = wave_speed_mod.scan(model, chem_default, 16)
+    _fake_upsilon(monkeypatch, lambda _m, _p, c: c - 0.1234567)
+    with caplog.at_level(logging.WARNING, logger="chemowave"):
+        curve = wave_speed_mod.scan(model, chem_default, 16)
     assert curve.brackets == []
     assert len(curve.upward_crossings) == 1
+    [(_i, lo, hi)] = curve.upward_crossings
+    assert [r.getMessage() for r in caplog.records] == [
+        f"upward in-interval crossing of Upsilon between c={lo!r} and c={hi!r}; not counted as a wave speed"
+    ]
     assert wave_speed_mod.refine_roots(curve, model, chem_default) == []
 
 
@@ -137,7 +199,7 @@ def test_solver_error_inside_a_bracket_becomes_lost_bracket(case_one, chem_defau
     # code, and must reach refine_roots as itself
     model, _cfg = case_one
     curved = lambda _m, _p, c: np.tanh(40.0 * (0.0246 - c))  # noqa: E731
-    monkeypatch.setattr(wave_speed_mod, "upsilon", curved)
+    _fake_upsilon(monkeypatch, curved)
     curve = scan(model, chem_default, 16)
     [(_i, lo, hi, _y_lo, _y_hi)] = curve.brackets
     error = NullSpaceDimensionError("matching matrix has a 2-dimensional null space")
@@ -211,7 +273,7 @@ def test_refine_brent_on_curved_synthetic_curve(case_one, chem_default, monkeypa
         calls.append(c)
         return np.tanh(40.0 * (root_true - c)) + 0.3 * (root_true - c) ** 2
 
-    monkeypatch.setattr(wave_speed_mod, "upsilon", curved)
+    _fake_upsilon(monkeypatch, curved)
     curve = wave_speed_mod.scan(model, chem_default, 16)
     calls.clear()
     roots = wave_speed_mod.refine_roots(curve, model, chem_default)
