@@ -61,7 +61,6 @@ class SimConfig:
     cells: int
     t_end: float
     snapshot_interval: float | None = None
-    snapshot_f: bool = False  # keep each snapshot's velocity components
 
     initial_rho = InitialDensity()  # the one start; a class constant, not a field
 
@@ -124,7 +123,6 @@ class Snapshot:
     rho: np.ndarray
     s: np.ndarray
     n: np.ndarray
-    f: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -286,8 +284,7 @@ def step(state: SimState, config: SimConfig, dt: float | None = None) -> SimStat
     if dt is None:
         dt = config.default_dt()
     v = model.velocities
-    v_max = float(np.max(np.abs(v)))
-    if v_max * dt / dx > CFL * (1.0 + 1e-12):
+    if dt > CFL * dx / float(np.max(np.abs(v))):  # default_dt's Courant bound, exactly
         raise CFLViolation(f"dt={dt!r} violates the transport CFL bound {CFL!r}")
     if dt * model.rates.max_rate > 1.0:
         raise CFLViolation(f"dt={dt!r} violates the tumbling bound dt*maxT <= 1")
@@ -407,14 +404,7 @@ def run(config: SimConfig, on_snapshot: Callable[[Snapshot], object]) -> tuple[S
     def snap(st: SimState) -> None:
         rho = config.model.weights @ st.f
         peak_track.append((st.t, float(x[int(np.argmax(rho))])))
-        on_snapshot(Snapshot(
-            t=st.t,
-            x=x,
-            rho=rho,
-            s=st.s.copy(),
-            n=st.n.copy(),
-            f=st.f.copy() if config.snapshot_f else None,
-        ))
+        on_snapshot(Snapshot(t=st.t, x=x, rho=rho, s=st.s.copy(), n=st.n.copy()))
 
     snap(state)
     next_snap = snap_dt

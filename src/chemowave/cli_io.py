@@ -72,7 +72,6 @@ class SimBlock:
     cells: int
     t_end: float
     snapshot_interval: float | None = SimConfig.snapshot_interval
-    snapshot_f: bool = SimConfig.snapshot_f
 
     initial_mass = SimConfig.initial_rho.mass  # the start's mass; no key
 
@@ -134,20 +133,10 @@ def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 # field annotation, "| None" dropped -> (parse, format) of the config value
 _VALUE_TYPES = {
     "float": (float, _g17),
     "int": (int, str),
-    "bool": (_parse_bool, lambda value: "true" if value else "false"),
     "tuple[float, ...]": (
         lambda raw: tuple(float(p) for p in re.split(r"[,\s]+", raw.strip()) if p),
         lambda value: " ".join(_g17(v) for v in value),
@@ -584,14 +573,9 @@ def emit_profile_csv(
 
 
 def emit_snapshot_csv(snapshot, path: str | Path, config_hash: str | None = None) -> None:
-    """Write one simulation snapshot: x, rho, s, n (and f_k when recorded)."""
+    """Write one simulation snapshot: x, rho, s, n."""
     head = _header_lines(config_hash) + [f"# t={_g17(snapshot.t)}"]
-    cols = "x,rho,s,n"
-    columns = [snapshot.x, snapshot.rho, snapshot.s, snapshot.n]
-    if snapshot.f is not None:
-        cols += "," + ",".join(f"f_{k}" for k in range(snapshot.f.shape[0]))
-        columns.append(snapshot.f.T)
-    _write_csv(path, head, cols, np.column_stack(columns))
+    _write_csv(path, head, "x,rho,s,n", np.column_stack([snapshot.x, snapshot.rho, snapshot.s, snapshot.n]))
 
 
 def emit_diagnostics_csv(diagnostics, path: str | Path, config_hash: str | None = None) -> None:

@@ -230,8 +230,17 @@ def test_step_accepts_the_courant_bound_and_nothing_above_it(case_two):
     assert dt < min(1.0 / config.params.alpha, 0.5 / config.model.rates.max_rate)
     state = initial_state(config)
     assert step(state, config, dt).t == dt
-    with pytest.raises(CFLViolation, match="transport CFL bound 0.45"):
-        step(state, config, dt * (1.0 + 1e-9))
+    with pytest.raises(CFLViolation, match="transport CFL bound 0.45"):  # no slack: the next double is refused
+        step(state, config, np.nextafter(dt, np.inf))
+
+
+def test_step_refuses_a_dt_above_the_tumbling_bound(case_two):
+    # on a coarse mesh (dx = 15.625, Courant bound 7.09) the tumbling bound dt * max T <= 1 binds
+    _model, cfg = case_two
+    config = dataclasses.replace(cfg.build_sim_config(), domain_length=1000.0, cells=64)
+    assert CFL * config.dx / float(np.max(np.abs(config.model.velocities))) > 0.6 > 1.0 / config.model.rates.max_rate
+    with pytest.raises(CFLViolation, match=r"dt=0.6 violates the tumbling bound dt\*maxT <= 1"):
+        step(initial_state(config), config, 0.6)
 
 
 def test_transport_matches_the_per_velocity_loop():
@@ -320,6 +329,12 @@ def test_measure_front_speed_linear_fit():
         assert np.isfinite(measure_front_speed(track[:n])[0])
 
 
+@pytest.mark.parametrize("shape", [(40,), (40, 3), (2, 20, 2)])
+def test_measure_front_speed_refuses_a_track_that_is_not_n_by_2(shape):
+    with pytest.raises(ValueError, match=r"peak_track must be an \(n, 2\) array"):
+        measure_front_speed(np.zeros(shape))
+
+
 def test_run_produces_snapshots_and_diagnostics(case_two):
     model, _cfg = case_two
     config = SimConfig(
@@ -329,14 +344,13 @@ def test_run_produces_snapshots_and_diagnostics(case_two):
         cells=128,
         t_end=40.0,
         snapshot_interval=2.0,
-        snapshot_f=True,
     )
     snapshots = []
     state, diagnostics = run(config, snapshots.append)
     assert state.t == pytest.approx(40.0, rel=1e-12)
     assert len(snapshots) == 21
     assert snapshots[0].t == 0.0 and snapshots[-1].t == pytest.approx(40.0, rel=1e-12)
-    assert snapshots[-1].f is not None and snapshots[-1].f.shape == (model.n_active, 128)
+    assert snapshots[-1].rho.shape == (128,) and state.f.shape == (model.n_active, 128)
     assert diagnostics.peak_track.shape[0] == len(snapshots)
     assert np.array_equal(diagnostics.peak_track[:, 0], [snap.t for snap in snapshots])
     assert np.array_equal(diagnostics.peak_track[:, 1], [snap.x[np.argmax(snap.rho)] for snap in snapshots])
@@ -347,10 +361,11 @@ def test_run_produces_snapshots_and_diagnostics(case_two):
 
 def test_run_memory_does_not_grow_with_the_snapshot_count(case_two):
     # a caller that drops each snapshot leaves run() holding only the peak
-    # track; with the velocity rows each snapshot has 3 + 18 rows of cells
+    # track; each snapshot has 3 rows of cells (x is shared), 24 KB at 1024
+    # cells, against the 9 KB that 180 more peak-track samples add
     _model, cfg = case_two
-    config = dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, snapshot_f=True)
-    snapshot_bytes = (3 + config.model.n_active) * config.cells * 8
+    config = dataclasses.replace(cfg.build_sim_config(), cells=1024, t_end=5.0)
+    snapshot_bytes = 3 * config.cells * 8
     run(config, lambda snapshot: None)  # caches the diffusion factors of each dt, the cut last step's too
     peaks = {}
     tracemalloc.start()
@@ -641,16 +656,17 @@ def test_a_density_against_a_wall_is_one_component(case, request):
 # 2, so f and S scale by 1/s and N is unchanged bit for bit.  Mirror: the start
 # reversed in space and velocity gives the mirror image, up to rounding in the
 # sum over velocities and the diffusion solves; the bounds below are 3 to 5
-# times the largest relative deviation over sec4_2's snapshots (5.8e-16 for f,
-# rho and S, 1.9e-14 for N).
+# times the largest relative deviation over sec4_2's snapshots and final f
+# (5.8e-16 for f, rho and S, 1.9e-14 for N).  Snapshots hold rho, S and N;
+# f is compared in the final state that run() returns.
 MIRROR_TOL = 2e-15
 MIRROR_N_TOL = 1e-13
 
 
 def _short_sec4_2(case_two):
-    # 21 snapshots with velocities, in about 0.05 s
+    # 21 snapshots, in about 0.05 s
     _model, cfg = case_two
-    return dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0, snapshot_f=True)
+    return dataclasses.replace(cfg.build_sim_config(), cells=128, t_end=20.0)
 
 
 def _space_scaled(config, s):
@@ -665,19 +681,19 @@ def _space_scaled(config, s):
 
 def _snapshots(config):
     snapshots = []
-    _state, diagnostics = run(config, snapshots.append)
-    return snapshots, diagnostics
+    state, diagnostics = run(config, snapshots.append)
+    return snapshots, state, diagnostics
 
 
 def _assert_space_scaling(config, s):
-    base, base_diagnostics = _snapshots(config)
-    scaled, diagnostics = _snapshots(_space_scaled(config, s))
+    base, base_state, base_diagnostics = _snapshots(config)
+    scaled, state, diagnostics = _snapshots(_space_scaled(config, s))
     assert len(scaled) == len(base)
     for snap, ref in zip(scaled, base):
         assert snap.t == ref.t
-        assert np.array_equal(snap.x, s * ref.x)
-        assert np.array_equal(s * snap.f, ref.f) and np.array_equal(s * snap.rho, ref.rho)
+        assert np.array_equal(snap.x, s * ref.x) and np.array_equal(s * snap.rho, ref.rho)
         assert np.array_equal(s * snap.s, ref.s) and np.array_equal(snap.n, ref.n)
+    assert state.t == base_state.t and np.array_equal(s * state.f, base_state.f)
     assert np.array_equal(diagnostics.peak_track, base_diagnostics.peak_track * [1.0, s])
     assert diagnostics.fitted_speed == s * base_diagnostics.fitted_speed
     assert diagnostics.n_components == base_diagnostics.n_components
@@ -703,7 +719,6 @@ def test_space_scaling_holds_for_random_symmetric_models(seed):
         cells=128,
         t_end=20.0,
         snapshot_interval=1.0,
-        snapshot_f=True,
     )
     for s in (2.0, 0.5):
         _assert_space_scaling(config, s)
@@ -711,19 +726,20 @@ def test_space_scaling_holds_for_random_symmetric_models(seed):
 
 def test_mirror_start_gives_the_mirror_image(case_two, monkeypatch):
     config = _short_sec4_2(case_two)
-    base, base_diagnostics = _snapshots(config)
+    base, base_state, base_diagnostics = _snapshots(config)
     start = initial_state(config)
     mirrored = dataclasses.replace(start, f=start.f[::-1, ::-1])  # the block against the right wall
     monkeypatch.setattr(cauchy_sim_mod, "initial_state", lambda _config: mirrored)  # run() starts from it
-    image, diagnostics = _snapshots(config)
+    image, state, diagnostics = _snapshots(config)
     assert len(image) == len(base)
     for snap, ref in zip(image, base):
         assert snap.t == ref.t
         for got, want, tol in (
-            (snap.f[::-1, ::-1], ref.f, MIRROR_TOL),
             (snap.rho[::-1], ref.rho, MIRROR_TOL),
             (snap.s[::-1], ref.s, MIRROR_TOL),
             (snap.n[::-1], ref.n, MIRROR_N_TOL),
         ):
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    assert state.t == base_state.t
+    assert np.max(np.abs(state.f[::-1, ::-1] - base_state.f)) <= MIRROR_TOL * np.max(np.abs(base_state.f))
     assert diagnostics.n_components == base_diagnostics.n_components

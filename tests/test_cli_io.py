@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import logging
 import os
 import pickle
 import re
@@ -161,21 +162,16 @@ def test_model_input_checks_are_config_errors(case, tmp_path, capsys):
     _assert_refused(text, "validate", str(exc.value), tmp_path, capsys)
 
 
-@pytest.mark.parametrize("raw", ["false", "no", "0"])
-def test_snapshot_f_parses_false(raw):
-    text = TWO_VELOCITY_SIM.replace("t_end = 1\n", f"t_end = 1\nsnapshot_f = {raw}\n")
-    assert parse_config(text, mode="simulate").sim.snapshot_f is False
-
-
 def test_structural_config_errors_name_their_place(tmp_path, capsys):
     # a bad value's column is that of its first character, after any spaces
-    maybe = TWO_VELOCITY_SIM.replace("t_end = 1\n", "t_end = 1\nsnapshot_f = maybe\n")
-    tight = TWO_VELOCITY_SIM.replace("t_end = 1\n", "t_end = 1\nsnapshot_f=maybe\n")
+    maybe = TWO_VELOCITY_SIM.replace("cells = 128\n", "cells = maybe\n")
+    tight = TWO_VELOCITY_SIM.replace("cells = 128\n", "cells=maybe\n")
     repeated = TWO_VELOCITY_SIM + "\n[sim]\ncells = 64\n"
+    not_int = "invalid literal for int() with base 10: 'maybe'"
     no_model = TWO_VELOCITY_SCAN.replace("[model]\nvelocities = 1\nweights = 0.5\nchi_s = 0.3\nchi_n = 0.15\n", "")
     for text, error, message in (
-        (maybe, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 19, column 14)"),
-        (tight, ParseError, "bad value 'maybe' for 'snapshot_f': not a boolean: 'maybe' (line 19, column 12)"),
+        (maybe, ParseError, f"bad value 'maybe' for 'cells': {not_int} (line 17, column 9)"),
+        (tight, ParseError, f"bad value 'maybe' for 'cells': {not_int} (line 17, column 7)"),
         (repeated, ParseError, "duplicate section [sim] (line 23, column 1)"),
         (no_model, MissingKey, "missing required section [model]"),
     ):
@@ -333,29 +329,56 @@ def _read_table(path) -> tuple[str, np.ndarray]:
     return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
-def test_snapshot_velocity_columns_are_the_run_s_f(tmp_path, configs_dir):
+def _sec4_2_sim(tmp_path, configs_dir, **values) -> Path:
+    """sec4_2.ini with the given keys' values replaced, written to ``tmp_path``."""
     text = (configs_dir / "sec4_2.ini").read_text()
-    for key, value in (("cells", "128"), ("t_end", "2")):
+    for key, value in values.items():
         text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
-    for flag in ("true", "false"):
-        (tmp_path / f"{flag}.ini").write_text(text.replace("[sim]\n", f"[sim]\nsnapshot_f = {flag}\n"))
-        assert main(["simulate", "--config", str(tmp_path / f"{flag}.ini"), "--out", str(tmp_path / flag)]) == 0
+    path = tmp_path / "sec4_2.ini"
+    path.write_text(text)
+    return path
+
+
+def test_snapshot_columns_are_the_run_s_fields(tmp_path, configs_dir):
+    cfg_path = _sec4_2_sim(tmp_path, configs_dir, cells=128, t_end=2)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 0
     snaps = []
-    cauchy_sim_mod.run(load_config(tmp_path / "true.ini", mode="simulate")[0].build_sim_config(), snaps.append)
-    written = sorted((tmp_path / "true").glob("snapshot_*.csv"))
+    cauchy_sim_mod.run(load_config(cfg_path, mode="simulate")[0].build_sim_config(), snaps.append)
+    written = sorted((tmp_path / "sim").glob("snapshot_*.csv"))
     assert len(written) == len(snaps) == 3  # t = 0, 1 and 2
     # diagnostics.csv reports the component count and has one peak-track row per snapshot
-    diagnostics = (tmp_path / "true" / "diagnostics.csv").read_text().splitlines()
+    diagnostics = (tmp_path / "sim" / "diagnostics.csv").read_text().splitlines()
     assert any(line.startswith("# n_components=") for line in diagnostics)
-    assert _read_table(tmp_path / "true" / "diagnostics.csv")[1].shape == (len(written), 2)
-    for path, snap in ((written[0], snaps[0]), (written[-1], snaps[-1])):
-        names, table = _read_table(path)
-        assert names == "x,rho,s,n," + ",".join(f"f_{k}" for k in range(18))
-        assert snap.f.shape == (18, 128)
-        assert table[:, 4:].T.tobytes() == snap.f.tobytes()  # bit for bit, the sign of a zero included
-    for path in (tmp_path / "false").glob("snapshot_*.csv"):
+    assert _read_table(tmp_path / "sim" / "diagnostics.csv")[1].shape == (len(written), 2)
+    for path, snap in zip(written, snaps):
         names, table = _read_table(path)
         assert names == "x,rho,s,n" and table.shape == (128, 4)
+        # bit for bit, the sign of a zero included
+        assert table.T.tobytes() == np.stack([snap.x, snap.rho, snap.s, snap.n]).tobytes()
+
+
+def test_simulate_halves_dt_once_for_a_negative_nutrient(tmp_path, configs_dir, capsys, caplog):
+    # at gamma = 50 the first step's n (1 - dt gamma rho) goes negative in the
+    # initial block; at dt / 2 it does not, and the run goes on at that step
+    cfg_path = _sec4_2_sim(tmp_path, configs_dir, cells=64, t_end=2, gamma=50)
+    with caplog.at_level(logging.WARNING, logger="chemowave.cauchy_sim"):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 0
+    halvings = [(r.levelno, r.getMessage()) for r in caplog.records if "halving dt" in r.getMessage()]
+    assert halvings == [
+        (logging.WARNING, "negative chemical field at t=0.0; halving dt from 0.1 to 0.05 for the rest of the run")
+    ]
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == [
+        "diagnostics.csv", "snapshot_0000.csv", "snapshot_0001.csv", "snapshot_0002.csv"
+    ]
+    assert capsys.readouterr().out.startswith("integrated to t=2 with 3 snapshots\n")
+
+
+def test_simulate_fails_when_the_halved_dt_is_still_negative(tmp_path, configs_dir, capsys):
+    # at gamma = 200 the halved step fails too: exit 3, and only the t = 0 snapshot is written
+    cfg_path = _sec4_2_sim(tmp_path, configs_dir, cells=64, t_end=2, gamma=200)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")]) == 3
+    assert capsys.readouterr().err == "numerical failure: negative chemical field at t=0.0\n"
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == ["snapshot_0000.csv"]
 
 
 def test_simulate_stops_at_the_snapshot_it_cannot_spool(tmp_path, monkeypatch, capsys):
@@ -655,6 +678,7 @@ REMOVED_KEYS = [
     ("sim", "initial_n"),  # and in N = 1, the construction's N_+
     ("sim", "initial_mass"),  # and of unit mass; a run of mass M is the unit-mass run at gamma * M
     ("sim", "cfl"),  # the Courant number is the scheme constant cauchy_sim.CFL
+    ("sim", "snapshot_f"),  # snapshots hold x, rho, s and n; run() returns the final f
 ]
 
 
